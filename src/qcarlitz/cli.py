@@ -24,8 +24,8 @@ from .carlitz import beta_h, beta_hk, beta_number, beta_number_recurrence, beta_
 from .identities import (IdentityParams, IdentityReport, cross34_check,
                          grid_params, lemma2_coeff_check, sample_grid,
                          thm1_check, thm3_check, thm4_check)
-from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, verify_eq2_qexp,
-                    verify_eq3, witt_check)
+from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, check_step_budget,
+                    verify_eq2_qexp, verify_eq3, witt_check)
 from .polyq import Poly
 from .qcore import QArg, power_sum_T, q_int
 from .ratfunc import RatFunc, rf_eval_rational
@@ -155,6 +155,9 @@ def _suite_identity(suite: str, n_max: int, w_max: int, y_max: int,
 def _suite_padic(p: int, q0: Fraction, N: int, K: int
                  ) -> tuple[dict[str, object], list[dict[str, object]]]:
     job = VolkenbornJob(p, q0, N, K, IntegrandSpec(0, 0))
+    if K > 2 * N:
+        # the k = 2 rows come last; refuse their double sum before any row runs
+        check_step_budget(p, 2 * N)
     results = []
     for n in range(4):
         # k=1, h=1, x=0 degenerates to the moment integral of [x]^n, so

@@ -11,13 +11,19 @@ theorems has denominator dividing
     D = prod over bases b of (1-q^b)^n * [2]_{q^b} * ... * [n+1]_{q^b},
 
 so each permutation value is assembled as a plain polynomial numerator
-against the same D.  Six-way equality is then literal numerator equality,
-and only one gcd reduction per report is needed to produce the canonical
-RatFunc for output.
+against the same D.  Six-way equality is then literal numerator equality.
+
+D is never expanded.  Every factor of it is a product of cyclotomic
+polynomials, since q^m - 1 = prod_{d | m} Phi_d, so D is carried as the
+sign (-1)^n and an exponent map {d: e_d}.  The canonical RatFunc of a
+numerator comes from dividing out each Phi_d as often as it divides (at
+most e_d times), not from a gcd against D: once per report when the
+values agree, once per differing numerator when they do not.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -26,8 +32,8 @@ from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, ZERO
-from .qcore import QArg, multinomial, power_sum_T, q_int_poly
-from .ratfunc import RatFunc
+from .qcore import QArg, cyclotomic_poly, multinomial, power_sum_T, q_int_poly
+from .ratfunc import RF_ZERO, RatFunc
 
 _Q_MINUS_1 = Poly([-1, 1])
 
@@ -112,14 +118,43 @@ def _bracket_pow(x: int, k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _master_den(n: int, bases: tuple[int, int, int]) -> Poly:
-    """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}."""
-    out = ONE
+def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
+    """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}
+    as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
+
+    (1-q^b)^n = (-1)^n prod_{d | b} Phi_d^n, and [t]_{q^b} = prod Phi_d over
+    d | bt with d not dividing b; the three bases give the sign (-1)^{3n}.
+    """
+    exps: Counter[int] = Counter()
     for b in bases:
-        out = out * _qfac_pow(b, n)
+        for d in range(1, b + 1):
+            if b % d == 0:
+                exps[d] += n
         for t in range(2, n + 2):
-            out = out * q_int_poly(t, b)
-    return out
+            for d in range(1, b * t + 1):
+                if (b * t) % d == 0 and b % d:
+                    exps[d] += 1
+    return tuple((d, e) for d, e in sorted(exps.items()) if e)
+
+
+def _over_master(num: Poly, n: int, bases: tuple[int, int, int]) -> RatFunc:
+    """The canonical RatFunc num / D, by trial division with the Phi_d of D.
+
+    Phi_d are distinct monic irreducibles, so dividing out each one while
+    it divides num (at most e_d times) leaves a coprime pair with a monic
+    denominator: the unique canonical form RatFunc(num, D) would give.
+    """
+    if not num:
+        return RF_ZERO
+    if n % 2:
+        num = -num
+    den = ONE
+    for d, e in _master_den_exponents(n, bases):
+        phi = cyclotomic_poly(d)
+        num, k = num.divide_out(phi, d, e)
+        if k < e:
+            den = den * phi ** (e - k)
+    return RatFunc._raw(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -285,40 +320,45 @@ def _thm4_num(n: int, W: int, y: tuple[int, int, int],
 # reports
 
 
-def _report_from_nums(identity: str, params: dict[str, object],
-                      labels: tuple[str, ...], nums: list[Poly],
-                      den: Poly) -> IdentityReport:
+def _report_from_nums(identity: str, params: IdentityParams,
+                      labels: tuple[str, ...], nums: list[Poly]) -> IdentityReport:
+    """Verdict and canonical values for numerators over the master D.
+
+    Equal numerators share one reduction; each differing one is reduced
+    on its own, so a failing report still carries exact values.
+    """
+    bases = _sorted_bases(params.w)
     verdict = all(num == nums[0] for num in nums[1:])
-    base = RatFunc(nums[0], den)
+    base = _over_master(nums[0], params.n, bases)
     values: list[RatFunc] = []
     witness: tuple[str, str] | None = None
     for j, num in enumerate(nums):
         if num == nums[0]:
             values.append(base)
         else:
-            values.append(RatFunc(num, den))
+            values.append(_over_master(num, params.n, bases))
             if witness is None:
                 witness = (labels[0], labels[j])
-    return IdentityReport(identity, params, labels, tuple(values), verdict, witness)
+    return IdentityReport(identity, params.as_dict(), labels, tuple(values),
+                          verdict, witness)
 
 
 def _check(identity: str, params: IdentityParams, num_fn) -> IdentityReport:
     W = params.w_product
-    den = _master_den(params.n, _sorted_bases(params.w))
     labels = []
     nums = []
     for sigma in ALL_PERMUTATIONS:
         bases, w3s = _sigma_bases(params.w, sigma)
         labels.append(sigma.label)
         nums.append(num_fn(params.n, W, params.y, bases, w3s))
-    return _report_from_nums(identity, params.as_dict(), tuple(labels), nums, den)
+    return _report_from_nums(identity, params, tuple(labels), nums)
 
 
 def thm1_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the triple product-sum identity."""
     bases, _ = _sigma_bases(params.w, sigma)
     num = _thm1_num(params.n, params.w_product, params.y, bases)
-    return RatFunc(num, _master_den(params.n, _sorted_bases(params.w)))
+    return _over_master(num, params.n, _sorted_bases(params.w))
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:
@@ -331,7 +371,7 @@ def thm3_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
         raise ValueError("Theorem 3 requires positive n")
     bases, w3s = _sigma_bases(params.w, sigma)
     num = _thm3_num(params.n, params.w_product, params.y, bases, w3s)
-    return RatFunc(num, _master_den(params.n, _sorted_bases(params.w)))
+    return _over_master(num, params.n, _sorted_bases(params.w))
 
 
 def thm3_check(params: IdentityParams) -> IdentityReport:
@@ -346,7 +386,7 @@ def thm4_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
         raise ValueError("Theorem 4 requires positive n")
     bases, w3s = _sigma_bases(params.w, sigma)
     num = _thm4_num(params.n, params.w_product, params.y, bases, w3s)
-    return RatFunc(num, _master_den(params.n, _sorted_bases(params.w)))
+    return _over_master(num, params.n, _sorted_bases(params.w))
 
 
 def thm4_check(params: IdentityParams) -> IdentityReport:
@@ -365,7 +405,6 @@ def cross34_check(params: IdentityParams) -> IdentityReport:
     if params.n < 1:
         raise ValueError("cross-theorem check requires positive n")
     W = params.w_product
-    den = _master_den(params.n, _sorted_bases(params.w))
     labels = []
     nums = []
     for name, num_fn in (("thm3", _thm3_num), ("thm4", _thm4_num)):
@@ -373,7 +412,7 @@ def cross34_check(params: IdentityParams) -> IdentityReport:
             bases, w3s = _sigma_bases(params.w, sigma)
             labels.append(f"{name}:{sigma.label}")
             nums.append(num_fn(params.n, W, params.y, bases, w3s))
-    return _report_from_nums("cross34", params.as_dict(), tuple(labels), nums, den)
+    return _report_from_nums("cross34", params, tuple(labels), nums)
 
 
 def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:

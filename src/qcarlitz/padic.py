@@ -32,6 +32,22 @@ from .ratfunc import rf_eval_rational
 
 _ARITH_OPS = ("add", "sub", "mul", "div")
 
+# Most modular summation steps one Volkenborn sum may take.  The sums run
+# p^N steps (p^{2N} for the k = 2 double sum); a request above the budget
+# is refused before any of them runs, since it would not finish.
+STEP_BUDGET = 10**7
+
+
+def check_step_budget(p: int, levels: int) -> None:
+    """Raise ValueError when p^levels summation steps exceed STEP_BUDGET."""
+    steps = 1
+    for _ in range(levels):
+        steps *= p
+        if steps > STEP_BUDGET:
+            raise ValueError(
+                f"summation of {p}^{levels} terms exceeds the budget of "
+                f"{STEP_BUDGET} steps; lower N")
+
 
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
@@ -244,6 +260,7 @@ class VolkenbornJob:
             raise ValueError(
                 f"precision underflow: K={self.K} leaves no certified digits; "
                 f"need K >= {self.N + 1}")
+        check_step_budget(self.p, self.N)
 
 
 def _rat_mod(x: Fraction, p: int, K: int) -> int:
@@ -413,6 +430,7 @@ def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicRepor
     if n < 0 or x < 0:
         raise ValueError("n and x must be non-negative")
     p, q0, N, K = job.p, job.q0, job.N, job.K
+    check_step_budget(p, k * N)
     exact = rf_eval_rational(beta_hk(n, h, k, 1, QArg(x, 1)), q0)
     if k == 1:
         e, y = volkenborn_scaled(VolkenbornJob(p, q0, N, K, IntegrandSpec(h - 1, n, x)))

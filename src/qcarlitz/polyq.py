@@ -310,10 +310,13 @@ def _horner(vec: Sequence[int], x: int) -> int:
 
 
 def _vec_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
+    if not a or not b:
+        # gcd(f, 0) is f itself, normalized like any other gcd
+        g = list(a or b)
+        if g:
+            c = _content(g) if g[-1] > 0 else -_content(g)
+            g = [x // c for x in g]
+        return g
     va = next(i for i, c in enumerate(a) if c)
     vb = next(i for i, c in enumerate(b) if c)
     v = min(va, vb)
@@ -489,6 +492,30 @@ class Poly:
         if not self._c:
             return not other._c
         return _vec_divexact(other._c, other._den, self._c, self._den) is not None
+
+    def divide_out(self, factor: "Poly", period: int, limit: int) -> tuple["Poly", int]:
+        """(self / factor**k, k) for the largest k <= limit with factor**k | self.
+
+        factor must be a monic integer polynomial dividing q**period - 1,
+        so self mod factor equals (self mod q**period - 1) mod factor.  Each
+        trial folds the coefficients into period residues and divides only
+        that short remainder; a full division runs only for a factor that
+        is there, and by Gauss's lemma its quotient stays integral.
+        """
+        g = factor._c
+        if factor._den != 1 or not g or g[-1] != 1:
+            raise ValueError("divide_out needs a monic integer factor")
+        vec: Sequence[int] = self._c
+        k = 0
+        while k < limit and vec:
+            folded = [sum(vec[j::period]) for j in range(period)]
+            if _int_divexact_primitive(folded, g) is None:
+                break
+            vec = _int_divexact_primitive(vec, g)
+            if vec is None:
+                raise ValueError(f"factor does not divide q^{period} - 1")
+            k += 1
+        return Poly(_raw=(tuple(vec), self._den)), k
 
     def gcd(self, other: "Poly") -> "Poly":
         """Greatest common divisor, normalized primitive with positive lead."""

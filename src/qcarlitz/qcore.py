@@ -52,6 +52,19 @@ def q_int_poly(x: int, d: int = 1) -> Poly:
     return Poly(vec)
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_poly(d: int) -> Poly:
+    """Phi_d, the monic integer polynomial whose roots are the primitive
+    d-th roots of unity, from q^d - 1 = prod over e | d of Phi_e."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be positive")
+    out = Poly.q_power(d) - ONE
+    for e in range(1, d):
+        if d % e == 0:
+            out = out.divexact(cyclotomic_poly(e))
+    return out
+
+
 def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 

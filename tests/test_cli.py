@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_verify_csv_format(capsys):
     assert rows[0] == ["identity", "params", "verdict", "witness"]
     assert all(r[2] == "true" and r[3] == "" for r in rows[1:])
     assert json.loads(rows[1][1]) == {"d": 1, "n": 0, "w3": 1}
+
+
+def test_verify_padic_refuses_runaway_levels(capsys):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "101",
+                         "--q0", "102", "--N", "5")
+    assert code == 2 and out == "" and "budget" in err
+    # the single sums fit at N = 3; the k = 2 rows, which run last, do not
+    code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "101",
+                         "--q0", "102", "--N", "3", "--K", "10")
+    assert code == 2 and out == "" and "budget" in err
+    assert time.monotonic() - t0 < 1
 
 
 def test_verify_jobs_do_not_change_output(capsys):

@@ -6,15 +6,16 @@ rationals, no truncation) and compares residues afterwards, so the two
 routes share no code beyond the integrand definition.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from qcarlitz.carlitz import beta_hk, beta_number
 from qcarlitz.padic import (IntegrandSpec, PadicInt, VolkenbornJob,
-                            padic_arith, padic_exp, padic_log, verify_eq2_qexp,
-                            verify_eq3, volkenborn_approx, volkenborn_scaled,
-                            witt_check)
+                            check_step_budget, padic_arith, padic_exp,
+                            padic_log, verify_eq2_qexp, verify_eq3,
+                            volkenborn_approx, volkenborn_scaled, witt_check)
 from qcarlitz.qcore import QArg
 from qcarlitz.ratfunc import rf_eval_rational
 
@@ -345,6 +346,23 @@ def test_witt_report_detail():
     r = witt_check(2, 2, 2, 1, VolkenbornJob(3, 4, 3, 10, IntegrandSpec(0, 0)))
     assert r.detail["scale"] == 1
     assert all(v.endswith("/ p^1") for v in r.values)
+
+
+def test_runaway_summation_is_refused_up_front():
+    t0 = time.monotonic()
+    check_step_budget(5, 8)
+    check_step_budget(3, 14)
+    with pytest.raises(ValueError, match="budget"):
+        check_step_budget(3, 15)
+    with pytest.raises(ValueError, match="budget"):
+        VolkenbornJob(101, 102, 5, 10, IntegrandSpec(0, 1))
+    with pytest.raises(ValueError, match="budget"):
+        VolkenbornJob(3, 4, 10**6, 10**6 + 1, IntegrandSpec(0, 1))
+    # 101^3 single-sum steps fit; the k = 2 double sum would take 101^6
+    job = VolkenbornJob(101, 102, 3, 10, IntegrandSpec(0, 0))
+    with pytest.raises(ValueError, match="budget"):
+        witt_check(1, 2, 2, 0, job)
+    assert time.monotonic() - t0 < 1
 
 
 def test_witt_guards():
