@@ -5,17 +5,26 @@ in four layers: numbers, polynomials, the twisted order-h polynomials, and
 the doubly indexed (h, k) polynomials whose q-falling factorial denominator
 forces h >= k.  Polynomial arguments are QArg monomials z = q^e so that
 fractional arguments with integral q-power exponents stay inside Q(q).
+
+Every denominator in the closed forms and in the recurrence is a product
+of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
+dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
+values are carried as a numerator over an exponent map {m: e_m}, summed
+over the lcm of the maps and reduced once by trial division with the
+Phi_m (`qcore.over_cyclotomic`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .polyq import ONE, Poly
-from .qcore import QArg, q_int_poly
+from .qcore import (QArg, cyclotomic_sum, over_cyclotomic, q_int_exponents, q_int_poly,
+                    q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -52,7 +61,6 @@ class BetaTable:
     values: tuple[RatFunc, ...]
 
 
-@lru_cache(maxsize=None)
 def beta_number(n: int, d: int = 1) -> RatFunc:
     """beta_{n,q^d} by the closed form
     (1/(1-q^d)^n) * sum_l C(n,l) (-1)^l (l+1)/[l+1]_{q^d}."""
@@ -60,30 +68,33 @@ def beta_number(n: int, d: int = 1) -> RatFunc:
         raise ValueError("index must be non-negative")
     if d < 1:
         raise ValueError("base exponent must be positive")
-    acc = RF_ZERO
-    for l in range(n + 1):
-        c = comb(n, l) * (l + 1) * (-1 if l & 1 else 1)
-        acc = acc + RatFunc(Poly([c]), q_int_poly(l + 1, d))
-    return acc * RatFunc(ONE, (ONE - Poly.q_power(d)) ** n)
+    return _beta_hk_monomial(n, 1, 1, d, 0)
 
 
 def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     """Solve q^d (q^d beta + 1)^n - beta_n = delta_{1,n} for beta_1..beta_{n_max}.
 
     In each instance the beta_n terms almost cancel, leaving the invertible
-    coefficient q^{d(n+1)} - 1, so the system is triangular.
+    coefficient q^{d(n+1)} - 1, so the system is triangular.  Each beta_i
+    is carried as its canonical numerator over the exponent map of its
+    denominator; the right-hand side is summed over the lcm of those maps,
+    the map of q^{d(n+1)} - 1 is added, and one trial-division pass gives
+    the canonical beta_n.
     """
     if n_max < 0:
         raise ValueError("table size must be non-negative")
     if d < 1:
         raise ValueError("base exponent must be positive")
     values = [RF_ONE]
+    carried = [(ONE, Counter())]
     for n in range(1, n_max + 1):
-        rhs = RatFunc(Poly([1 if n == 1 else 0]))
-        for i in range(n):
-            rhs = rhs - RatFunc(Poly([comb(n, i)]).shift(d * (i + 1)), ONE) * values[i]
-        lead = Poly.q_power(d * (n + 1)) - ONE
-        values.append(rhs * RatFunc(ONE, lead))
+        terms = [(ONE, Counter())] if n == 1 else []
+        for i, (num, exps) in enumerate(carried):
+            terms.append(((num * -comb(n, i)).shift(d * (i + 1)), exps))
+        num, exps = cyclotomic_sum(terms)
+        value, left = over_cyclotomic(num, exps + q_power_minus_one_exponents(d * (n + 1)))
+        values.append(value)
+        carried.append((value.num, left))
     return BetaTable(base_exponent=d, values=tuple(values))
 
 
@@ -92,16 +103,18 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
     # shared closed-form core: argument enters only through z = q^e
     if n < 0:
         raise ValueError("index must be non-negative")
-    acc = RF_ZERO
+    terms = []
     for j in range(n + 1):
-        num = comb(n, j) * (-1 if j & 1 else 1)
+        c = comb(n, j) * (-1 if j & 1 else 1)
+        exps: Counter[int] = Counter()
         for i in range(k):
-            num *= j + h - i
-        den = ONE
-        for i in range(k):
-            den = den * q_int_poly(j + h - i, d)
-        acc = acc + RatFunc(Poly([num]).shift(j * e), den)
-    return acc * RatFunc(ONE, (ONE - Poly.q_power(d)) ** n)
+            c *= j + h - i
+            exps.update(q_int_exponents(j + h - i, d))
+        terms.append((Poly([c]).shift(j * e), exps))
+    num, exps = cyclotomic_sum(terms)
+    # (1 - q^d)^n = (-1)^n (q^d - 1)^n
+    return over_cyclotomic(-num if n & 1 else num,
+                           exps + q_power_minus_one_exponents(d, n))[0]
 
 
 def beta_poly(n: int, d: int, x: QArg) -> RatFunc:

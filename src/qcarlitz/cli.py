@@ -347,19 +347,21 @@ def cmd_verify(a: argparse.Namespace) -> int:
 
 
 def cmd_table(a: argparse.Namespace) -> int:
+    if a.n_max < 0:
+        raise ValueError("--n-max must be non-negative")
     if a.d < 1:
         raise ValueError("--d must be positive")
     rows = []
     if a.target == "beta":
         header = ["n", "num", "den", "q1_limit"]
-        for n in range(max(0, a.n_max + 1)):
+        for n in range(a.n_max + 1):
             v = beta_number(n, a.d)
             rows.append({"n": n, "num": _poly_coeffs(v.num),
                          "den": _poly_coeffs(v.den),
                          "q1_limit": str(rf_eval_rational(v, 1))})
     else:
         header = ["x", "num", "den", "q1_limit"]
-        for x in range(max(0, a.n_max + 1)):
+        for x in range(a.n_max + 1):
             v = q_int(x, a.d)
             rows.append({"x": x, "num": _poly_coeffs(v.num),
                          "den": _poly_coeffs(v.den),
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="dump a coefficient table")
     pt.add_argument("target", choices=("beta", "qint"))
     pt.add_argument("--n-max", type=int, default=3, dest="n_max",
-                    help="last row index; negative gives a header-only table")
+                    help="last row index")
     pt.add_argument("--d", type=int, default=1)
     pt.add_argument("--format", choices=("json", "csv", "text"), default="csv")
     pt.add_argument("--out", default=None)

@@ -32,8 +32,9 @@ from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, ZERO
-from .qcore import QArg, cyclotomic_poly, multinomial, power_sum_T, q_int_poly
-from .ratfunc import RF_ZERO, RatFunc
+from .qcore import (QArg, multinomial, over_cyclotomic, power_sum_T, q_int_exponents,
+                    q_int_poly, q_power_minus_one_exponents)
+from .ratfunc import RatFunc
 
 _Q_MINUS_1 = Poly([-1, 1])
 
@@ -122,39 +123,19 @@ def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[in
     """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
 
-    (1-q^b)^n = (-1)^n prod_{d | b} Phi_d^n, and [t]_{q^b} = prod Phi_d over
-    d | bt with d not dividing b; the three bases give the sign (-1)^{3n}.
+    (1-q^b)^n = (-1)^n (q^b - 1)^n; the three bases give the sign (-1)^{3n}.
     """
     exps: Counter[int] = Counter()
     for b in bases:
-        for d in range(1, b + 1):
-            if b % d == 0:
-                exps[d] += n
+        exps.update(q_power_minus_one_exponents(b, n))
         for t in range(2, n + 2):
-            for d in range(1, b * t + 1):
-                if (b * t) % d == 0 and b % d:
-                    exps[d] += 1
-    return tuple((d, e) for d, e in sorted(exps.items()) if e)
+            exps.update(q_int_exponents(t, b))
+    return tuple(sorted(exps.items()))
 
 
 def _over_master(num: Poly, n: int, bases: tuple[int, int, int]) -> RatFunc:
-    """The canonical RatFunc num / D, by trial division with the Phi_d of D.
-
-    Phi_d are distinct monic irreducibles, so dividing out each one while
-    it divides num (at most e_d times) leaves a coprime pair with a monic
-    denominator: the unique canonical form RatFunc(num, D) would give.
-    """
-    if not num:
-        return RF_ZERO
-    if n % 2:
-        num = -num
-    den = ONE
-    for d, e in _master_den_exponents(n, bases):
-        phi = cyclotomic_poly(d)
-        num, k = num.divide_out(phi, d, e)
-        if k < e:
-            den = den * phi ** (e - k)
-    return RatFunc._raw(num, den)
+    """The canonical RatFunc num / D, by trial division with the Phi_d of D."""
+    return over_cyclotomic(-num if n % 2 else num, dict(_master_den_exponents(n, bases)))[0]
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,20 @@
-"""q-integers, bracket arguments, multinomials, and q-power sums."""
+"""q-integers, bracket arguments, multinomials, and q-power sums.
+
+Every denominator the library builds is a product of cyclotomic
+polynomials, since q^m - 1 = prod over d | m of Phi_d.  Such a product is
+carried as an exponent map {d: e_d} (a Counter) standing for
+prod Phi_d^{e_d}: sums are taken over the lcm of the maps with products
+only, and `over_cyclotomic` gives the canonical form by trial division,
+with no gcd.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
+from typing import Mapping, Sequence
 
 from .polyq import ONE, Poly, ZERO
 from .ratfunc import RF_ZERO, RatFunc
@@ -52,6 +62,11 @@ def q_int_poly(x: int, d: int = 1) -> Poly:
     return Poly(vec)
 
 
+def _divisors(m: int) -> list[int]:
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> Poly:
     """Phi_d, the monic integer polynomial whose roots are the primitive
@@ -59,10 +74,74 @@ def cyclotomic_poly(d: int) -> Poly:
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     out = Poly.q_power(d) - ONE
-    for e in range(1, d):
-        if d % e == 0:
-            out = out.divexact(cyclotomic_poly(e))
+    for e in _divisors(d)[:-1]:
+        out = out.divide_out(cyclotomic_poly(e), e, 1)[0]
     return out
+
+
+def q_power_minus_one_exponents(m: int, power: int = 1) -> Counter[int]:
+    """Exponent map of (q^m - 1)^power: Phi_d^power for every d | m."""
+    if m < 1:
+        raise ValueError("q exponent must be positive")
+    return Counter({d: power for d in _divisors(m) if power})
+
+
+def q_int_exponents(t: int, b: int = 1) -> Counter[int]:
+    """Exponent map of [t]_{q^b} = (q^{bt} - 1)/(q^b - 1): Phi_d for every
+    d | bt with d not dividing b."""
+    if t < 1:
+        raise ValueError("q-integer argument must be positive")
+    if b < 1:
+        raise ValueError("base exponent must be positive")
+    return Counter({d: 1 for d in _divisors(b * t) if b % d})
+
+
+def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
+    """prod Phi_d^{e_d} over the exponent map {d: e_d}."""
+    factors = [cyclotomic_poly(d) ** e for d, e in sorted(exps.items())]
+    # pairwise, so the large products meet once and in balanced sizes
+    while len(factors) > 1:
+        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
+                   for i in range(0, len(factors), 2)]
+    return factors[0] if factors else ONE
+
+
+def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
+    """The sum of num / prod Phi_d^{e_d} over terms (num, {d: e_d}), as one
+    numerator over the lcm of the maps.  Not reduced.
+
+    The two halves are summed first and then joined over the lcm of their
+    maps, so a Phi_d is multiplied into about log(len(terms)) cofactors,
+    not into one per term.  Products only: no division, no gcd.
+    """
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    left, left_exps = cyclotomic_sum(terms[:mid])
+    right, right_exps = cyclotomic_sum(terms[mid:])
+    lcm = left_exps | right_exps
+    return (left * cyclotomic_product(lcm - left_exps)
+            + right * cyclotomic_product(lcm - right_exps)), lcm
+
+
+def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
+    """The canonical RatFunc num / prod Phi_d^{e_d}, and the exponent map of
+    its denominator.
+
+    The Phi_d are distinct monic irreducibles, so dividing each one out of
+    num while it divides (at most e_d times, `Poly.divide_out`) leaves a
+    coprime pair with a monic denominator: the canonical form that a gcd
+    against the expanded denominator would give.
+    """
+    if not num:
+        return RF_ZERO, Counter()
+    left: Counter[int] = Counter()
+    for d in sorted(exps):
+        e = exps[d]
+        num, k = num.divide_out(cyclotomic_poly(d), d, e)
+        if k < e:
+            left[d] = e - k
+    return RatFunc._raw(num, cyclotomic_product(left)), left
 
 
 def q_int(x: int, d: int = 1) -> RatFunc:

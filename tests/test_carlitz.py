@@ -3,12 +3,13 @@ from math import comb
 
 import pytest
 
+from qcarlitz import carlitz
 from qcarlitz.carlitz import (bernoulli_classical, bernoulli_poly_classical,
                               beta_h, beta_hk, beta_number,
                               beta_number_recurrence, beta_poly,
                               beta_poly_expansion)
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import QArg, q_int
+from qcarlitz.qcore import QArg, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RatFunc, rf_eval_rational
 
 F = Fraction
@@ -147,3 +148,78 @@ def test_fractional_argument_lands_in_q_of_q():
     want = sum(comb(2, j) * (-1) ** j * q0 ** (3 * j) * F(j + 1) / br(j + 1)
                for j in range(3)) / (1 - q0 ** 2) ** 2
     assert rf_eval_rational(v, q0) == want
+
+
+# ---------------------------------------------------------------------------
+# oracles that share no code with the cyclotomic exponent-map arithmetic
+
+
+def sympy_closed_form(n, h, k, d, e):
+    """(num, den) coefficient lists, low degree first, of the (h,k) closed
+    form at z = q^e with [t]_{q^d} = (1-q^{dt})/(1-q^d), summed and
+    cancelled by sympy; den is made monic."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    total = sympy.Integer(0)
+    for j in range(n + 1):
+        term = sympy.Integer(comb(n, j) * (-1) ** j) * q ** (j * e)
+        for i in range(k):
+            t = j + h - i
+            term = term * t * (1 - q ** d) / (1 - q ** (d * t))
+        total += term
+    num, den = sympy.fraction(sympy.cancel(total / (1 - q ** d) ** n))
+    num, den = sympy.Poly(num, q), sympy.Poly(den, q)
+    lead = den.LC()
+
+    def coeffs(p):
+        return [] if p.is_zero else [F(str(c / lead)) for c in reversed(p.all_coeffs())]
+
+    return coeffs(num), coeffs(den)
+
+
+def coeff_lists(v):
+    return list(v.num.coefficients()), list(v.den.coefficients())
+
+
+def closed_form_by_gcd(n, h, k, d, e):
+    """The same closed form summed with generic RatFunc arithmetic."""
+    acc = RatFunc(0)
+    for j in range(n + 1):
+        w = comb(n, j) * (-1) ** j
+        den = ONE
+        for i in range(k):
+            w *= j + h - i
+            den = den * q_int_poly(j + h - i, d)
+        acc = acc + RatFunc(Poly([w]).shift(j * e), den)
+    return acc * RatFunc(ONE, (ONE - Poly.q_power(d)) ** n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_beta_number_matches_sympy(d):
+    for n in range(9):
+        assert coeff_lists(beta_number(n, d)) == sympy_closed_form(n, 1, 1, d, 0), (n, d)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_beta_hk_matches_sympy(k):
+    n = 3
+    for d in (1, 2, 3):
+        for h in range(k, k + 3):
+            for e in (0, d, 2 * d + 1):
+                got = beta_hk(n, h, k, d, QArg(e, d))
+                assert coeff_lists(got) == sympy_closed_form(n, h, k, d, e), (h, d, e)
+
+
+def test_beta_families_need_no_gcd(monkeypatch):
+    want_closed = [closed_form_by_gcd(n, 1, 1, 3, 0) for n in range(13)]
+    want_hk = closed_form_by_gcd(6, 4, 3, 2, 5)
+
+    def refuse(self, other):
+        raise AssertionError("generic gcd called")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    # a fresh, uncached closed-form core, so the values are really recomputed
+    monkeypatch.setattr(carlitz, "_beta_hk_monomial", carlitz._beta_hk_monomial.__wrapped__)
+    assert beta_number(12, 3) == want_closed[12]
+    assert list(beta_number_recurrence(12, 3).values) == want_closed
+    assert beta_hk(6, 4, 3, 2, QArg(5, 2)) == want_hk

@@ -172,10 +172,13 @@ def test_table_beta_csv(capsys):
     assert json.loads(rows[2][2]) == ["1", "1"]
 
 
-def test_table_empty_grid_is_header_only(capsys):
-    code, out, _ = run(capsys, "table", "beta", "--n-max", "-1")
-    assert code == 0
-    assert out.strip() == "n,num,den,q1_limit"
+@pytest.mark.parametrize("target", ["beta", "qint"])
+@pytest.mark.parametrize("n_max", ["-1", "-2"])
+def test_table_negative_n_max_rejected(capsys, target, n_max):
+    code, out, err = run(capsys, "table", target, "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "--n-max must be non-negative" in err
 
 
 def test_table_qint_json(capsys):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from qcarlitz.identities import _master_den_exponents, _over_master
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import cyclotomic_poly, q_int_poly
+from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, q_int_exponents, q_int_poly,
+                            q_power_minus_one_exponents)
 from qcarlitz.ratfunc import RatFunc
 
 W_TRIPLES = list(combinations_with_replacement(range(1, 4), 3))
@@ -71,6 +72,23 @@ def test_exponent_map_multiplies_back_to_master_den(n):
             assert e > 0
             rebuilt = rebuilt * phi_oracle(d) ** e
         assert rebuilt == expanded_master_den(n, bases), (n, bases)
+
+
+def test_q_number_exponent_maps_multiply_back():
+    for b in range(1, 5):
+        for t in range(1, 9):
+            rebuilt = ONE
+            for d, e in q_int_exponents(t, b).items():
+                rebuilt = rebuilt * phi_oracle(d) ** e
+            assert rebuilt == q_int_poly(t, b), (t, b)
+        for power in range(3):
+            rebuilt = ONE
+            for d, e in q_power_minus_one_exponents(b, power).items():
+                assert e > 0
+                rebuilt = rebuilt * phi_oracle(d) ** e
+            assert rebuilt == (Poly.q_power(b) - ONE) ** power, (b, power)
+    exps = q_int_exponents(6, 2) + q_power_minus_one_exponents(4, 2)
+    assert cyclotomic_product(exps) == q_int_poly(6, 2) * (Poly.q_power(4) - ONE) ** 2
 
 
 def test_cyclotomic_poly_matches_sympy():

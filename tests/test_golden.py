@@ -1,9 +1,11 @@
-"""Golden bytes of `qcarlitz verify --format json`.
+"""Golden bytes of `qcarlitz verify --format json` and of the README examples.
 
-Each case runs one suite at its default grid and compares the sha256 of
-the report with the digest checked in beside this file.  A change to the
-algebra that keeps every verdict but alters one canonical form, one
-coefficient string or the row order fails here.
+Each case runs one suite at its default grid (or at a grid named in the
+case) and compares the sha256 of the report with the digest checked in
+beside this file.  A change to the algebra that keeps every verdict but
+alters one canonical form, one coefficient string or the row order fails
+here.  The README's `compute` and `table` examples are compared with the
+output of the same commands.
 
 Regenerate the digests only when the output is meant to change:
 
@@ -21,9 +23,12 @@ import pytest
 from qcarlitz import cli
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CASES = {suite: ["--suite", suite] for suite in cli.SUITES}
 CASES["thm1 --jobs 2"] = ["--suite", "thm1", "--jobs", "2"]
+# the benchmark's carlitz grid: the default stops at n = 8
+CASES["carlitz-cross --n-max 20"] = ["--suite", "carlitz-cross", "--n-max", "20"]
 
 
 def _digest(args: list[str]) -> str:
@@ -38,6 +43,21 @@ def _digest(args: list[str]) -> str:
 def test_verify_json_bytes_match_golden(case):
     expected = json.loads(GOLDEN.read_text())[case]
     assert _digest(CASES[case]) == expected
+
+
+def _readme_output(command: str) -> list[str]:
+    """The lines README.md shows under `$ command`, up to the closing fence."""
+    lines = README.read_text().splitlines()
+    start = lines.index(f"$ {command}") + 1
+    return lines[start:lines.index("```", start)]
+
+
+@pytest.mark.parametrize("command", ["qcarlitz compute beta --n 2",
+                                     "qcarlitz table beta --n-max 3"])
+def test_readme_example_output(command, capsys):
+    assert cli.main(command.split()[1:]) == 0
+    # compared line by line: the csv writer ends its rows with \r\n
+    assert capsys.readouterr().out.splitlines() == _readme_output(command)
 
 
 if __name__ == "__main__":
