@@ -3,9 +3,19 @@
 PadicInt models Z_p at a fixed number of digits: arithmetic carries the
 minimum precision of its operands, and division by a value of valuation v
 costs v digits.  The Volkenborn engine evaluates the level-N partial sum
-(1/[p^N]_q) sum_{x<p^N} f(x) q^x with pure modular arithmetic; since
-[p^N]_q has valuation exactly N when q = 1 (mod p) and p is odd, the
-quotient is certified to K - N digits for working precision K.
+(1/[p^N]_q) sum_{x<p^N} f(x) q^x, and the k-fold sums of witt_check, with
+pure modular arithmetic; since [p^N]_q has valuation exactly N when
+q = 1 (mod p) and p is odd, the quotient is certified to K - kN digits for
+working precision K.
+
+No sum walks its p^N points.  A block [0, L) is kept as the moments
+A_j(L) = sum_{y<L} w^y [y]_q^j (j <= n) with w^L, q^L and [L]_q; by
+[L1 + z] = [L1] + q^{L1} [z] two blocks join in O(n^2) products, so [0, p^N)
+is doubled up from the binary digits of p^N in O(n^2 log p^N) products mod
+p^K with no division: the residue of the literal sum.  A k-fold sum of
+prod_l W_l^{y_l} [X + y_1 + .. + y_k]^n peels off y_k the same way:
+    G(W_1..W_k; n) = sum_i C(n,i) A_i(W_k) q^{X i} G(W_1 q^i, .., W_{k-1} q^i; n-i)
+and G(; n) = [X]^n.
 
 Two precision notions must not be conflated.  The certified precision
 above is an arithmetic guarantee about the finite-level value itself.
@@ -19,12 +29,12 @@ have negative valuation, hence are not p-adic integers.  volkenborn_approx
 then refuses; volkenborn_scaled returns (e, y) with the value equal to
 y / p^e and y a PadicInt, which is what the check functions use.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .carlitz import beta_hk
 from .qcore import QArg
@@ -32,9 +42,9 @@ from .ratfunc import rf_eval_rational
 
 _ARITH_OPS = ("add", "sub", "mul", "div")
 
-# Most modular summation steps one Volkenborn sum may take.  The sums run
-# p^N steps (p^{2N} for the k = 2 double sum); a request above the budget
-# is refused before any of them runs, since it would not finish.
+# Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
+# Volkenborn request may name.  No sum walks its range, so this caps request
+# size as an API contract, not loop time; larger requests are refused.
 STEP_BUDGET = 10**7
 
 
@@ -180,11 +190,8 @@ def padic_log(u: PadicInt) -> PadicInt:
     # increasing in k, so once it reaches K every later term is 0 mod p^K
     # (the exact per-term valuation is not monotone; the envelope is)
     while k * vt * (p - 1) - (k - 1) < K * (p - 1):
-        vk = 0
-        ku = k
-        while ku % p == 0:
-            ku //= p
-            vk += 1
+        vk = _int_val(k, p)
+        ku = k // p ** vk
         term = pow(t, k, m * p ** vk) // p ** vk
         term = term * pow(ku, -1, m) % m
         acc = (acc - term if k % 2 == 0 else acc + term) % m
@@ -210,13 +217,9 @@ def padic_exp(t: PadicInt) -> PadicInt:
     fact_unit = 1
     # same envelope as the log: v_p(k!) = (k - digitsum(k))/(p-1) <= (k-1)/(p-1)
     while k * vt * (p - 1) - (k - 1) < K * (p - 1):
-        kv = 0
-        ku = k
-        while ku % p == 0:
-            ku //= p
-            kv += 1
+        kv = _int_val(k, p)
         fact_v += kv
-        fact_unit = fact_unit * ku % m
+        fact_unit = fact_unit * (k // p ** kv) % m
         term = pow(t.residue, k, m * p ** fact_v) // p ** fact_v
         acc = (acc + term * pow(fact_unit, -1, m)) % m
         k += 1
@@ -268,12 +271,56 @@ def _rat_mod(x: Fraction, p: int, K: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
-def _bracket_run(r: int, count: int, m: int) -> int:
-    """[count]_q mod m via [k+1] = q [k] + 1."""
-    b = 0
-    for _ in range(count):
-        b = (b * r + 1) % m
-    return b
+def _concat(a: tuple, b: tuple, m: int) -> tuple:
+    """The blocks [0, L1) and [0, L2) joined into [0, L1 + L2), mod m:
+    A_j(L1 + L2) = A_j(L1) + w^{L1} sum_i C(j,i) [L1]^{j-i} q^{L1 i} A_i(L2)."""
+    A1, w1, q1, b1 = a
+    A2, w2, q2, b2 = b
+    bp = [pow(b1, i, m) for i in range(len(A1))]
+    qa = [pow(q1, i, m) * A2[i] % m for i in range(len(A1))]
+    A = [(A1[j] + w1 * sum(comb(j, i) * bp[j - i] * qa[i] for i in range(j + 1))) % m
+         for j in range(len(A1))]
+    return A, w1 * w2 % m, q1 * q2 % m, (b1 + q1 * b2) % m
+
+
+def _block(r: int, w: int, n: int, L: int, m: int) -> tuple:
+    """(A, w^L, q^L, [L]_q) for [0, L) at q = r, A_j = sum_{y<L} w^y [y]_q^j
+    for j <= n, doubled up from the binary digits of L."""
+    acc = ([0] * (n + 1), 1, 1, 0)
+    for bit in bin(L)[2:]:
+        acc = _concat(acc, acc, m)
+        if bit == "1":
+            acc = _concat(acc, ([1] + [0] * n, w, r, 1), m)
+    return acc
+
+
+def _scaled_level(p: int, q0: Fraction, N: int, K: int, exps: tuple[int, ...],
+                  n: int, X: int) -> tuple[int, PadicInt]:
+    """(e, y) with y / p^e = [p^N]_q^{-k} sum_{y_l < p^N} prod_l q^{exps_l y_l}
+    [X + y_1 + .. + y_k]_q^n, k = len(exps), y certified to K - kN digits."""
+    k, m, M = len(exps), p ** K, p ** N
+    r = _rat_mod(q0, p, K)
+    _, _, qX, bX = _block(r, 1, 0, X, m)
+
+    def peel(ws: tuple[int, ...], j: int) -> int:
+        if not ws:
+            return pow(bX, j, m)
+        A = _block(r, ws[-1], j, M, m)[0]
+        return sum(comb(j, i) * A[i] * pow(qX, i, m)
+                   * peel(tuple(w * pow(r, i, m) % m for w in ws[:-1]), j - i)
+                   for i in range(j + 1)) % m
+
+    total = peel(tuple(pow(r, a, m) for a in exps), n)
+    bN = _block(r, 1, 0, M, m)[3]
+    if _int_val(bN, p) != N:
+        raise ValueError("denominator [p^N]_q does not have valuation N")
+    unit = (bN // M) ** k
+    v_total = K if total == 0 else _int_val(total, p)
+    e = max(0, k * N - v_total)
+    out = K - k * N
+    mo = p ** out
+    y = (total * p ** e // M ** k) * pow(unit % mo, -1, mo) % mo
+    return e, PadicInt(p, out, y)
 
 
 def volkenborn_scaled(job: VolkenbornJob) -> tuple[int, PadicInt]:
@@ -282,30 +329,8 @@ def volkenborn_scaled(job: VolkenbornJob) -> tuple[int, PadicInt]:
     e = 0 whenever the value is a p-adic integer; it is the smallest scaling
     that clears the valuation lost to the division by [p^N]_q.
     """
-    p, N, K = job.p, job.N, job.K
-    m = p ** K
-    r = _rat_mod(job.q0, p, K)
-    c, mm, s = job.f.c, job.f.m, job.f.s
-    rc = pow(r, c, m)
-    br = _bracket_run(r, s, m)
-    qx = 1
-    qcx = 1
-    total = 0
-    for _ in range(p ** N):
-        total = (total + qcx * pow(br, mm, m) % m * qx) % m
-        br = (br * r + 1) % m
-        qx = qx * r % m
-        qcx = qcx * rc % m
-    bN = _bracket_run(r, p ** N, m)
-    if _int_val(bN, p) != N:
-        raise ValueError("denominator [p^N]_q does not have valuation N")
-    unit = bN // p ** N
-    v_total = K if total == 0 else _int_val(total, p)
-    e = max(0, N - v_total)
-    out = K - N
-    mo = p ** out
-    y = (total * p ** e // p ** N) * pow(unit % mo, -1, mo) % mo
-    return e, PadicInt(p, out, y)
+    f = job.f
+    return _scaled_level(job.p, job.q0, job.N, job.K, (f.c + 1,), f.m, f.s)
 
 
 def volkenborn_approx(job: VolkenbornJob) -> PadicInt:
@@ -434,39 +459,13 @@ def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicRepor
     exact = rf_eval_rational(beta_hk(n, h, k, 1, QArg(x, 1)), q0)
     if k == 1:
         e, y = volkenborn_scaled(VolkenbornJob(p, q0, N, K, IntegrandSpec(h - 1, n, x)))
-        out = K - N
     else:
         if K <= 2 * N:
             raise ValueError(
                 f"precision underflow: k=2 needs K >= {2 * N + 1}, got {K}")
-        m = p ** K
-        r = _rat_mod(q0, p, K)
-        side = p ** N
-        branch = [0] * (x + 2 * side - 1)
-        b = _bracket_run(r, x, m)
-        for j in range(len(branch)):
-            branch[j] = b
-            b = (b * r + 1) % m
-        r1 = pow(r, h, m)       # q^{(h-1) y1} q^{y1}
-        r2 = pow(r, h - 1, m)   # q^{(h-2) y2} q^{y2}
-        total = 0
-        w1 = 1
-        for y1 in range(side):
-            w2 = 1
-            row = 0
-            for y2 in range(side):
-                row = (row + pow(branch[y1 + y2], n, m) * w2) % m
-                w2 = w2 * r2 % m
-            total = (total + row * w1) % m
-            w1 = w1 * r1 % m
-        bN = _bracket_run(r, side, m)
-        unit = (bN // p ** N) ** 2
-        v_total = K if total == 0 else _int_val(total, p)
-        e = max(0, 2 * N - v_total)
-        out = K - 2 * N
-        mo = p ** out
-        y = PadicInt(p, out, (total * p ** e // p ** (2 * N))
-                     * pow(unit % mo, -1, mo))
+        # q^{(h-1) y1} q^{y1} and q^{(h-2) y2} q^{y2}
+        e, y = _scaled_level(p, q0, N, K, (h, h - 1), n, x)
+    out = y.K
     ve = 0 if exact == 0 else _frac_val(exact, p)
     if -ve > e:
         # exact side is deeper in 1/p than the engine scale; align both

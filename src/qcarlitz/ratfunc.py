@@ -34,10 +34,12 @@ class RatFunc:
         if not num:
             num, den = ZERO, ONE
         else:
-            g = num.gcd(den)
-            if g.degree > 0 or g.leading_coeff != 1:
-                num = num.divexact(g)
-                den = den.divexact(g)
+            # a constant denominator is coprime to num: only the scaling remains
+            if den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0 or g.leading_coeff != 1:
+                    num = num.divexact(g)
+                    den = den.divexact(g)
             lc = den.leading_coeff
             if lc != 1:
                 inv = 1 / lc

@@ -29,6 +29,9 @@ CASES = {suite: ["--suite", suite] for suite in cli.SUITES}
 CASES["thm1 --jobs 2"] = ["--suite", "thm1", "--jobs", "2"]
 # the benchmark's carlitz grid: the default stops at n = 8
 CASES["carlitz-cross --n-max 20"] = ["--suite", "carlitz-cross", "--n-max", "20"]
+# the benchmark's two p-adic levels: p^11 single sums, p^8 double sums
+for _case in ("padic --p 3 --q0 4 --N 11 --K 16", "padic --p 5 --q0 6 --N 4 --K 10"):
+    CASES[_case] = ["--suite", *_case.split()]
 
 
 def _digest(args: list[str]) -> str:

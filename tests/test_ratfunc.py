@@ -18,6 +18,24 @@ def test_canonical_form():
     assert w == RatFunc(Poly([Fraction(1, 2)]), Poly([1, 1]))
 
 
+def test_constant_denominator_needs_no_gcd(monkeypatch):
+    q = Poly.q_power(1)
+    poly = Poly([Fraction(3, 2), -4, 0, 6])
+    # the same values through the gcd path: a common factor q on both sides
+    want = [RatFunc(Poly.q_power(a) * q, q) for a in range(5)]
+    want += [RatFunc(poly * q, Poly([0, 3])), RatFunc(poly * q, q * Fraction(-2, 5))]
+
+    def refuse(self, other):
+        raise AssertionError("Poly.gcd called")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    got = [RatFunc(Poly.q_power(a)) for a in range(5)]
+    got += [RatFunc(poly, 3), RatFunc(poly, Poly([Fraction(-2, 5)]))]
+    assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
+    assert got[-2].num == Poly([Fraction(1, 2), Fraction(-4, 3), 0, 2])
+    assert all(v.den == ONE for v in got)
+
+
 def test_zero_and_division_guard():
     assert RatFunc(ZERO, Poly([1, 5])) == RF_ZERO
     assert not RF_ZERO
