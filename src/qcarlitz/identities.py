@@ -19,6 +19,21 @@ sign (-1)^n and an exponent map {d: e_d}.  The canonical RatFunc of a
 numerator comes from dividing out each Phi_d as often as it divides (at
 most e_d times), not from a gcd against D: once per report when the
 values agree, once per differing numerator when they do not.
+
+The numerators are assembled packed.  Evaluation at q = 2^B is a ring
+homomorphism Z[q] -> Z, so each permutation's sum of terms
+c * q^s * prod f (f the cached factor polynomials) is computed as one
+integer: every factor is packed once at width B (`Poly.pack`, cached per
+width), the factors are multiplied as integers, q^s is a shift by B*s
+bits and the factor (q - 1) is x -> (x << B) - x.  Only the final
+numerator has to fit: its coefficients are bounded in magnitude by
+sum |c| prod ||f||_1 (times ||q - 1||_1 = 2 for the (q - 1) part), the
+L1 norms cached as integers, and B is the least multiple of 8 bits that
+holds that bound plus a sign bit.  All six permutations (twelve for
+cross34) share one B, so equal integers are equal numerators; the report
+unpacks each distinct value once (`Poly.unpack`) before the reduction.
+A term with a vanishing factor adds nothing to the bound and is dropped
+before packing, so no factor is ever packed at a width it does not fit.
 """
 
 from __future__ import annotations
@@ -31,13 +46,10 @@ from math import comb
 from random import Random
 
 from .carlitz import beta_number, beta_poly
-from .polyq import ONE, Poly, ZERO
+from .polyq import ONE, Poly, ZERO, balanced_bits
 from .qcore import (QArg, multinomial, over_cyclotomic, power_sum_T, q_int_exponents,
                     q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RatFunc
-
-_Q_MINUS_1 = Poly([-1, 1])
-
 
 @dataclass(frozen=True, order=True)
 class IdentityParams:
@@ -237,143 +249,189 @@ def _shifted_beta_sum(deg: int, h: int, d: int, e0: int, step: int, count: int) 
 
 
 # ---------------------------------------------------------------------------
-# per-permutation numerators against the master denominator
+# per-permutation numerators against the master denominator, packed
+#
+# A term c * q^s * prod f is (c, s, factors), each factor f named by its
+# cached builder and arguments.  A permutation's numerator is a pair of
+# term lists (plain, times_q_minus_1) standing for plain + (q - 1) * times.
 
 
-def _thm1_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int]) -> Poly:
-    b1, b2, b3 = bases
-    e1, e2, e3 = W * y[0], W * y[1], W * y[2]
-    acc = ZERO
-    for k, l, m in _lattice(n):
-        t = _beta_struct_num(k, l + m + 1, b1, e1)
-        t = t * _beta_struct_num(l, m + 1, b2, e2)
-        t = t * _beta_struct_num(m, 1, b3, e3)
-        t = t * multinomial(n, k, l, m)
-        t = t * _thm1_fixed(n, b1, b2, b3, k, l, m)
-        acc = acc + t.shift(W * ((l + m) * y[0] + m * y[1]))
+@lru_cache(maxsize=None)
+def _norm(fn, args: tuple) -> int:
+    return fn(*args).l1_norm()
+
+
+@lru_cache(maxsize=None)
+def _packed(fn, args: tuple, bits: int) -> int:
+    return fn(*args).pack(bits)
+
+
+def _live(terms: list) -> list:
+    # a vanishing factor adds nothing to the bound, so its term must not
+    # be packed at all: its other factors need not fit the width
+    return [t for t in terms if all(_norm(*f) for f in t[2])]
+
+
+def _weight(terms: list) -> int:
+    total = 0
+    for c, _, factors in terms:
+        t = abs(c)
+        for f in factors:
+            t *= _norm(*f)
+        total += t
+    return total
+
+
+def _bound(num: tuple[list, list]) -> int:
+    """Bound on every coefficient of the numerator: sum |c| prod ||f||_1,
+    with ||q - 1||_1 = 2 for the second list."""
+    plain, times = num
+    return _weight(plain) + 2 * _weight(times)
+
+
+def _terms_at(terms: list, bits: int) -> int:
+    acc = 0
+    for c, s, factors in terms:
+        t = c
+        for fn, args in factors:
+            t *= _packed(fn, args, bits)
+        acc += t << (bits * s)
     return acc
 
 
+def _packed_nums(nums: list[tuple[list, list]]) -> tuple[list[int], int]:
+    """Each numerator's value at q = 2^bits, for one width bits that holds
+    every coefficient of every numerator, so equal values are equal
+    numerators."""
+    bits = balanced_bits(max(map(_bound, nums)))
+    out = []
+    for plain, times in nums:
+        x = _terms_at(times, bits)
+        out.append(_terms_at(plain, bits) + (x << bits) - x)
+    return out, bits
+
+
+def _thm1_num(n: int, W: int, y: tuple[int, int, int],
+              bases: tuple[int, int, int], _w3s: int) -> tuple[list, list]:
+    b1, b2, b3 = bases
+    e1, e2, e3 = W * y[0], W * y[1], W * y[2]
+    terms = [(multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]),
+              ((_beta_struct_num, (k, l + m + 1, b1, e1)),
+               (_beta_struct_num, (l, m + 1, b2, e2)),
+               (_beta_struct_num, (m, 1, b3, e3)),
+               (_thm1_fixed, (n, b1, b2, b3, k, l, m))))
+             for k, l, m in _lattice(n)]
+    return _live(terms), []
+
+
 def _thm3_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int], w3s: int) -> Poly:
+              bases: tuple[int, int, int], w3s: int) -> tuple[list, list]:
     b1, b2, b3 = bases
     e1, e2 = W * y[0], W * y[1]
-    part1 = ZERO
-    for k, l, m in _lattice(n - 1):
-        t = _beta_struct_num(k, l + m + 2, b1, e1)
-        t = t * _beta_struct_num(l, m + 2, b2, e2)
-        t = t * (n * multinomial(n - 1, k, l, m))
-        t = t * _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 1)
-        part1 = part1 + t.shift(W * ((l + m + 1) * y[0] + (m + 1) * y[1]))
-    part2 = ZERO
-    for k, l, m in _lattice(n):
-        t = _beta_struct_num(k, l + m + 1, b1, e1)
-        t = t * _beta_struct_num(l, m + 1, b2, e2)
-        t = t * multinomial(n, k, l, m)
-        t = t * _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 2)
-        part2 = part2 + t.shift(W * ((l + m) * y[0] + m * y[1]))
-    return part1 + part2 * _Q_MINUS_1
+    part1 = [(n * multinomial(n - 1, k, l, m), W * ((l + m + 1) * y[0] + (m + 1) * y[1]),
+              ((_beta_struct_num, (k, l + m + 2, b1, e1)),
+               (_beta_struct_num, (l, m + 2, b2, e2)),
+               (_thm3_fixed, (n, b1, b2, b3, w3s, k, l, m, 1))))
+             for k, l, m in _lattice(n - 1)]
+    part2 = [(multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]),
+              ((_beta_struct_num, (k, l + m + 1, b1, e1)),
+               (_beta_struct_num, (l, m + 1, b2, e2)),
+               (_thm3_fixed, (n, b1, b2, b3, w3s, k, l, m, 2))))
+             for k, l, m in _lattice(n)]
+    return _live(part1), _live(part2)
 
 
 def _thm4_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int], w3s: int) -> Poly:
+              bases: tuple[int, int, int], w3s: int) -> tuple[list, list]:
     b1, b2, b3 = bases
     e1, e0 = W * y[0], W * y[1]
-    part1 = ZERO
-    for k in range(n):
-        t = _beta_struct_num(k, n - k + 1, b1, e1)
-        t = t * _shifted_beta_sum(n - 1 - k, 2, b2, e0, b3, w3s)
-        t = t * (n * comb(n - 1, k))
-        t = t * _thm4_fixed(n, b1, b2, b3, k, 1)
-        part1 = part1 + t.shift(W * ((n - k) * y[0] + y[1]))
-    part2 = ZERO
-    for k in range(n + 1):
-        t = _beta_struct_num(k, n - k + 1, b1, e1)
-        t = t * _shifted_beta_sum(n - k, 1, b2, e0, b3, w3s)
-        t = t * comb(n, k)
-        t = t * _thm4_fixed(n, b1, b2, b3, k, 2)
-        part2 = part2 + t.shift(W * (n - k) * y[0])
-    return part1 + part2 * _Q_MINUS_1
+    part1 = [(n * comb(n - 1, k), W * ((n - k) * y[0] + y[1]),
+              ((_beta_struct_num, (k, n - k + 1, b1, e1)),
+               (_shifted_beta_sum, (n - 1 - k, 2, b2, e0, b3, w3s)),
+               (_thm4_fixed, (n, b1, b2, b3, k, 1))))
+             for k in range(n)]
+    part2 = [(comb(n, k), W * (n - k) * y[0],
+              ((_beta_struct_num, (k, n - k + 1, b1, e1)),
+               (_shifted_beta_sum, (n - k, 1, b2, e0, b3, w3s)),
+               (_thm4_fixed, (n, b1, b2, b3, k, 2))))
+             for k in range(n + 1)]
+    return _live(part1), _live(part2)
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-def _report_from_nums(identity: str, params: IdentityParams,
-                      labels: tuple[str, ...], nums: list[Poly]) -> IdentityReport:
-    """Verdict and canonical values for numerators over the master D.
+def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, ...],
+                      nums: list[int], bits: int) -> IdentityReport:
+    """Verdict and canonical values for packed numerators over the master D.
 
-    Equal numerators share one reduction; each differing one is reduced
-    on its own, so a failing report still carries exact values.
+    The verdict compares integers.  Each distinct value is unpacked and
+    reduced once, so a failing report still carries exact values.
     """
     bases = _sorted_bases(params.w)
-    verdict = all(num == nums[0] for num in nums[1:])
-    base = _over_master(nums[0], params.n, bases)
-    values: list[RatFunc] = []
+    reduced: dict[int, RatFunc] = {}
     witness: tuple[str, str] | None = None
     for j, num in enumerate(nums):
-        if num == nums[0]:
-            values.append(base)
-        else:
-            values.append(_over_master(num, params.n, bases))
-            if witness is None:
-                witness = (labels[0], labels[j])
-    return IdentityReport(identity, params.as_dict(), labels, tuple(values),
-                          verdict, witness)
+        if num not in reduced:
+            reduced[num] = _over_master(Poly.unpack(num, bits), params.n, bases)
+        if witness is None and num != nums[0]:
+            witness = (labels[0], labels[j])
+    return IdentityReport(identity, params.as_dict(), labels,
+                          tuple(reduced[num] for num in nums), witness is None, witness)
 
 
-def _check(identity: str, params: IdentityParams, num_fn) -> IdentityReport:
+def _check(identity: str, params: IdentityParams, num_fns) -> IdentityReport:
     W = params.w_product
     labels = []
     nums = []
-    for sigma in ALL_PERMUTATIONS:
-        bases, w3s = _sigma_bases(params.w, sigma)
-        labels.append(sigma.label)
-        nums.append(num_fn(params.n, W, params.y, bases, w3s))
-    return _report_from_nums(identity, params, tuple(labels), nums)
+    for prefix, num_fn in num_fns:
+        for sigma in ALL_PERMUTATIONS:
+            bases, w3s = _sigma_bases(params.w, sigma)
+            labels.append(prefix + sigma.label)
+            nums.append(num_fn(params.n, W, params.y, bases, w3s))
+    return _report_from_nums(identity, params, tuple(labels), *_packed_nums(nums))
+
+
+def _expr(params: IdentityParams, sigma: Permutation3, num_fn) -> RatFunc:
+    bases, w3s = _sigma_bases(params.w, sigma)
+    [num], bits = _packed_nums([num_fn(params.n, params.w_product, params.y, bases, w3s)])
+    return _over_master(Poly.unpack(num, bits), params.n, _sorted_bases(params.w))
 
 
 def thm1_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the triple product-sum identity."""
-    bases, _ = _sigma_bases(params.w, sigma)
-    num = _thm1_num(params.n, params.w_product, params.y, bases)
-    return _over_master(num, params.n, _sorted_bases(params.w))
+    return _expr(params, sigma, _thm1_num)
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:
-    return _check("thm1", params, lambda n, W, y, bases, w3s: _thm1_num(n, W, y, bases))
+    return _check("thm1", params, (("", _thm1_num),))
 
 
 def thm3_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the two-part sum with T-factors."""
     if params.n < 1:
         raise ValueError("Theorem 3 requires positive n")
-    bases, w3s = _sigma_bases(params.w, sigma)
-    num = _thm3_num(params.n, params.w_product, params.y, bases, w3s)
-    return _over_master(num, params.n, _sorted_bases(params.w))
+    return _expr(params, sigma, _thm3_num)
 
 
 def thm3_check(params: IdentityParams) -> IdentityReport:
     if params.n < 1:
         raise ValueError("Theorem 3 requires positive n")
-    return _check("thm3", params, _thm3_num)
+    return _check("thm3", params, (("", _thm3_num),))
 
 
 def thm4_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the binomial sum with inner w3-fold sums."""
     if params.n < 1:
         raise ValueError("Theorem 4 requires positive n")
-    bases, w3s = _sigma_bases(params.w, sigma)
-    num = _thm4_num(params.n, params.w_product, params.y, bases, w3s)
-    return _over_master(num, params.n, _sorted_bases(params.w))
+    return _expr(params, sigma, _thm4_num)
 
 
 def thm4_check(params: IdentityParams) -> IdentityReport:
     if params.n < 1:
         raise ValueError("Theorem 4 requires positive n")
-    return _check("thm4", params, _thm4_num)
+    return _check("thm4", params, (("", _thm4_num),))
 
 
 def cross34_check(params: IdentityParams) -> IdentityReport:
@@ -385,15 +443,7 @@ def cross34_check(params: IdentityParams) -> IdentityReport:
     """
     if params.n < 1:
         raise ValueError("cross-theorem check requires positive n")
-    W = params.w_product
-    labels = []
-    nums = []
-    for name, num_fn in (("thm3", _thm3_num), ("thm4", _thm4_num)):
-        for sigma in ALL_PERMUTATIONS:
-            bases, w3s = _sigma_bases(params.w, sigma)
-            labels.append(f"{name}:{sigma.label}")
-            nums.append(num_fn(params.n, W, params.y, bases, w3s))
-    return _report_from_nums("cross34", params, tuple(labels), nums)
+    return _check("cross34", params, (("thm3:", _thm3_num), ("thm4:", _thm4_num)))
 
 
 def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:

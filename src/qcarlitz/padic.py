@@ -285,12 +285,18 @@ def _concat(a: tuple, b: tuple, m: int) -> tuple:
 
 def _block(r: int, w: int, n: int, L: int, m: int) -> tuple:
     """(A, w^L, q^L, [L]_q) for [0, L) at q = r, A_j = sum_{y<L} w^y [y]_q^j
-    for j <= n, doubled up from the binary digits of L."""
+    for j <= n, doubled up from the binary digits of L.  A one digit appends
+    the single point: A_j += w^L [L]^j, O(n) products instead of a join."""
     acc = ([0] * (n + 1), 1, 1, 0)
     for bit in bin(L)[2:]:
         acc = _concat(acc, acc, m)
         if bit == "1":
-            acc = _concat(acc, ([1] + [0] * n, w, r, 1), m)
+            A, wL, qL, bL = acc
+            term = wL
+            for j in range(n + 1):
+                A[j] = (A[j] + term) % m
+                term = term * bL % m
+            acc = (A, wL * w % m, qL * r % m, (bL + qL) % m)
     return acc
 
 

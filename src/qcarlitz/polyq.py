@@ -6,6 +6,15 @@ big integers.  Multiplication above a small cutoff packs the vectors into
 one big integer each (Kronecker substitution); exact division above the
 cutoff runs a Newton iteration on the reversed power series; gcd uses the
 evaluation-based heuristic with a subresultant fallback.
+
+Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
+[-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
+each c_i + 2^{B-1} is written as one B/8-byte field, `int.from_bytes`
+reads all fields at once, and one subtraction removes the offsets.
+Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
+fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
+`Poly.pack`/`Poly.unpack` expose the pair for integer polynomials;
+`balanced_bits` gives the least B for a coefficient bound.
 """
 
 from __future__ import annotations
@@ -35,51 +44,41 @@ def _trim(vec: list[int]) -> list[int]:
     return vec
 
 
+def _balanced_bias(n: int, nbytes: int) -> int:
+    # the offset 2^{8 nbytes - 1} in each of n digits, as one integer
+    return int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * n, "little")
+
+
 def _pack(vec: Sequence[int], bits: int) -> int:
-    # divide and conquer keeps this O(M(n*bits) log n) instead of quadratic
-    n = len(vec)
-    if n == 1:
-        return vec[0]
-    half = n >> 1
-    return _pack(vec[:half], bits) + (_pack(vec[half:], bits) << (bits * half))
+    # sum vec[i] 2^{bits i}; every digit offset into [0, 2^bits) is one
+    # fixed-width byte field, and one subtraction takes the offsets back out
+    nbytes = bits >> 3
+    half = 1 << (bits - 1)
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in vec])
+    return int.from_bytes(raw, "little") - _balanced_bias(len(vec), nbytes)
 
 
-def _unpack_unsigned(value: int, bits: int, n: int, out: list[int]) -> None:
-    if n == 1:
-        out.append(value)
-        return
-    half = n >> 1
-    shift = bits * half
-    # shift/mask instead of divmod: identical floor semantics on Python ints,
-    # but linear instead of a full long division per split
-    lo = value & ((1 << shift) - 1)
-    hi = value >> shift
-    _unpack_unsigned(lo, bits, half, out)
-    _unpack_unsigned(hi, bits, n - half, out)
+def _unpack(value: int, bits: int, n: int) -> list[int]:
+    # the n balanced base-2^bits digits of value, each in [-2^{bits-1}, 2^{bits-1})
+    nbytes = bits >> 3
+    half = 1 << (bits - 1)
+    raw = (value + _balanced_bias(n, nbytes)).to_bytes(n * nbytes, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, n * nbytes, nbytes)]
+
+
+def balanced_bits(bound: int) -> int:
+    """The least multiple of 8 bits whose balanced digits hold every integer
+    of magnitude at most bound: bound < 2**(bits - 1)."""
+    return (bound.bit_length() + 8) // 8 * 8
 
 
 def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     amax = max(map(abs, a))
     bmax = max(map(abs, b))
-    # every product coefficient is < min(len) * amax * bmax in magnitude
-    bits = (amax * bmax * min(len(a), len(b))).bit_length() + 2
-    prod = _pack(a, bits) * _pack(b, bits)
-    n = len(a) + len(b) - 1
-    digits: list[int] = []
-    _unpack_unsigned(prod, bits, n, digits)
-    # fold the floor-division residues back into balanced (signed) digits
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    carry = 0
-    for i in range(n):
-        d = digits[i] + carry
-        if d >= half:
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        digits[i] = d
-    return digits
+    # every product coefficient is at most min(len) * amax * bmax in magnitude
+    bits = balanced_bits(amax * bmax * min(len(a), len(b)))
+    return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
 
 
 def _school_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -517,6 +516,36 @@ class Poly:
             k += 1
         return Poly(_raw=(tuple(vec), self._den)), k
 
+    def l1_norm(self) -> int:
+        """Sum of the absolute values of the coefficients of an integer
+        polynomial; it bounds every coefficient of a product it enters."""
+        if self._den != 1:
+            raise ValueError("l1_norm needs an integer polynomial")
+        return sum(map(abs, self._c))
+
+    def pack(self, bits: int) -> int:
+        """The value at q = 2**bits of an integer polynomial whose coefficients
+        lie in [-2**(bits - 1), 2**(bits - 1)); bits is a multiple of 8.
+
+        Evaluation is a ring homomorphism, so sums and products of packed
+        values are packed sums and products; `unpack` reads the polynomial
+        back as long as its coefficients stay in that range.
+        """
+        if self._den != 1:
+            raise ValueError("packing needs an integer polynomial")
+        _check_bits(bits)
+        try:
+            return _pack(self._c, bits)
+        except OverflowError:
+            raise ValueError(f"a coefficient does not fit {bits}-bit balanced digits") from None
+
+    @classmethod
+    def unpack(cls, value: int, bits: int) -> "Poly":
+        """The integer polynomial whose balanced base-2**bits digits are value."""
+        _check_bits(bits)
+        # a nonzero top digit c_d makes |value| >= 2^{bits d - 2}: d + 1 digits fit
+        return cls._make(_unpack(value, bits, abs(value).bit_length() // bits + 2), 1)
+
     def gcd(self, other: "Poly") -> "Poly":
         """Greatest common divisor, normalized primitive with positive lead."""
         return Poly._make(_vec_gcd(self._c, other._c), 1)
@@ -550,6 +579,11 @@ def _term_text(coeff: Fraction, power: int) -> str:
     if mag.denominator == 1:
         return f"{mag}{qpart}"
     return f"({mag}){qpart}"
+
+
+def _check_bits(bits: int) -> None:
+    if bits < 8 or bits % 8:
+        raise ValueError("packing width must be a positive multiple of 8 bits")
 
 
 def _coerce(value: object) -> Poly | None:

@@ -32,6 +32,10 @@ CASES["carlitz-cross --n-max 20"] = ["--suite", "carlitz-cross", "--n-max", "20"
 # the benchmark's two p-adic levels: p^11 single sums, p^8 double sums
 for _case in ("padic --p 3 --q0 4 --N 11 --K 16", "padic --p 5 --q0 6 --N 4 --K 10"):
     CASES[_case] = ["--suite", *_case.split()]
+# the benchmark's two identity grids: the thm1 and cross34 sweeps
+for _case in ("thm1 --n-max 4 --w-max 3 --y-max 2 --sample 500",
+              "cross34 --n-max 3 --w-max 3 --y-max 2 --sample 300"):
+    CASES[_case] = ["--suite", *_case.split()]
 
 
 def _digest(args: list[str]) -> str:

@@ -13,10 +13,13 @@ import pytest
 
 from qcarlitz.carlitz import beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, IDENTITY_PERMUTATION,
-                                 IdentityParams, Permutation3, cross34_check,
-                                 grid_params, lemma2_coeff_check, sample_grid,
-                                 thm1_check, thm1_expr, thm3_check, thm3_expr,
-                                 thm4_check, thm4_expr)
+                                 IdentityParams, Permutation3, _beta_struct_num,
+                                 _packed_nums, _shifted_beta_sum, _thm1_fixed,
+                                 _thm1_num, _thm3_fixed, _thm3_num, _thm4_fixed,
+                                 _thm4_num, cross34_check, grid_params,
+                                 lemma2_coeff_check, sample_grid, thm1_check,
+                                 thm1_expr, thm3_check, thm3_expr, thm4_check,
+                                 thm4_expr)
 from qcarlitz.polyq import Poly
 from qcarlitz.qcore import QArg, multinomial, power_sum_T, q_int
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
@@ -295,3 +298,122 @@ def test_sampling_is_deterministic_and_ordered():
     assert all(p in seen for p in sample)
     full = sample_grid(grid, len(grid) + 1)
     assert full == grid and full is not grid
+
+
+# ---------------------------------------------------------------------------
+# packed numerators against literal coefficient-list sums
+#
+# The checkers evaluate each permutation's numerator at q = 2^bits and
+# compare integers.  The sums below are written out on plain coefficient
+# lists (schoolbook products, shifted adds, an explicit (q - 1) factor),
+# from the same cached factor polynomials, so they share no code with the
+# packing, the width bound or the unpacking.
+
+
+def _coeffs(poly):
+    return [int(c) for c in poly.coefficients()]
+
+
+def _conv(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    return out
+
+
+def _add_shifted(acc, vec, c, shift):
+    acc.extend([0] * (shift + len(vec) - len(acc)))
+    for i, x in enumerate(vec):
+        acc[shift + i] += c * x
+
+
+def _term(factors):
+    out = [1]
+    for f in factors:
+        out = _conv(out, _coeffs(f))
+    return out
+
+
+def literal_thm1(n, W, y, bases, _w3s):
+    b1, b2, b3 = bases
+    acc = []
+    for k, l, m in lattice(n):
+        t = _term([_beta_struct_num(k, l + m + 1, b1, W * y[0]),
+                   _beta_struct_num(l, m + 1, b2, W * y[1]),
+                   _beta_struct_num(m, 1, b3, W * y[2]),
+                   _thm1_fixed(n, b1, b2, b3, k, l, m)])
+        _add_shifted(acc, t, multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]))
+    return acc
+
+
+def literal_thm3(n, W, y, bases, w3s):
+    b1, b2, b3 = bases
+    part1, part2 = [], []
+    for k, l, m in lattice(n - 1):
+        t = _term([_beta_struct_num(k, l + m + 2, b1, W * y[0]),
+                   _beta_struct_num(l, m + 2, b2, W * y[1]),
+                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 1)])
+        _add_shifted(part1, t, n * multinomial(n - 1, k, l, m),
+                     W * ((l + m + 1) * y[0] + (m + 1) * y[1]))
+    for k, l, m in lattice(n):
+        t = _term([_beta_struct_num(k, l + m + 1, b1, W * y[0]),
+                   _beta_struct_num(l, m + 1, b2, W * y[1]),
+                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 2)])
+        _add_shifted(part2, t, multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]))
+    _add_shifted(part1, _conv([-1, 1], part2), 1, 0)
+    return part1
+
+
+def literal_thm4(n, W, y, bases, w3s):
+    b1, b2, b3 = bases
+    part1, part2 = [], []
+    for k in range(n):
+        t = _term([_beta_struct_num(k, n - k + 1, b1, W * y[0]),
+                   _shifted_beta_sum(n - 1 - k, 2, b2, W * y[1], b3, w3s),
+                   _thm4_fixed(n, b1, b2, b3, k, 1)])
+        _add_shifted(part1, t, n * comb(n - 1, k), W * ((n - k) * y[0] + y[1]))
+    for k in range(n + 1):
+        t = _term([_beta_struct_num(k, n - k + 1, b1, W * y[0]),
+                   _shifted_beta_sum(n - k, 1, b2, W * y[1], b3, w3s),
+                   _thm4_fixed(n, b1, b2, b3, k, 2)])
+        _add_shifted(part2, t, comb(n, k), W * (n - k) * y[0])
+    _add_shifted(part1, _conv([-1, 1], part2), 1, 0)
+    return part1
+
+
+def _trimmed(vec):
+    while vec and vec[-1] == 0:
+        vec.pop()
+    return vec
+
+
+def _check_packed(p, pairs):
+    """pairs: (packed builder, literal builder) per theorem, six permutations each."""
+    built, literal = [], []
+    for num_fn, literal_fn in pairs:
+        for sigma in ALL_PERMUTATIONS:
+            bases, w3s = sigma_data(p, sigma)
+            built.append(num_fn(p.n, p.w_product, p.y, bases, w3s))
+            literal.append(_trimmed(literal_fn(p.n, p.w_product, p.y, bases, w3s)))
+    nums, bits = _packed_nums(built)
+    assert bits % 8 == 0
+    for value, want in zip(nums, literal):
+        # every coefficient fits the shared width, so the integer is the polynomial
+        assert all(abs(c) < 2 ** (bits - 1) for c in want), p
+        acc = 0
+        for c in reversed(want):
+            acc = (acc << bits) + c
+        assert value == acc, p
+        assert _coeffs(Poly.unpack(value, bits)) == want, p
+
+
+def test_packed_thm1_numerators_match_literal_sums():
+    for p in grid_params(range(4), 2, 1):
+        _check_packed(p, [(_thm1_num, literal_thm1)])
+
+
+def test_packed_cross34_numerators_match_literal_sums():
+    # the benchmark's cross34 grid, below n = 3
+    for p in grid_params((1, 2), 3, 2, vary_y3=False):
+        _check_packed(p, [(_thm3_num, literal_thm3), (_thm4_num, literal_thm4)])

@@ -2,8 +2,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qcarlitz.polyq import ONE, Poly, Q, ZERO, _school_mul
+from qcarlitz.polyq import ONE, Poly, Q, ZERO, _kron_mul, _school_mul, balanced_bits
 
 
 def test_construction_trims_and_normalizes():
@@ -153,3 +155,80 @@ def test_str():
     assert str(Poly([1, -1, 2])) == "1-q+2q^2"
     assert str(Poly([0, 1, 1, 1])) == "q+q^2+q^3"
     assert str(Poly([Fraction(-1, 2), 0, 1])) == "-1/2+q^2"
+
+
+# ---------------------------------------------------------------------------
+# byte-wise packing: evaluation at q = 2**bits with balanced digits
+
+WIDTHS = (8, 16, 24, 64)
+
+
+@st.composite
+def packable(draw, bits=None, min_len=0):
+    """(coefficient list, bits) with every coefficient inside +-(2**(bits-1) - 1)."""
+    if bits is None:
+        bits = draw(st.sampled_from(WIDTHS))
+    top = 2 ** (bits - 1) - 1
+    coef = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
+    return draw(st.lists(coef, min_size=min_len, max_size=40)), bits
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(packable())
+@example(([], 8))
+@example(([127], 8))
+@example(([-127], 8))
+@example(([0, 0, 5, -127], 8))
+@example(([2 ** 63 - 1, -(2 ** 63 - 1), 0, -(2 ** 63 - 1)], 64))
+def test_pack_round_trip(case):
+    vec, bits = case
+    p = Poly(vec)
+    value = p.pack(bits)
+    # the packed value is the evaluation at 2**bits, written out here by Horner
+    acc = 0
+    for c in reversed(vec):
+        acc = (acc << bits) + c
+    assert value == acc
+    assert Poly.unpack(value, bits) == p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(packable(min_len=1), st.data())
+@example(([127], 8), None)
+@example(([-127, 0, 127], 8), None)
+@example(([0], 8), None)
+@example(([3, -5, 0, -(2 ** 23 - 1)], 24), None)
+def test_packed_product_matches_schoolbook(case, data):
+    a, bits = case
+    b = [1] if data is None else data.draw(packable(bits, min_len=1))[0]
+    want = _school_mul(a, b)
+    if any(a) and any(b):
+        # the multiplication path; Poly never hands it a zero operand
+        assert _kron_mul(a, b) == want
+        # a width from the L1 norms holds every product coefficient (and
+        # each factor's, as long as neither factor vanishes)
+        width = balanced_bits(Poly(a).l1_norm() * Poly(b).l1_norm())
+        got = Poly.unpack(Poly(a).pack(width) * Poly(b).pack(width), width)
+        assert got == Poly(want)
+
+
+def test_balanced_bits_is_the_least_byte_width():
+    assert [balanced_bits(x) for x in (0, 1, 127, 128, 2 ** 15 - 1, 2 ** 15)] == \
+        [8, 8, 8, 16, 16, 24]
+
+
+def test_pack_refuses_what_it_cannot_represent():
+    with pytest.raises(ValueError, match="integer polynomial"):
+        Poly([Fraction(1, 2), 1]).pack(8)
+    with pytest.raises(ValueError, match="integer polynomial"):
+        Poly([Fraction(1, 2), 1]).l1_norm()
+    with pytest.raises(ValueError, match="does not fit"):
+        Poly([1, 128]).pack(8)
+    with pytest.raises(ValueError, match="does not fit"):
+        Poly([-129]).pack(8)
+    with pytest.raises(ValueError, match="multiple of 8"):
+        Poly([1]).pack(12)
+    with pytest.raises(ValueError, match="multiple of 8"):
+        Poly.unpack(5, 0)
+    assert Poly([-128, 3]).pack(8) == -128 + 3 * 256
+    assert Poly([-3, 4]).l1_norm() == 7 and ZERO.l1_norm() == 0
