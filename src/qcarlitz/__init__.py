@@ -16,13 +16,11 @@ from .identities import (ALL_PERMUTATIONS, IdentityParams, IdentityReport,
                          thm1_expr, thm3_check, thm3_expr, thm4_check,
                          thm4_expr)
 from .padic import (IntegrandSpec, PadicInt, PadicReport, VolkenbornJob,
-                    padic_arith, padic_exp, padic_log, verify_eq2_qexp,
-                    verify_eq3, volkenborn_approx, volkenborn_scaled,
-                    witt_check)
+                    padic_exp, padic_log, verify_eq2_qexp, verify_eq3,
+                    volkenborn_approx, volkenborn_scaled, witt_check)
 from .polyq import Poly
 from .qcore import QArg, multinomial, power_sum_T, q_arg_bracket, q_int, q_int_poly
-from .ratfunc import (RatFunc, rf_arith, rf_eval_rational, rf_normalize,
-                      rf_substitute_power)
+from .ratfunc import RatFunc, rf_eval_rational
 
 __version__ = "0.1.0"
 
@@ -33,9 +31,9 @@ __all__ = [
     "bernoulli_poly_classical", "beta_h", "beta_hk", "beta_number",
     "beta_number_recurrence", "beta_poly", "beta_poly_expansion",
     "cross34_check", "grid_params", "lemma2_coeff_check", "multinomial",
-    "padic_arith", "padic_exp", "padic_log", "power_sum_T", "q_arg_bracket",
-    "q_int", "q_int_poly", "rf_arith", "rf_eval_rational", "rf_normalize",
-    "rf_substitute_power", "sample_grid", "thm1_check", "thm1_expr",
-    "thm3_check", "thm3_expr", "thm4_check", "thm4_expr", "verify_eq2_qexp",
-    "verify_eq3", "volkenborn_approx", "volkenborn_scaled", "witt_check",
+    "padic_exp", "padic_log", "power_sum_T", "q_arg_bracket", "q_int",
+    "q_int_poly", "rf_eval_rational", "sample_grid", "thm1_check",
+    "thm1_expr", "thm3_check", "thm3_expr", "thm4_check", "thm4_expr",
+    "verify_eq2_qexp", "verify_eq3", "volkenborn_approx",
+    "volkenborn_scaled", "witt_check",
 ]

@@ -40,8 +40,6 @@ from .carlitz import beta_hk
 from .qcore import QArg
 from .ratfunc import rf_eval_rational
 
-_ARITH_OPS = ("add", "sub", "mul", "div")
-
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
 # Volkenborn request may name.  No sum walks its range, so this caps request
 # size as an API contract, not loop time; larger requests are refused.
@@ -125,47 +123,38 @@ class PadicInt:
             raise ValueError("cannot increase precision by reduction")
         return PadicInt(self.p, K2, self.residue)
 
+    def _shared_prec(self, other: "PadicInt") -> int:
+        # both operands in Z_p; results carry the lesser precision
+        if self.p != other.p:
+            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
+        return min(self.K, other.K)
+
     def __add__(self, other: "PadicInt") -> "PadicInt":
-        return padic_arith(self, other, "add")
+        return PadicInt(self.p, self._shared_prec(other), self.residue + other.residue)
 
     def __sub__(self, other: "PadicInt") -> "PadicInt":
-        return padic_arith(self, other, "sub")
+        return PadicInt(self.p, self._shared_prec(other), self.residue - other.residue)
 
     def __mul__(self, other: "PadicInt") -> "PadicInt":
-        return padic_arith(self, other, "mul")
+        return PadicInt(self.p, self._shared_prec(other), self.residue * other.residue)
 
     def __truediv__(self, other: "PadicInt") -> "PadicInt":
-        return padic_arith(self, other, "div")
+        """Division by a value of valuation v costs v digits."""
+        p, prec = self.p, self._shared_prec(other)
+        v = other.valuation()
+        if v >= other.K:
+            raise ValueError("division precision exhausted: divisor is zero to its precision")
+        if self.residue % p ** v:
+            raise ValueError(f"quotient is not a p-adic integer (divisor valuation {v})")
+        out = prec - v
+        if out < 1:
+            raise ValueError("division precision exhausted")
+        mo = p ** out
+        unit = (other.residue // p ** v) % mo
+        return PadicInt(p, out, (self.residue // p ** v) * pow(unit, -1, mo))
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.p}^{self.K}"
-
-
-def padic_arith(a: PadicInt, b: PadicInt, op: str) -> PadicInt:
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown operation {op!r}")
-    if a.p != b.p:
-        raise ValueError(f"prime mismatch: {a.p} vs {b.p}")
-    p = a.p
-    prec = min(a.K, b.K)
-    m = p ** prec
-    if op == "add":
-        return PadicInt(p, prec, a.residue + b.residue)
-    if op == "sub":
-        return PadicInt(p, prec, a.residue - b.residue)
-    if op == "mul":
-        return PadicInt(p, prec, a.residue * b.residue)
-    v = b.valuation()
-    if v >= b.K:
-        raise ValueError("division precision exhausted: divisor is zero to its precision")
-    if a.residue % p ** v:
-        raise ValueError(f"quotient is not a p-adic integer (divisor valuation {v})")
-    out = prec - v
-    if out < 1:
-        raise ValueError("division precision exhausted")
-    mo = p ** out
-    unit = (b.residue // p ** v) % mo
-    return PadicInt(p, out, (a.residue // p ** v) * pow(unit, -1, mo))
 
 
 def padic_log(u: PadicInt) -> PadicInt:

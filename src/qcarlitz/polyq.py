@@ -3,9 +3,13 @@
 A polynomial is stored as a primitive integer coefficient vector plus a
 single positive integer denominator, so bulk arithmetic runs on Python's
 big integers.  Multiplication above a small cutoff packs the vectors into
-one big integer each (Kronecker substitution); exact division above the
-cutoff runs a Newton iteration on the reversed power series; gcd uses the
-evaluation-based heuristic with a subresultant fallback.
+one big integer each (Kronecker substitution).  Exact division has one
+path: by Gauss's lemma an exact quotient of primitive integer polynomials
+is itself integer, so f/g is integer long division of the primitive parts
+times one rational scalar, and any non-integer step proves g does not
+divide f.  The gcd is the subresultant one; the library calls it only
+inside `RatFunc` arithmetic, since the identity checkers reduce over
+cyclotomic exponent maps with `Poly.divide_out` instead.
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -24,7 +28,6 @@ from math import gcd as _igcd
 from typing import Iterable, Sequence
 
 _KRON_CUTOFF = 1600  # len(a)*len(b) above which Kronecker multiplication wins
-_DIV_CUTOFF = 48     # quotient length above which Newton division wins
 
 
 def _content(vec: Sequence[int]) -> int:
@@ -112,48 +115,14 @@ def _rv_normalize(vec: list[int], den: int) -> tuple[list[int], int]:
     return vec, den
 
 
-def _rv_mul(a: Sequence[int], da: int, b: Sequence[int], db: int,
-            trunc: int | None = None) -> tuple[list[int], int]:
-    if trunc is not None:
-        a = a[:trunc]
-        b = b[:trunc]
-    vec = _vec_mul(a, b)
-    if trunc is not None:
-        del vec[trunc:]
-    return _rv_normalize(vec, da * db)
-
-
-def _rv_sub(a: Sequence[int], da: int, b: Sequence[int], db: int) -> tuple[list[int], int]:
-    g = _igcd(da, db)
-    ma, mb = db // g, da // g
-    n = max(len(a), len(b))
-    vec = [0] * n
-    for i, c in enumerate(a):
-        vec[i] = c * ma
-    for i, c in enumerate(b):
-        vec[i] -= c * mb
-    return _rv_normalize(vec, da * mb)
-
-
-def _series_inv(c: Sequence[int], den: int, prec: int) -> tuple[list[int], int]:
-    # inverse of the power series c/den, truncated to prec terms; c[0] != 0
-    w: list[int] = [den]
-    wd = c[0]
-    if wd < 0:
-        w, wd = [-den], -c[0]
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        t, td = _rv_mul(c, den, w, wd, trunc=k)
-        t = [-x for x in t]
-        t[0] += 2 * td
-        w, wd = _rv_mul(w, wd, t, td, trunc=k)
-    return w, wd
-
-
 def _vec_divexact(fv: Sequence[int], fd: int, gv: Sequence[int], gd: int
                   ) -> tuple[list[int], int] | None:
-    """Quotient of f/g over Q as (vec, den), or None when g does not divide f."""
+    """Quotient of f/g over Q as (vec, den), or None when g does not divide f.
+
+    With f = q^vf (cf/fd) F and g = q^vg (cg/gd) G, F and G primitive, Gauss's
+    lemma makes an exact F/G a primitive integer polynomial: the quotient is
+    q^(vf-vg) (cf gd)/(fd cg) F/G, and F/G is integer long division.
+    """
     if not fv:
         return [], 1
     if not gv:
@@ -162,40 +131,12 @@ def _vec_divexact(fv: Sequence[int], fd: int, gv: Sequence[int], gd: int
     vg = next(i for i, c in enumerate(gv) if c)
     if vg > vf or len(gv) > len(fv):
         return None
-    f1, fd1 = _rv_normalize(list(fv[vf:]), fd)
-    g1 = list(gv[vg:])
-    qlen = len(f1) - len(g1) + 1
-    newton = None
-    if qlen > _DIV_CUTOFF:
-        if abs(g1[-1]) == gd:
-            newton = "rev"
-        elif abs(g1[0]) == gd:
-            newton = "fwd"
-    if newton:
-        # Newton only when the relevant end is a unit, so the series
-        # inverse keeps integer-sized coefficients
-        if newton == "rev":
-            w, wd = _series_inv(g1[::-1], gd, qlen)
-            qr, qrd = _rv_mul(f1[::-1], fd1, w, wd, trunc=qlen)
-            qr.extend([0] * (qlen - len(qr)))
-            qv, qd = _rv_normalize(qr[::-1], qrd)
-        else:
-            w, wd = _series_inv(g1, gd, qlen)
-            qv, qd = _rv_mul(f1, fd1, w, wd, trunc=qlen)
-        pv, pd = _rv_mul(qv, qd, g1, gd)
-        if pv != f1 or pd != fd1:
-            return None
-    elif fd1 == 1 and gd == 1 and qlen > _DIV_CUTOFF and _content(g1) == 1:
-        qv = _int_divexact_primitive(f1, g1)
-        if qv is None:
-            return None
-        qd = 1
-    else:
-        qv, qd = _school_divmod_exact(f1, fd1, g1, gd)
-        if qv is None:
-            return None
-    pad = [0] * (vf - vg)
-    return pad + qv, qd
+    cf, cg = _content(fv), _content(gv)
+    quot = _int_divexact_primitive([c // cf for c in fv[vf:]], [c // cg for c in gv[vg:]])
+    if quot is None:
+        return None
+    scale = cf * gd
+    return [0] * (vf - vg) + [c * scale for c in quot], fd * cg
 
 
 def _int_divexact_primitive(f1: Sequence[int], g1: Sequence[int]) -> list[int] | None:
@@ -219,28 +160,6 @@ def _int_divexact_primitive(f1: Sequence[int], g1: Sequence[int]) -> list[int] |
     if any(rem[: m - 1]):
         return None
     return quot
-
-
-def _school_divmod_exact(f1: Sequence[int], fd: int, g1: Sequence[int], gd: int
-                         ) -> tuple[list[int] | None, int]:
-    # long division over Q; returns (None, 1) when the remainder is nonzero
-    rem = [Fraction(c, fd) for c in f1]
-    glead = Fraction(g1[-1], gd)
-    gfrac = [Fraction(c, gd) for c in g1]
-    qlen = len(f1) - len(g1) + 1
-    quot = [Fraction(0)] * qlen
-    for k in range(qlen - 1, -1, -1):
-        coef = rem[k + len(g1) - 1] / glead
-        if coef:
-            quot[k] = coef
-            for j in range(len(g1)):
-                rem[k + j] -= coef * gfrac[j]
-    if any(rem[: len(g1) - 1]):
-        return None, 1
-    den = 1
-    for c in quot:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    return _rv_normalize([int(c * den) for c in quot], den)
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -276,38 +195,6 @@ def _subresultant_gcd(a: list[int], b: list[int]) -> list[int]:
     return [x // c for x in b]
 
 
-def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    xi = 2 * min(amax, bmax) + 29
-    for _ in range(6):
-        fa = _horner(a, xi)
-        fb = _horner(b, xi)
-        h = _igcd(fa, fb)
-        cand: list[int] = []
-        while h:
-            r = h % xi
-            if 2 * r > xi:
-                r -= xi
-            cand.append(r)
-            h = (h - r) // xi
-        if cand:
-            c = _content(cand)
-            cand = [x // c for x in cand]
-            if (_vec_divexact(a, 1, cand, 1) is not None
-                    and _vec_divexact(b, 1, cand, 1) is not None):
-                return cand
-        xi = xi * 73794 // 27011 + 17
-    return None
-
-
-def _horner(vec: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(vec):
-        acc = acc * x + c
-    return acc
-
-
 def _vec_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         # gcd(f, 0) is f itself, normalized like any other gcd
@@ -329,9 +216,7 @@ def _vec_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a1) == 1 or len(b1) == 1:
         g = [1]
     else:
-        g = _heu_gcd(a1, b1)
-        if g is None:
-            g = _subresultant_gcd(a1, b1)
+        g = _subresultant_gcd(a1, b1)
     if g[-1] < 0:
         g = [-c for c in g]
     return [0] * v + g

@@ -150,12 +150,10 @@ def q_int(x: int, d: int = 1) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def q_arg_bracket(x: QArg) -> RatFunc:
-    """[x]_{q^d} = (1 - q^e)/(1 - q^d) for the carried argument x = e/d."""
+    """[x]_{q^d} = (q^e - 1)/(q^d - 1) for the carried argument x = e/d."""
     if x.is_integer:
         return q_int(x.e // x.d, x.d)
-    num = Poly([1]) - Poly.q_power(x.e)
-    den = Poly([1]) - Poly.q_power(x.d)
-    return RatFunc(num, den)
+    return over_cyclotomic(Poly.q_power(x.e) - ONE, q_power_minus_one_exponents(x.d))[0]
 
 
 def multinomial(n: int, k: int, l: int, m: int) -> int:

@@ -204,26 +204,5 @@ def _coerce(value: object) -> "RatFunc":
     return NotImplemented
 
 
-def rf_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical reduced form of num/den (idempotent)."""
-    return RatFunc(num, den)
-
-
-def rf_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_substitute_power(a: RatFunc, d: int) -> RatFunc:
-    return a.substitute_power(d)
-
-
 def rf_eval_rational(a: RatFunc, q0: Fraction | int) -> Fraction:
     return a.evaluate(q0)

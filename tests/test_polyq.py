@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz.polyq import ONE, Poly, Q, ZERO, _kron_mul, _school_mul, balanced_bits
@@ -232,3 +232,61 @@ def test_pack_refuses_what_it_cannot_represent():
         Poly.unpack(5, 0)
     assert Poly([-128, 3]).pack(8) == -128 + 3 * 256
     assert Poly([-3, 4]).l1_norm() == 7 and ZERO.l1_norm() == 0
+
+
+# ---------------------------------------------------------------------------
+# the divexact contract: the exact quotient, or ValueError and divides False
+
+FRAC = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+COEFFS = st.lists(FRAC, max_size=14)
+
+
+@st.composite
+def polys(draw, nonzero=False):
+    """A polynomial with small rational coefficients times q**k, k <= 3."""
+    coeffs = draw(COEFFS.filter(any) if nonzero else COEFFS)
+    return Poly(coeffs).shift(draw(st.integers(0, 3)))
+
+
+# a 60-term dividend: quotients of more than 48 coefficients
+LONG = Poly([Fraction((7 * i) % 11 - 5, 1 + i % 3) for i in range(60)])
+LONG_INT = Poly([(7 * i) % 11 - 5 for i in range(60)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(polys(), polys(nonzero=True))
+@example(LONG, Poly([3, 5, 1]))                   # unit lead
+@example(LONG, Poly([1, 5, 3]))                   # unit constant term only
+@example(LONG, Poly([2, 5, 3]))                   # neither end a unit
+@example(LONG_INT, Poly([2, 3, 2]))               # integer and primitive, no unit end
+@example(LONG_INT, Poly([Fraction(1, 2), 1]))     # unit lead after scaling
+@example(Poly([1, -2, 3]), Poly([Fraction(2, 3), 0, -5]))  # non-unit lead
+@example(Poly([4, 0, Fraction(-1, 6)]), Poly([Fraction(9, 4), 6]))
+@example(Poly([1, 1]).shift(3), Poly([2, 0, 1]).shift(2))  # q^k offsets
+@example(LONG.shift(4), Poly([1, 5, 3]).shift(1))
+@example(ZERO, Poly([1, 1]))
+@example(Poly([Fraction(5, 3), 2]), Poly([Fraction(-3, 7)]))
+def test_divexact_recovers_the_quotient(f, g):
+    assert (f * g).divexact(g) == f
+    assert g.divides(f * g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(polys(), polys(nonzero=True), polys(nonzero=True))
+@example(LONG, Poly([3, 5, 1]), Poly([1]))
+@example(LONG, Poly([1, 5, 3]), Poly([0, Fraction(1, 2)]))
+@example(LONG, Poly([2, 5, 3]), Poly([1, 1]))
+@example(LONG_INT, Poly([2, 3, 2]), Poly([0, 1]))
+@example(LONG_INT, Poly([Fraction(1, 2), 1]), Poly([-3]))
+@example(Poly([1, -2, 3]), Poly([Fraction(2, 3), 0, -5]), Poly([0, 7]))
+@example(Poly([1, 1]).shift(3), Poly([2, 0, 1]).shift(2), Poly([0, 0, 0, 1]))
+@example(LONG.shift(4), Poly([1, 5, 3]).shift(1), Poly([1]))
+@example(ZERO, Poly([1, 1]), Poly([5]))
+def test_divexact_refuses_a_remainder(f, g, r):
+    # keep the terms of r below deg g: f*g + r then leaves remainder r
+    r = Poly(r.coefficients()[:max(g.degree, 0)])
+    assume(r)
+    h = f * g + r
+    with pytest.raises(ValueError, match="not an exact"):
+        h.divexact(g)
+    assert not g.divides(h)

@@ -65,12 +65,22 @@ def test_qarg():
         QArg(0, 0)
 
 
-def test_q_arg_bracket():
+def test_q_arg_bracket(monkeypatch):
     # [e/d]_{q^d} = (1 - q^e)/(1 - q^d), fractional arguments included
-    v = q_arg_bracket(QArg(3, 2))
-    assert v == RatFunc(Poly([1, 1, 1]), Poly([1, 1]))
-    assert q_arg_bracket(QArg(4, 2)) == q_int(2, 2)
-    assert q_arg_bracket(QArg(0, 5)) == RatFunc(0)
+    args = [QArg(3, 2), QArg(4, 6), QArg(9, 6), QArg(10, 4), QArg(4, 2), QArg(0, 5)]
+    want = [RatFunc(ONE - Poly.q_power(x.e), ONE - Poly.q_power(x.d)) for x in args]
+    want[0] = RatFunc(Poly([1, 1, 1]), Poly([1, 1]))
+
+    def refuse(self, other):
+        raise AssertionError("generic gcd or division called")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    monkeypatch.setattr(Poly, "divexact", refuse)
+    # uncached, so every bracket is really built under the refusal
+    got = [q_arg_bracket.__wrapped__(x) for x in args]
+    assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
+    assert got[-2] == q_int(2, 2)
+    assert got[-1] == RatFunc(0)
 
 
 def test_multinomial():

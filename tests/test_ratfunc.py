@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcarlitz.polyq import ONE, Poly, ZERO
-from qcarlitz.ratfunc import (RF_ONE, RF_ZERO, RatFunc, rf_arith,
-                              rf_eval_rational, rf_normalize,
-                              rf_substitute_power)
+from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc, rf_eval_rational
 
 
 def test_canonical_form():
@@ -82,8 +83,8 @@ def test_pow_negative_of_zero():
 
 def test_substitute_power():
     v = RatFunc(Poly([0, 1]), Poly([1, 1]))
-    assert rf_substitute_power(v, 3) == RatFunc(Poly([0, 0, 0, 1]), Poly([1, 0, 0, 1]))
-    assert rf_substitute_power(v, 1) == v
+    assert v.substitute_power(3) == RatFunc(Poly([0, 0, 0, 1]), Poly([1, 0, 0, 1]))
+    assert v.substitute_power(1) == v
 
 
 def test_evaluate():
@@ -94,22 +95,20 @@ def test_evaluate():
         rf_eval_rational(RatFunc(ONE, Poly([1, 1])), -1)
 
 
-def test_rf_arith_dispatch():
+def test_arith_operators():
     a = RatFunc(Poly([1, 1]))
     b = RatFunc(Poly([0, 1]))
-    assert rf_arith(a, b, "add") == a + b
-    assert rf_arith(a, b, "sub") == a - b
-    assert rf_arith(a, b, "mul") == a * b
-    assert rf_arith(a, b, "div") == a / b
-    with pytest.raises(ValueError):
-        rf_arith(a, b, "pow")
+    assert a + b == RatFunc(Poly([1, 2]))
+    assert a - b == RF_ONE
+    assert a * b == RatFunc(Poly([0, 1, 1]))
+    assert a / b == RatFunc(Poly([1, 1]), Poly([0, 1]))
 
 
-def test_rf_normalize_idempotent():
+def test_normalize_idempotent():
     rng = Random(9)
     for _ in range(10):
         v = _random_rf(rng)
-        again = rf_normalize(v.num, v.den)
+        again = RatFunc(v.num, v.den)
         assert again.num == v.num and again.den == v.den
 
 
@@ -127,3 +126,92 @@ def test_str_rendering():
     assert str(RatFunc(Poly([0, 1, 1, 1]))) == "q+q^2+q^3"
     assert str(RF_ZERO) == "0"
     assert str(RatFunc(Poly([0, 1]), Poly([1, 2, 1]))) == "q/(1+2q+q^2)"
+
+
+# ---------------------------------------------------------------------------
+# canonical form and gcd, against their definitions and against sympy
+
+FRAC = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polys(draw, max_len=5):
+    return Poly(draw(st.lists(FRAC, max_size=max_len))).shift(draw(st.integers(0, 2)))
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two polynomials with a drawn common factor, so gcds are nontrivial."""
+    c = draw(polys(max_len=4))
+    return draw(polys()) * c, draw(polys()) * c
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, p: Poly):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients())]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("q"), domain="QQ")
+
+
+def _monic(p: Poly) -> Poly:
+    return p * (1 / p.leading_coeff) if p else p
+
+
+def _assert_canonical(v: RatFunc) -> None:
+    assert v.den.is_monic
+    assert v.num.gcd(v.den) == ONE
+    again = RatFunc(v.num, v.den)
+    assert again == v and again.num == v.num and again.den == v.den
+
+
+DIFF = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@DIFF
+@given(sharing_pairs())
+@example((ZERO, ZERO))
+@example((ZERO, Poly([0, -2])))
+@example((Poly([0, 0, 3]), Poly([0, Fraction(1, 2), 1])))
+def test_gcd_matches_sympy(sympy, pair):
+    a, b = pair
+    g = a.gcd(b)
+    if g:
+        # primitive integer coefficients with a positive lead
+        assert all(c.denominator == 1 for c in g.coefficients())
+        assert gcd(*(c.numerator for c in g.coefficients())) == 1
+        assert g.leading_coeff > 0
+    assert _to_sympy(sympy, _monic(g)) == sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+
+
+@DIFF
+@given(sharing_pairs())
+@example((Poly([1, 2, 1]), Poly([2, 2])))
+@example((Poly([Fraction(3, 2)]), Poly([0, -4])))
+def test_normal_form_matches_sympy_cancel(sympy, pair):
+    num, den = pair
+    if not den:
+        return
+    v = RatFunc(num, den)
+    q = sympy.Symbol("q")
+    expr = sympy.cancel(_to_sympy(sympy, num).as_expr() / _to_sympy(sympy, den).as_expr())
+    n, d = (sympy.Poly(part, q, domain="QQ") for part in sympy.fraction(expr))
+    assert (_to_sympy(sympy, v.num), _to_sympy(sympy, v.den)) == \
+        (n.quo_ground(d.LC()), d.monic())
+
+
+@DIFF
+@given(sharing_pairs(), sharing_pairs())
+def test_canonical_form_invariants(x, y):
+    pairs = [(n, d) for n, d in (x, y) if d]
+    values = [RatFunc(n, d) for n, d in pairs]
+    for (n, d), v in zip(pairs, values):
+        # normalization keeps the value
+        assert v.num * d == n * v.den
+    if len(values) == 2:
+        a, b = values
+        values += [a + b, a - b, a * b] + ([a / b] if b else [])
+    for v in values:
+        _assert_canonical(v)
