@@ -21,19 +21,49 @@ most e_d times), not from a gcd against D: once per report when the
 values agree, once per differing numerator when they do not.
 
 The numerators are assembled packed.  Evaluation at q = 2^B is a ring
-homomorphism Z[q] -> Z, so each permutation's sum of terms
-c * q^s * prod f (f the cached factor polynomials) is computed as one
-integer: every factor is packed once at width B (`Poly.pack`, cached per
-width), the factors are multiplied as integers, q^s is a shift by B*s
-bits and the factor (q - 1) is x -> (x << B) - x.  Only the final
-numerator has to fit: its coefficients are bounded in magnitude by
-sum |c| prod ||f||_1 (times ||q - 1||_1 = 2 for the (q - 1) part), the
-L1 norms cached as integers, and B is the least multiple of 8 bits that
-holds that bound plus a sign bit.  All six permutations (twelve for
-cross34) share one B, so equal integers are equal numerators; the report
-unpacks each distinct value once (`Poly.unpack`) before the reduction.
-A term with a vanishing factor adds nothing to the bound and is dropped
-before packing, so no factor is ever packed at a width it does not fit.
+homomorphism Z[q] -> Z, so each permutation's numerator is one integer,
+built from closed forms of its factors at X = 2^B:
+
+    [t]_{q^b}      = (X^{bt} - 1) // (X^b - 1),
+    (1 - q^b)^k    = (1 - X^b)^k,
+    q^s            = a shift by B*s bits, and (q - 1) x = (x << B) - x.
+
+The only polynomials are the small power sums T_{t,m}(w|q^b), which
+`power_sum_T` caches across checks and which are packed at B.
+
+Each beta factor is taken together with its slot of D, the base-b part
+(1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}, and that product is a polynomial:
+
+    sum_j (-1)^j C(deg, j) (j+h) q^{je} (1-q^b)^{n-deg} P_b / [h+j]_{q^b},
+
+P_b = [2]_{q^b} ... [n+1]_{q^b}.  Theorem 4's inner sum over i < w3 of
+q^{h step i} beta(q^{e + step i}) only multiplies term j by
+[w3]_{q^{(h+j) step}}.  The factor of the first slot depends on k alone and
+that of the second on (l, m), so the lattice sum is nested: each
+permutation makes O(n) full-width products, and O(n^2) products of two
+one-slot factors.
+
+All permutations (twelve for cross34) share one width B, the least multiple
+of 8 bits holding a bound on every numerator coefficient plus a sign bit,
+so equal integers are equal numerators.  The bound is the same nested sum
+over L1 bounds of the factors (`_Norms`): [b]_q^k and T have non-negative
+coefficients, so their norms are their values at q = 1, and (q - 1) counts
+2.  A slot value's norm is read once from its unpacked value at a width
+that holds its closed-form bound: the slot cofactor (1-q^b)^{n-deg} times
+r <= n - deg q-integers is +-(1-q^b)^{n-deg-r} prod (1-q^{bt}), so at most
+2^{n-deg}, and the beta numerator is at most 2^deg [h]...[h+deg] at q = 1.
+The closed forms alone would widen B, because the alternating beta sum and
+the products of (1 - q^{bt}) cancel: at w = (3, 3, 2), y = (1, 1, 0) thm1
+needs 40, 64 and 96 bits at n = 4, 8 and 12 from the read norms, against
+48, 88 and 136 from the closed forms.
+
+Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
+the integer (`qcore.over_cyclotomic_packed`), and unpacked once.  The
+reduced numerator can need more than B bits, so the result is certified
+rather than proved to fit: at the thm1 point above with n = 8 the reduced
+numerator has 64-bit coefficients while 64 bits hold the unreduced one
+(102 against 96 at n = 12), and trusting the width there gives a wrong
+quotient.  A failed certificate reruns the reduction at twice the width.
 """
 
 from __future__ import annotations
@@ -42,13 +72,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, prod
 from random import Random
 
 from .carlitz import beta_number, beta_poly
-from .polyq import ONE, Poly, ZERO, balanced_bits
-from .qcore import (QArg, multinomial, over_cyclotomic, power_sum_T, q_int_exponents,
-                    q_int_poly, q_power_minus_one_exponents)
+from .polyq import ONE, Poly, balanced_bits
+from .qcore import (QArg, over_cyclotomic_packed, power_sum_T, q_int_exponents,
+                    q_power_minus_one_exponents)
 from .ratfunc import RatFunc
 
 @dataclass(frozen=True, order=True)
@@ -117,17 +147,7 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# structural pieces shared by all permutations
-
-
-@lru_cache(maxsize=None)
-def _qfac_pow(b: int, k: int) -> Poly:
-    return (ONE - Poly.q_power(b)) ** k
-
-
-@lru_cache(maxsize=None)
-def _bracket_pow(x: int, k: int) -> Poly:
-    return q_int_poly(x, 1) ** k
+# the master denominator
 
 
 @lru_cache(maxsize=None)
@@ -145,49 +165,10 @@ def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[in
     return tuple(sorted(exps.items()))
 
 
-def _over_master(num: Poly, n: int, bases: tuple[int, int, int]) -> RatFunc:
-    """The canonical RatFunc num / D, by trial division with the Phi_d of D."""
-    return over_cyclotomic(-num if n % 2 else num, dict(_master_den_exponents(n, bases)))[0]
-
-
-@lru_cache(maxsize=None)
-def _beta_struct_num(deg: int, h: int, d: int, e: int) -> Poly:
-    """Numerator of beta^{(h)}_{deg, q^d} at argument q^e over the structural
-    denominator (1-q^d)^deg * [h]_{q^d} * ... * [h+deg]_{q^d}."""
-    bricks = [q_int_poly(t, d) for t in range(h, h + deg + 1)]
-    pre = [ONE]
-    for brick in bricks:
-        pre.append(pre[-1] * brick)
-    suf = [ONE] * (deg + 2)
-    for j in range(deg, -1, -1):
-        suf[j] = suf[j + 1] * bricks[j]
-    acc = ZERO
-    for j in range(deg + 1):
-        co = comb(deg, j) * (j + h)
-        if j % 2:
-            co = -co
-        acc = acc + (pre[j] * suf[j + 1] * co).shift(j * e)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _slot_cofactor(n: int, b: int, deg: int, h: int) -> Poly:
-    """Master slot (1-q^b)^n [2]..[n+1] divided by the structural denominator
-    of a beta factor with degree deg and order h in base q^b."""
-    if h < 1 or h + deg > n + 1:
-        raise ValueError("beta factor denominator exceeds the master slot")
-    out = _qfac_pow(b, n - deg)
-    for t in range(2, n + 2):
-        if not h <= t <= h + deg:
-            out = out * q_int_poly(t, b)
-    return out
-
-
-def _lattice(n: int):
-    """(k, l, m) with k+l+m = n, in lexicographic order."""
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            yield k, l, n - k - l
+def _over_master(num: int, bits: int, n: int, bases: tuple[int, int, int]) -> RatFunc:
+    """The canonical RatFunc of the numerator packed as num at width bits, over D."""
+    return over_cyclotomic_packed(-num if n % 2 else num, bits,
+                                  dict(_master_den_exponents(n, bases)))[0]
 
 
 def _sigma_bases(w: tuple[int, int, int],
@@ -201,161 +182,208 @@ def _sorted_bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# permutation-independent term factors, cached per (n, bases, lattice point)
+# term factors, as values at q = 2^bits and as L1 bounds
+#
+# The numerator builders below take an evaluator: `_Packed` gives each
+# factor's value at q = 2^bits, `_Norms` a bound on its L1 norm.  The
+# builders combine factors with + and * and non-negative integer
+# coefficients only, so run on `_Norms` they bound the numerator they
+# assemble on `_Packed`.
+
+
+def _q_int_at(t: int, s: int) -> int:
+    """[t]_{q^b} at q = 2^bits, for s = bits * b: (2^{st} - 1) // (2^s - 1)."""
+    return ((1 << s * t) - 1) // ((1 << s) - 1)
+
+
+class _Packed:
+    """The term factors of one degree n at q = 2^bits, memoized per instance."""
+
+    def __init__(self, n: int, bits: int) -> None:
+        self.n = n
+        self.bits = bits
+        self._slots: dict[tuple[int, ...], int] = {}
+
+    def bracket(self, b: int, k: int) -> int:
+        """[b]_q^k."""
+        return _q_int_at(b, self.bits) ** k
+
+    def shift(self, x: int, s: int) -> int:
+        """x q^s."""
+        return x << self.bits * s
+
+    def times_q_minus_1(self, x: int) -> int:
+        return (x << self.bits) - x
+
+    def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
+        """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches.
+
+        Its coefficients fit the width, since the bound behind bits holds
+        ||T||_1 times the norms of the other factors of a term, and those
+        are nonzero: a slot value has constant term h when e > 0, and the
+        tests find none that vanishes at e = 0.  A zero one would make
+        `pack` raise, not give a wrong value.
+        """
+        return power_sum_T(tdeg, m, w, b).num.pack(self.bits)
+
+    def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
+        """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) times
+        the master slot (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
+        key = (b, deg, h, e, step, count)
+        value = self._slots.get(key)
+        if value is None:
+            value = self._slots[key] = self._slot(*key)
+        return value
+
+    def _slot(self, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
+        # beta^{(h)}_{deg} is sum_j (-1)^j C(deg, j) (j+h) q^{je} / [h+j]
+        # over (1-q^b)^deg; in the slot, [h+j] divides [1] [2] ... [n+1]
+        n = self.n
+        if h < 1 or h + deg > n + 1:
+            raise ValueError("beta factor denominator exceeds the master slot")
+        cof = _cofactors(n, b, self.bits)
+        acc = 0
+        for j in range(deg + 1):
+            t = h + j
+            term = comb(deg, j) * t * cof[t]
+            if count > 1:
+                # the count shifts q^{(h+j) step i} sum to [count]_{q^{(h+j) step}}
+                term *= _q_int_at(count, self.bits * t * step)
+            term = self.shift(term, j * e)
+            acc = acc - term if j & 1 else acc + term
+        return acc * (1 - (1 << self.bits * b)) ** (n - deg)
+
+
+@lru_cache(maxsize=256)
+def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
+    """P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1, P_b = [2]_{q^b} ... [n+1]_{q^b}
+    (t = 0 unused); shared by every check of degree n at this width."""
+    full = prod(_q_int_at(t, bits * b) for t in range(2, n + 2))
+    return (full, full) + tuple(full // _q_int_at(t, bits * b) for t in range(2, n + 2))
+
+
+def _slot_bound(n: int, deg: int, h: int, count: int) -> int:
+    """Closed-form bound on the L1 norm of `_Packed.slot`.
+
+    The slot cofactor (1-q^b)^{n-deg} prod [t]_{q^b} has r <= n - deg
+    q-integers, so it is +-(1-q^b)^{n-deg-r} prod (1-q^{bt}): norm at most
+    2^{n-deg}.  The beta numerator is at most 2^deg [h]...[h+deg] at q = 1.
+    """
+    return (1 << (n - deg)) * (1 << deg) * prod(range(h, h + deg + 1)) * count
 
 
 @lru_cache(maxsize=None)
-def _thm1_fixed(n: int, b1: int, b2: int, b3: int, k: int, l: int, m: int) -> Poly:
-    out = _slot_cofactor(n, b1, k, l + m + 1)
-    out = out * _slot_cofactor(n, b2, l, m + 1)
-    out = out * _slot_cofactor(n, b3, m, 1)
-    return out * _bracket_pow(b1, k) * _bracket_pow(b2, l) * _bracket_pow(b3, m)
+def _slot_norm(n: int, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
+    """The L1 norm of `_Packed.slot`, read from its value at a width that
+    holds the closed-form bound."""
+    bits = balanced_bits(_slot_bound(n, deg, h, count))
+    return Poly.unpack(_Packed(n, bits).slot(b, deg, h, e, step, count), bits).l1_norm()
 
 
-@lru_cache(maxsize=None)
-def _thm3_fixed(n: int, b1: int, b2: int, b3: int, w3s: int,
-                k: int, l: int, m: int, part: int) -> Poly:
-    if part == 1:
-        h1, h2, tdeg = l + m + 2, m + 2, 2
-    else:
-        h1, h2, tdeg = l + m + 1, m + 1, 1
-    out = _slot_cofactor(n, b1, k, h1)
-    out = out * _slot_cofactor(n, b2, l, h2)
-    out = out * _slot_cofactor(n, b3, 0, 1)
-    out = out * _bracket_pow(b1, k) * _bracket_pow(b2, l) * _bracket_pow(b3, m + 1)
-    return out * power_sum_T(tdeg, m, w3s - 1, b3).num
+class _Norms:
+    """L1 bounds of the factors `_Packed` evaluates."""
 
+    def __init__(self, n: int) -> None:
+        self.n = n
 
-@lru_cache(maxsize=None)
-def _thm4_fixed(n: int, b1: int, b2: int, b3: int, k: int, part: int) -> Poly:
-    if part == 1:
-        inner_deg, inner_h = n - 1 - k, 2
-    else:
-        inner_deg, inner_h = n - k, 1
-    out = _slot_cofactor(n, b1, k, n - k + 1)
-    out = out * _slot_cofactor(n, b2, inner_deg, inner_h)
-    out = out * _slot_cofactor(n, b3, 0, 1)
-    return out * _bracket_pow(b1, k) * _bracket_pow(b2, inner_deg) * _bracket_pow(b3, 1)
+    def bracket(self, b: int, k: int) -> int:
+        return b ** k
 
+    def shift(self, x: int, s: int) -> int:
+        return x
 
-@lru_cache(maxsize=None)
-def _shifted_beta_sum(deg: int, h: int, d: int, e0: int, step: int, count: int) -> Poly:
-    """sum_{i<count} q^{h*step*i} * numerator of beta^{(h)}_{deg, q^d}(q^{e0+step*i}),
-    all terms sharing one structural denominator since it does not involve e."""
-    acc = ZERO
-    for i in range(count):
-        acc = acc + _beta_struct_num(deg, h, d, e0 + step * i).shift(h * step * i)
-    return acc
+    def times_q_minus_1(self, x: int) -> int:
+        return 2 * x
+
+    def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
+        # non-negative coefficients: the value at q = 1
+        return sum(i ** m for i in range(w + 1))
+
+    def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
+        return _slot_norm(self.n, b, deg, h, e, step, count)
 
 
 # ---------------------------------------------------------------------------
-# per-permutation numerators against the master denominator, packed
+# per-permutation numerators against the master denominator
 #
-# A term c * q^s * prod f is (c, s, factors), each factor f named by its
-# cached builder and arguments.  A permutation's numerator is a pair of
-# term lists (plain, times_q_minus_1) standing for plain + (q - 1) * times.
+# Each theorem's term is a product of one factor per slot, and the factor of
+# slot 1 depends only on k, so the lattice sum is nested: for each k one
+# full-width product of slot 1 with the inner sum over slots 2 and 3.
 
 
-@lru_cache(maxsize=None)
-def _norm(fn, args: tuple) -> int:
-    return fn(*args).l1_norm()
+# e_i = W y_i is both the argument exponent of slot i's beta factor and the
+# step of its q-shift.
 
 
-@lru_cache(maxsize=None)
-def _packed(fn, args: tuple, bits: int) -> int:
-    return fn(*args).pack(bits)
+def _outer(ev, b1: int, e1: int, inner) -> int:
+    """sum_k C(n, k) q^{e1 (n-k)} [b1]^k slot(b1, k, n-k+1, e1) inner(n - k)."""
+    n = ev.n
+    return sum(comb(n, k) * ev.shift(ev.slot(b1, k, n - k + 1, e1) * ev.bracket(b1, k)
+                                     * inner(n - k), e1 * (n - k))
+               for k in range(n + 1))
 
 
-def _live(terms: list) -> list:
-    # a vanishing factor adds nothing to the bound, so its term must not
-    # be packed at all: its other factors need not fit the width
-    return [t for t in terms if all(_norm(*f) for f in t[2])]
+def _inner(ev, b2: int, e2: int, j: int, h: int, tail: list[int]) -> int:
+    """sum_{l+m=j} C(j, l) q^{e2 (m+h-1)} [b2]^l slot(b2, l, m+h, e2) tail[m]."""
+    return sum(comb(j, l) * ev.shift(ev.slot(b2, l, j - l + h, e2) * ev.bracket(b2, l)
+                                     * tail[j - l], e2 * (j - l + h - 1))
+               for l in range(j + 1))
 
 
-def _weight(terms: list) -> int:
-    total = 0
-    for c, _, factors in terms:
-        t = abs(c)
-        for f in factors:
-            t *= _norm(*f)
-        total += t
-    return total
-
-
-def _bound(num: tuple[list, list]) -> int:
-    """Bound on every coefficient of the numerator: sum |c| prod ||f||_1,
-    with ||q - 1||_1 = 2 for the second list."""
-    plain, times = num
-    return _weight(plain) + 2 * _weight(times)
-
-
-def _terms_at(terms: list, bits: int) -> int:
-    acc = 0
-    for c, s, factors in terms:
-        t = c
-        for fn, args in factors:
-            t *= _packed(fn, args, bits)
-        acc += t << (bits * s)
-    return acc
-
-
-def _packed_nums(nums: list[tuple[list, list]]) -> tuple[list[int], int]:
-    """Each numerator's value at q = 2^bits, for one width bits that holds
-    every coefficient of every numerator, so equal values are equal
-    numerators."""
-    bits = balanced_bits(max(map(_bound, nums)))
-    out = []
-    for plain, times in nums:
-        x = _terms_at(times, bits)
-        out.append(_terms_at(plain, bits) + (x << bits) - x)
-    return out, bits
-
-
-def _thm1_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int], _w3s: int) -> tuple[list, list]:
+def _thm1_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+              _w3s: int) -> int:
     b1, b2, b3 = bases
-    e1, e2, e3 = W * y[0], W * y[1], W * y[2]
-    terms = [(multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]),
-              ((_beta_struct_num, (k, l + m + 1, b1, e1)),
-               (_beta_struct_num, (l, m + 1, b2, e2)),
-               (_beta_struct_num, (m, 1, b3, e3)),
-               (_thm1_fixed, (n, b1, b2, b3, k, l, m))))
-             for k, l, m in _lattice(n)]
-    return _live(terms), []
+    tail = [ev.slot(b3, m, 1, W * y[2]) * ev.bracket(b3, m) for m in range(ev.n + 1)]
+    return _outer(ev, b1, W * y[0], lambda j: _inner(ev, b2, W * y[1], j, 1, tail))
 
 
-def _thm3_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int], w3s: int) -> tuple[list, list]:
+def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+              w3s: int) -> int:
+    # part1 + (q - 1) part2; n C(n-1, k) = (n-k) C(n, k) puts part1 under C(n, k)
     b1, b2, b3 = bases
-    e1, e2 = W * y[0], W * y[1]
-    part1 = [(n * multinomial(n - 1, k, l, m), W * ((l + m + 1) * y[0] + (m + 1) * y[1]),
-              ((_beta_struct_num, (k, l + m + 2, b1, e1)),
-               (_beta_struct_num, (l, m + 2, b2, e2)),
-               (_thm3_fixed, (n, b1, b2, b3, w3s, k, l, m, 1))))
-             for k, l, m in _lattice(n - 1)]
-    part2 = [(multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]),
-              ((_beta_struct_num, (k, l + m + 1, b1, e1)),
-               (_beta_struct_num, (l, m + 1, b2, e2)),
-               (_thm3_fixed, (n, b1, b2, b3, w3s, k, l, m, 2))))
-             for k, l, m in _lattice(n)]
-    return _live(part1), _live(part2)
+    tails = [[ev.bracket(b3, m) * ev.tsum(tdeg, m, w3s - 1, b3) for m in range(ev.n + 1)]
+             for tdeg in (1, 2)]
+
+    def inner(j: int) -> int:
+        out = ev.times_q_minus_1(_inner(ev, b2, W * y[1], j, 1, tails[0]))
+        if j:
+            out += j * _inner(ev, b2, W * y[1], j - 1, 2, tails[1])
+        return out
+
+    outer = _outer(ev, b1, W * y[0], inner)
+    return outer * ev.slot(b3, 0, 1, 0) * ev.bracket(b3, 1)
 
 
-def _thm4_num(n: int, W: int, y: tuple[int, int, int],
-              bases: tuple[int, int, int], w3s: int) -> tuple[list, list]:
+def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+              w3s: int) -> int:
     b1, b2, b3 = bases
-    e1, e0 = W * y[0], W * y[1]
-    part1 = [(n * comb(n - 1, k), W * ((n - k) * y[0] + y[1]),
-              ((_beta_struct_num, (k, n - k + 1, b1, e1)),
-               (_shifted_beta_sum, (n - 1 - k, 2, b2, e0, b3, w3s)),
-               (_thm4_fixed, (n, b1, b2, b3, k, 1))))
-             for k in range(n)]
-    part2 = [(comb(n, k), W * (n - k) * y[0],
-              ((_beta_struct_num, (k, n - k + 1, b1, e1)),
-               (_shifted_beta_sum, (n - k, 1, b2, e0, b3, w3s)),
-               (_thm4_fixed, (n, b1, b2, b3, k, 2))))
-             for k in range(n + 1)]
-    return _live(part1), _live(part2)
+    e0 = W * y[1]
+
+    def inner(j: int) -> int:
+        out = ev.times_q_minus_1(ev.slot(b2, j, 1, e0, b3, w3s) * ev.bracket(b2, j))
+        if j:
+            out += j * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s) * ev.bracket(b2, j - 1), e0)
+        return out
+
+    outer = _outer(ev, b1, W * y[0], inner)
+    return outer * ev.slot(b3, 0, 1, 0) * ev.bracket(b3, 1)
+
+
+def _packed_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
+    """Each numerator (num_fn, W, y, bases, w3s) at q = 2^bits, for one width
+    bits that holds every coefficient of every numerator, so equal values
+    are equal numerators.
+
+    The bases determine w3s, so permutations with equal bases (w with a
+    repeated weight) have equal numerators, assembled once.
+    """
+    norms = _Norms(n)
+    distinct = dict.fromkeys(nums)
+    bits = balanced_bits(max(fn(norms, *args) for fn, *args in distinct))
+    ev = _Packed(n, bits)
+    for num in distinct:
+        distinct[num] = num[0](ev, *num[1:])
+    return [distinct[num] for num in nums], bits
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +394,15 @@ def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, 
                       nums: list[int], bits: int) -> IdentityReport:
     """Verdict and canonical values for packed numerators over the master D.
 
-    The verdict compares integers.  Each distinct value is unpacked and
-    reduced once, so a failing report still carries exact values.
+    The verdict compares integers.  Each distinct value is reduced once, so
+    a failing report still carries exact values.
     """
     bases = _sorted_bases(params.w)
     reduced: dict[int, RatFunc] = {}
     witness: tuple[str, str] | None = None
     for j, num in enumerate(nums):
         if num not in reduced:
-            reduced[num] = _over_master(Poly.unpack(num, bits), params.n, bases)
+            reduced[num] = _over_master(num, bits, params.n, bases)
         if witness is None and num != nums[0]:
             witness = (labels[0], labels[j])
     return IdentityReport(identity, params.as_dict(), labels,
@@ -389,14 +417,15 @@ def _check(identity: str, params: IdentityParams, num_fns) -> IdentityReport:
         for sigma in ALL_PERMUTATIONS:
             bases, w3s = _sigma_bases(params.w, sigma)
             labels.append(prefix + sigma.label)
-            nums.append(num_fn(params.n, W, params.y, bases, w3s))
-    return _report_from_nums(identity, params, tuple(labels), *_packed_nums(nums))
+            nums.append((num_fn, W, params.y, bases, w3s))
+    return _report_from_nums(identity, params, tuple(labels),
+                             *_packed_nums(params.n, nums))
 
 
 def _expr(params: IdentityParams, sigma: Permutation3, num_fn) -> RatFunc:
     bases, w3s = _sigma_bases(params.w, sigma)
-    [num], bits = _packed_nums([num_fn(params.n, params.w_product, params.y, bases, w3s)])
-    return _over_master(Poly.unpack(num, bits), params.n, _sorted_bases(params.w))
+    [num], bits = _packed_nums(params.n, [(num_fn, params.w_product, params.y, bases, w3s)])
+    return _over_master(num, bits, params.n, _sorted_bases(params.w))
 
 
 def thm1_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:

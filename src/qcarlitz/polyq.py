@@ -8,8 +8,9 @@ path: by Gauss's lemma an exact quotient of primitive integer polynomials
 is itself integer, so f/g is integer long division of the primitive parts
 times one rational scalar, and any non-integer step proves g does not
 divide f.  The gcd is the subresultant one; the library calls it only
-inside `RatFunc` arithmetic, since the identity checkers reduce over
-cyclotomic exponent maps with `Poly.divide_out` instead.
+inside `RatFunc` arithmetic, since the library reduces over cyclotomic
+exponent maps by trial division instead (`Poly.divide_out`, or
+`packed_divide_out` on packed values).
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -18,7 +19,8 @@ reads all fields at once, and one subtraction removes the offsets.
 Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
 `Poly.pack`/`Poly.unpack` expose the pair for integer polynomials;
-`balanced_bits` gives the least B for a coefficient bound.
+`balanced_bits` gives the least B for a coefficient bound, and
+`packed_divide_out` divides a cyclotomic factor out of a packed value.
 """
 
 from __future__ import annotations
@@ -464,6 +466,47 @@ def _term_text(coeff: Fraction, power: int) -> str:
     if mag.denominator == 1:
         return f"{mag}{qpart}"
     return f"({mag}){qpart}"
+
+
+def _mod_mersenne(x: int, s: int) -> int:
+    # x mod 2^s - 1 in linear time: 2^s = 1 there, so the bits of x above any
+    # multiple h of s fold onto the bits below it
+    while x.bit_length() > s + 1:
+        h = (x.bit_length() // 2 + s - 1) // s * s
+        x = (x >> h) + (x & ((1 << h) - 1))
+    return x % ((1 << s) - 1)
+
+
+def packed_divide_out(value: int, bits: int, factor: Poly, period: int,
+                      limit: int) -> tuple[int, int]:
+    """`Poly.divide_out` on a packed polynomial: (value // factor(2**bits)**k, k)
+    for the first k <= limit trial steps that succeed.
+
+    factor is a monic integer polynomial dividing q**period - 1.  Each trial
+    reads value mod 2**(bits * period) - 1 as period balanced digits, which
+    are the coefficients of the polynomial mod q**period - 1 whenever they
+    fit the width; a step is taken when factor divides those digits and
+    factor(2**bits) divides value.  So the answer is the polynomial one as
+    long as the L1 norm of every quotient stays below 2**(bits - 1); a
+    quotient can outgrow the width that held value, and then the caller has
+    to certify the result (`qcore.over_cyclotomic_packed`).
+    """
+    g = factor._c
+    if factor._den != 1 or not g or g[-1] != 1:
+        raise ValueError("packed_divide_out needs a monic integer factor")
+    divisor = factor.pack(bits)
+    bias = _balanced_bias(period, bits >> 3)
+    k = 0
+    while k < limit and value:
+        folded = _unpack(_mod_mersenne(value + bias, bits * period) - bias, bits, period)
+        if _int_divexact_primitive(folded, g) is None:
+            break
+        quot, rem = divmod(value, divisor)
+        if rem:
+            break
+        value = quot
+        k += 1
+    return value, k
 
 
 def _check_bits(bits: int) -> None:

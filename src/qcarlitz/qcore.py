@@ -5,7 +5,8 @@ polynomials, since q^m - 1 = prod over d | m of Phi_d.  Such a product is
 carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}: sums are taken over the lcm of the maps with products
 only, and `over_cyclotomic` gives the canonical form by trial division,
-with no gcd.
+with no gcd; `over_cyclotomic_packed` does the same for a numerator packed
+as one integer, its value at q = 2^B.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from typing import Mapping, Sequence
 
-from .polyq import ONE, Poly, ZERO
+from .polyq import ONE, Poly, ZERO, balanced_bits, packed_divide_out
 from .ratfunc import RF_ZERO, RatFunc
 
 
@@ -142,6 +143,42 @@ def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counte
         if k < e:
             left[d] = e - k
     return RatFunc._raw(num, cyclotomic_product(left)), left
+
+
+def over_cyclotomic_packed(value: int, bits: int,
+                           exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
+    """`over_cyclotomic` for the integer numerator f packed as value = f(2^bits),
+    every coefficient of f lying in [-2^(bits-1), 2^(bits-1)).
+
+    Each Phi_d is divided out of the packed value (`packed_divide_out`) and
+    the quotient g is unpacked once.  g can outgrow the width that held f,
+    and then a trial or the unpack reads wrong digits, so the result is
+    certified exactly at one width w that holds ||g||_1 prod ||Phi_d||_1^k_d
+    and f: g * prod Phi_d^k_d equals f at q = 2^w (both sides fit, so as
+    polynomials), and no Phi_d that is left divides g (its folds fit w).
+    Failing that, the same reduction runs again at twice the width.
+    """
+    if not value:
+        return RF_ZERO, Counter()
+    f = Poly.unpack(value, bits)
+    while True:
+        x = value
+        taken: Counter[int] = Counter()
+        for d in sorted(exps):
+            x, k = packed_divide_out(x, bits, cyclotomic_poly(d), d, exps[d])
+            if k:
+                taken[d] = k
+        left = Counter(exps) - taken
+        g = Poly.unpack(x, bits)
+        w = balanced_bits(max(f.l1_norm(), g.l1_norm() * prod(
+            cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items())))
+        x = g.pack(w)
+        if (x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) == f.pack(w)
+                and not any(packed_divide_out(x, w, cyclotomic_poly(d), d, 1)[1]
+                            for d in left)):
+            return RatFunc._raw(g, cyclotomic_product(left)), left
+        bits *= 2
+        value = f.pack(bits)
 
 
 def q_int(x: int, d: int = 1) -> RatFunc:

@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz.identities import _master_den_exponents, _over_master
-from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, q_int_exponents, q_int_poly,
+from qcarlitz.polyq import ONE, Poly, balanced_bits, packed_divide_out
+from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, over_cyclotomic,
+                            over_cyclotomic_packed, q_int_exponents, q_int_poly,
                             q_power_minus_one_exponents)
 from qcarlitz.ratfunc import RatFunc
 
@@ -116,8 +117,54 @@ def numerators_over_master(draw):
 @given(numerators_over_master())
 @example((2, (1, 2, 2), Poly()))
 def test_reduction_matches_generic_gcd(case):
+    # every case through over_cyclotomic (the carlitz path); the integral
+    # ones also packed, through the identity checkers' reduction
     n, bases, num = case
-    got = _over_master(num, n, bases)
     want = RatFunc(num, expanded_master_den(n, bases))
+    exps = dict(_master_den_exponents(n, bases))
+    got, _ = over_cyclotomic(-num if n % 2 else num, exps)
     assert (got.num, got.den) == (want.num, want.den)
+    if all(c.denominator == 1 for c in num.coefficients()):
+        bits = least_width(num)
+        got = _over_master(num.pack(bits), bits, n, bases)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def least_width(f):
+    """The least byte width whose balanced digits hold every coefficient of f."""
+    return balanced_bits(max((abs(int(c)) for c in f.coefficients()), default=0))
+
+
+@st.composite
+def integers_over_cyclotomic_maps(draw):
+    exps = {d: draw(st.integers(1, 3))
+            for d in draw(st.sets(st.integers(1, 24), min_size=1, max_size=5))}
+    f = Poly(draw(st.lists(st.integers(-40, 40), max_size=8)))
+    for d, e in exps.items():
+        f = f * phi_oracle(d) ** draw(st.integers(0, e + 1))
+    return exps, f
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(integers_over_cyclotomic_maps())
+# ||f||_1 = 8 fits 8 bits, but the quotient -[20]_q^3 has a coefficient 300:
+# only the certified retry at a wider width gets it right
+@example(({1: 3}, (ONE - Poly.q_power(20)) ** 3))
+@example(({2: 1, 3: 2}, Poly()))
+def test_packed_reduction_matches_over_cyclotomic(case):
+    exps, f = case
+    bits = least_width(f)
+    assert over_cyclotomic_packed(f.pack(bits), bits, exps) == over_cyclotomic(f, exps)
+
+
+def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
+    f = (ONE - Poly.q_power(20)) ** 3
+    quotient = -(q_int_poly(20) ** 3)
+    assert least_width(f) == 8 and max(abs(c) for c in quotient.coefficients()) == 300
+    # dividing at the width that holds f alone reads a wrong quotient back
+    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_poly(1), 1, 3)
+    assert k == 3 and Poly.unpack(x, 8) != quotient
+    value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 3})
+    assert (value.num, value.den, left) == (quotient, ONE, {})
 

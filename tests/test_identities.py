@@ -7,21 +7,23 @@ arithmetic, so agreement is a genuine two-route confirmation rather than
 the same code exercised twice.
 """
 
+import hashlib
+import json
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
 
 from qcarlitz.carlitz import beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, IDENTITY_PERMUTATION,
-                                 IdentityParams, Permutation3, _beta_struct_num,
-                                 _packed_nums, _shifted_beta_sum, _thm1_fixed,
-                                 _thm1_num, _thm3_fixed, _thm3_num, _thm4_fixed,
+                                 IdentityParams, Permutation3, _Packed, _packed_nums,
+                                 _slot_bound, _slot_norm, _thm1_num, _thm3_num,
                                  _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm1_expr, thm3_check, thm3_expr, thm4_check,
                                  thm4_expr)
-from qcarlitz.polyq import Poly
-from qcarlitz.qcore import QArg, multinomial, power_sum_T, q_int
+from qcarlitz.polyq import ONE, ZERO, Poly
+from qcarlitz.qcore import QArg, multinomial, power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 QM1 = RatFunc(Poly([-1, 1]))
@@ -303,11 +305,80 @@ def test_sampling_is_deterministic_and_ordered():
 # ---------------------------------------------------------------------------
 # packed numerators against literal coefficient-list sums
 #
-# The checkers evaluate each permutation's numerator at q = 2^bits and
-# compare integers.  The sums below are written out on plain coefficient
-# lists (schoolbook products, shifted adds, an explicit (q - 1) factor),
-# from the same cached factor polynomials, so they share no code with the
-# packing, the width bound or the unpacking.
+# The checkers evaluate each permutation's numerator at q = 2^bits from
+# closed forms of its factors, with the lattice sum nested by slot, and
+# compare integers.  The sums below are written out term by term on plain
+# coefficient lists (schoolbook products, shifted adds, an explicit (q - 1)
+# factor), from factor polynomials built here with Poly arithmetic, so they
+# share no code with the closed forms, the nesting, the width bound or the
+# unpacking.
+
+
+@lru_cache(maxsize=None)
+def _beta_struct_num(deg, h, d, e):
+    """Numerator of beta^{(h)}_{deg, q^d} at argument q^e over the structural
+    denominator (1-q^d)^deg * [h]_{q^d} * ... * [h+deg]_{q^d}."""
+    acc = ZERO
+    for j in range(deg + 1):
+        term = ONE
+        for t in range(h, h + deg + 1):
+            if t != h + j:
+                term = term * q_int_poly(t, d)
+        acc = acc + (term * (comb(deg, j) * (j + h) * (-1) ** j)).shift(j * e)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _slot_cofactor(n, b, deg, h):
+    """Master slot (1-q^b)^n [2]..[n+1] divided by the structural denominator
+    of a beta factor with degree deg and order h in base q^b."""
+    out = (ONE - Poly.q_power(b)) ** (n - deg)
+    for t in range(2, n + 2):
+        if not h <= t <= h + deg:
+            out = out * q_int_poly(t, b)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shifted_beta_sum(deg, h, d, e0, step, count):
+    """sum_{i<count} q^{h*step*i} * numerator of beta^{(h)}_{deg, q^d}(q^{e0+step*i})."""
+    acc = ZERO
+    for i in range(count):
+        acc = acc + _beta_struct_num(deg, h, d, e0 + step * i).shift(h * step * i)
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _thm1_fixed(n, b1, b2, b3, k, l, m):
+    out = _slot_cofactor(n, b1, k, l + m + 1)
+    out = out * _slot_cofactor(n, b2, l, m + 1)
+    out = out * _slot_cofactor(n, b3, m, 1)
+    return out * q_int_poly(b1) ** k * q_int_poly(b2) ** l * q_int_poly(b3) ** m
+
+
+@lru_cache(maxsize=None)
+def _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, part):
+    if part == 1:
+        h1, h2, tdeg = l + m + 2, m + 2, 2
+    else:
+        h1, h2, tdeg = l + m + 1, m + 1, 1
+    out = _slot_cofactor(n, b1, k, h1)
+    out = out * _slot_cofactor(n, b2, l, h2)
+    out = out * _slot_cofactor(n, b3, 0, 1)
+    out = out * q_int_poly(b1) ** k * q_int_poly(b2) ** l * q_int_poly(b3) ** (m + 1)
+    return out * power_sum_T(tdeg, m, w3s - 1, b3).num
+
+
+@lru_cache(maxsize=None)
+def _thm4_fixed(n, b1, b2, b3, k, part):
+    if part == 1:
+        inner_deg, inner_h = n - 1 - k, 2
+    else:
+        inner_deg, inner_h = n - k, 1
+    out = _slot_cofactor(n, b1, k, n - k + 1)
+    out = out * _slot_cofactor(n, b2, inner_deg, inner_h)
+    out = out * _slot_cofactor(n, b3, 0, 1)
+    return out * q_int_poly(b1) ** k * q_int_poly(b2) ** inner_deg * q_int_poly(b3)
 
 
 def _coeffs(poly):
@@ -394,9 +465,9 @@ def _check_packed(p, pairs):
     for num_fn, literal_fn in pairs:
         for sigma in ALL_PERMUTATIONS:
             bases, w3s = sigma_data(p, sigma)
-            built.append(num_fn(p.n, p.w_product, p.y, bases, w3s))
+            built.append((num_fn, p.w_product, p.y, bases, w3s))
             literal.append(_trimmed(literal_fn(p.n, p.w_product, p.y, bases, w3s)))
-    nums, bits = _packed_nums(built)
+    nums, bits = _packed_nums(p.n, built)
     assert bits % 8 == 0
     for value, want in zip(nums, literal):
         # every coefficient fits the shared width, so the integer is the polynomial
@@ -417,3 +488,49 @@ def test_packed_cross34_numerators_match_literal_sums():
     # the benchmark's cross34 grid, below n = 3
     for p in grid_params((1, 2), 3, 2, vary_y3=False):
         _check_packed(p, [(_thm3_num, literal_thm3), (_thm4_num, literal_thm4)])
+
+
+def test_slot_values_and_norms_match_literal_polynomials():
+    # the closed-form slot value, its norm and the closed-form bound,
+    # against the slot cofactor times the beta numerator built with Poly;
+    # no slot value vanishes, which `_Packed.tsum` relies on
+    tight = 0
+    for n in range(5):
+        for deg in range(n + 1):
+            for h in range(1, n + 2 - deg):
+                for b, e, step, count in [(1, 0, 0, 1), (2, 2, 0, 1), (3, 7, 0, 1),
+                                          (2, 4, 3, 2), (1, 1, 2, 3)]:
+                    lit = _slot_cofactor(n, b, deg, h) * _shifted_beta_sum(deg, h, b, e,
+                                                                          step, count)
+                    assert lit, (n, b, deg, h, e, step, count)
+                    bound = _slot_bound(n, deg, h, count)
+                    assert _Packed(n, 64).slot(b, deg, h, e, step, count) == lit.pack(64)
+                    assert _slot_norm(n, b, deg, h, e, step, count) == lit.l1_norm() <= bound
+                    tight += lit.l1_norm() == bound
+    # 2 (1 - q) at n = 1, deg = 0, h = 2 meets the bound, so it cannot shrink
+    assert _slot_bound(1, 0, 2, 1) == (_slot_cofactor(1, 1, 0, 2)
+                                       * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 4
+    assert tight
+    with pytest.raises(ValueError, match="exceeds the master slot"):
+        _Packed(2, 8).slot(1, 2, 2, 0)
+
+
+# sha256 of the canonical values of two large-n reports, recorded before the
+# packed pipeline.  At the thm1 point the reduced numerator has 64-bit
+# coefficients while 64 bits hold the unreduced one, so the packed reduction
+# there must widen and certify, not trust the width.
+LARGE_N_GOLDENS = [
+    (thm1_check, IdentityParams(8, (3, 3, 2), (1, 1, 0)),
+     "efd01736d8808c3731ab5c9152df8ef59dd371bd764e78f95cff04f2694f84a9"),
+    (cross34_check, IdentityParams(6, (3, 2, 3), (1, 1, 0)),
+     "3b8b2d5796ae5845d1167a3a9147d0c8ec6a4ee07ea7a2f7e36a63d3880a5e23"),
+]
+
+
+@pytest.mark.parametrize("check, params, digest", LARGE_N_GOLDENS)
+def test_large_n_reports_match_golden(check, params, digest):
+    r = check(params)
+    values = [[[str(c) for c in v.num.coefficients()], [str(c) for c in v.den.coefficients()]]
+              for v in r.values]
+    blob = json.dumps([r.identity, list(r.labels), values, r.verdict], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcarlitz.polyq import ONE, Poly, Q, ZERO, _kron_mul, _school_mul, balanced_bits
+from qcarlitz.polyq import (_KRON_CUTOFF, ONE, Poly, Q, ZERO, _kron_mul, _school_mul,
+                            balanced_bits, packed_divide_out)
 
 
 def test_construction_trims_and_normalizes():
@@ -128,6 +129,20 @@ def test_divide_out_counts_and_caps_a_factor():
         f.divide_out(phi3 * 2, 3, 1)
     with pytest.raises(ValueError, match="does not divide"):
         Poly([-1, 1]).divide_out(Poly([1, 1]), 1, 1)
+
+
+def test_packed_divide_out_counts_and_caps_a_factor():
+    phi3 = Poly([1, 1, 1])
+    f = Poly([2, -1]) * phi3 ** 3
+    for bits in (8, 16):
+        x = f.pack(bits)
+        assert packed_divide_out(x, bits, phi3, 3, 5) == (Poly([2, -1]).pack(bits), 3)
+        assert packed_divide_out(x, bits, phi3, 3, 2) == ((Poly([2, -1]) * phi3).pack(bits), 2)
+        assert packed_divide_out(0, bits, phi3, 3, 4) == (0, 0)
+        assert packed_divide_out(5, bits, Poly([-1, 1]), 1, 4) == (5, 0)
+        assert packed_divide_out(-x, bits, Poly([-1, 1]), 1, 4) == (-x, 0)
+    with pytest.raises(ValueError, match="monic integer"):
+        packed_divide_out(f.pack(8), 8, phi3 * 2, 3, 1)
 
 
 def test_gcd_is_monic_and_divides_both():
@@ -290,3 +305,39 @@ def test_divexact_refuses_a_remainder(f, g, r):
     with pytest.raises(ValueError, match="not an exact"):
         h.divexact(g)
     assert not g.divides(h)
+
+
+# ---------------------------------------------------------------------------
+# ring axioms: Poly is the reference the packed paths are checked against,
+# so its + and * are checked on both sides of the Kronecker cutoff
+
+RING_COEF = st.one_of(st.integers(-60, 60),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def ring_polys(draw):
+    """Up to 70 coefficients: products of two fall on both sides of _KRON_CUTOFF."""
+    return Poly(draw(st.lists(RING_COEF, max_size=70))).shift(draw(st.integers(0, 2)))
+
+
+SHORT = Poly([3, -1, Fraction(1, 2)])
+LONG_A = Poly([(5 * i) % 13 - 6 for i in range(60)])
+LONG_B = Poly([Fraction((3 * i) % 7 - 3, 1 + i % 2) for i in range(55)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(ring_polys(), ring_polys(), ring_polys())
+@example(LONG_A, LONG_B, SHORT)    # Kronecker products on every side
+@example(SHORT, LONG_A, LONG_B)
+@example(LONG_A, ZERO, LONG_B)
+@example(ONE, SHORT, -SHORT)
+def test_ring_axioms(a, b, c):
+    assert len(LONG_A.coefficients()) * len(LONG_B.coefficients()) > _KRON_CUTOFF
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * ONE == a and a + ZERO == a and a - a == ZERO
