@@ -11,7 +11,7 @@ of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
 over the lcm of the maps and reduced once by trial division with the
-Phi_m (`qcore.over_cyclotomic`).
+Phi_m (`qcore.over_cyclotomic`, the identity checkers' packed reducer).
 """
 
 from __future__ import annotations

@@ -58,12 +58,13 @@ needs 40, 64 and 96 bits at n = 4, 8 and 12 from the read norms, against
 48, 88 and 136 from the closed forms.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
-the integer (`qcore.over_cyclotomic_packed`), and unpacked once.  The
-reduced numerator can need more than B bits, so the result is certified
-rather than proved to fit: at the thm1 point above with n = 8 the reduced
-numerator has 64-bit coefficients while 64 bits hold the unreduced one
-(102 against 96 at n = 12), and trusting the width there gives a wrong
-quotient.  A failed certificate reruns the reduction at twice the width.
+the integer, and unpacked once: the library's one cyclotomic reducer
+(`qcore.over_cyclotomic_packed`), called at the checkers' own width B.
+The reduced numerator can need more than B bits, so the result is
+certified rather than proved to fit: at the thm1 point above with n = 8 the reduced numerator has 64-bit
+coefficients while 64 bits hold the unreduced one (102 against 96 at
+n = 12), and trusting the width there gives a wrong quotient.  A failed
+certificate reruns the reduction at twice the width.
 """
 
 from __future__ import annotations
@@ -483,6 +484,11 @@ def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:
 
     For n = 0 the first right-hand term is absent and the identity
     degenerates to the geometric sum Q^{w3} - 1 = (Q-1) T_{1,0}(w3-1 | Q).
+
+    Both sides go through `RatFunc` arithmetic, and so `Poly.gcd`, on
+    purpose: the criterion-9 gate patches `identities.beta_number` and
+    needs lemma2 to fail through it, and `carlitz.beta_poly_expansion` must
+    stay an oracle that shares no code with the closed form.
     """
     if n < 0:
         raise ValueError("degree n must be non-negative")

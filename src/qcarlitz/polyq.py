@@ -9,8 +9,8 @@ is itself integer, so f/g is integer long division of the primitive parts
 times one rational scalar, and any non-integer step proves g does not
 divide f.  The gcd is the subresultant one; the library calls it only
 inside `RatFunc` arithmetic, since the library reduces over cyclotomic
-exponent maps by trial division instead (`Poly.divide_out`, or
-`packed_divide_out` on packed values).
+exponent maps by trial division of packed values instead
+(`packed_divide_out`, certified by `qcore.over_cyclotomic_packed`).
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -65,10 +65,15 @@ def _pack(vec: Sequence[int], bits: int) -> int:
 
 def _unpack(value: int, bits: int, n: int) -> list[int]:
     # the n balanced base-2^bits digits of value, each in [-2^{bits-1}, 2^{bits-1})
+    return _offset_digits(value + _balanced_bias(n, bits >> 3), bits, n)
+
+
+def _offset_digits(raw: int, bits: int, n: int) -> list[int]:
+    # the n base-2^bits digits of raw >= 0, each less its offset 2^{bits-1}
     nbytes = bits >> 3
     half = 1 << (bits - 1)
-    raw = (value + _balanced_bias(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little") - half
+    data = raw.to_bytes(n * nbytes, "little")
+    return [int.from_bytes(data[i:i + nbytes], "little") - half
             for i in range(0, n * nbytes, nbytes)]
 
 
@@ -379,30 +384,6 @@ class Poly:
             return not other._c
         return _vec_divexact(other._c, other._den, self._c, self._den) is not None
 
-    def divide_out(self, factor: "Poly", period: int, limit: int) -> tuple["Poly", int]:
-        """(self / factor**k, k) for the largest k <= limit with factor**k | self.
-
-        factor must be a monic integer polynomial dividing q**period - 1,
-        so self mod factor equals (self mod q**period - 1) mod factor.  Each
-        trial folds the coefficients into period residues and divides only
-        that short remainder; a full division runs only for a factor that
-        is there, and by Gauss's lemma its quotient stays integral.
-        """
-        g = factor._c
-        if factor._den != 1 or not g or g[-1] != 1:
-            raise ValueError("divide_out needs a monic integer factor")
-        vec: Sequence[int] = self._c
-        k = 0
-        while k < limit and vec:
-            folded = [sum(vec[j::period]) for j in range(period)]
-            if _int_divexact_primitive(folded, g) is None:
-                break
-            vec = _int_divexact_primitive(vec, g)
-            if vec is None:
-                raise ValueError(f"factor does not divide q^{period} - 1")
-            k += 1
-        return Poly(_raw=(tuple(vec), self._den)), k
-
     def l1_norm(self) -> int:
         """Sum of the absolute values of the coefficients of an integer
         polynomial; it bounds every coefficient of a product it enters."""
@@ -479,28 +460,32 @@ def _mod_mersenne(x: int, s: int) -> int:
 
 def packed_divide_out(value: int, bits: int, factor: Poly, period: int,
                       limit: int) -> tuple[int, int]:
-    """`Poly.divide_out` on a packed polynomial: (value // factor(2**bits)**k, k)
-    for the first k <= limit trial steps that succeed.
+    """Trial division of a packed polynomial by a cyclotomic factor:
+    (value // factor(2**bits)**k, k) for the first k <= limit steps that succeed.
 
-    factor is a monic integer polynomial dividing q**period - 1.  Each trial
-    reads value mod 2**(bits * period) - 1 as period balanced digits, which
-    are the coefficients of the polynomial mod q**period - 1 whenever they
-    fit the width; a step is taken when factor divides those digits and
-    factor(2**bits) divides value.  So the answer is the polynomial one as
-    long as the L1 norm of every quotient stays below 2**(bits - 1); a
-    quotient can outgrow the width that held value, and then the caller has
-    to certify the result (`qcore.over_cyclotomic_packed`).
+    factor is a monic integer polynomial dividing q**period - 1, so the
+    polynomial mod factor equals (the polynomial mod q**period - 1) mod
+    factor.  Each trial reads value mod 2**(bits * period) - 1 as period
+    balanced digits, which are the coefficients of the polynomial mod
+    q**period - 1 whenever they fit the width; a step is taken when factor
+    divides those digits and factor(2**bits) divides value.  So the answer
+    is the polynomial one as long as the L1 norm of every quotient stays
+    below 2**(bits - 1); a quotient can outgrow the width that held value,
+    and then the caller has to certify the result
+    (`qcore.over_cyclotomic_packed`).
     """
     g = factor._c
     if factor._den != 1 or not g or g[-1] != 1:
         raise ValueError("packed_divide_out needs a monic integer factor")
-    divisor = factor.pack(bits)
+    divisor = 0  # factor(2**bits), packed once a trial gets this far
     bias = _balanced_bias(period, bits >> 3)
     k = 0
     while k < limit and value:
-        folded = _unpack(_mod_mersenne(value + bias, bits * period) - bias, bits, period)
+        # value + bias mod 2^{bits period} - 1 holds the folded digits, each offset
+        folded = _offset_digits(_mod_mersenne(value + bias, bits * period), bits, period)
         if _int_divexact_primitive(folded, g) is None:
             break
+        divisor = divisor or factor.pack(bits)
         quot, rem = divmod(value, divisor)
         if rem:
             break

@@ -4,15 +4,16 @@ Every denominator the library builds is a product of cyclotomic
 polynomials, since q^m - 1 = prod over d | m of Phi_d.  Such a product is
 carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}: sums are taken over the lcm of the maps with products
-only, and `over_cyclotomic` gives the canonical form by trial division,
-with no gcd; `over_cyclotomic_packed` does the same for a numerator packed
-as one integer, its value at q = 2^B.
+only, and one certified reducer gives the canonical form by trial
+division, with no gcd: `over_cyclotomic_packed` for a numerator packed as
+one integer, its value at q = 2^B, and `over_cyclotomic` for a `Poly`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, prod
 from typing import Mapping, Sequence
@@ -71,13 +72,11 @@ def _divisors(m: int) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> Poly:
     """Phi_d, the monic integer polynomial whose roots are the primitive
-    d-th roots of unity, from q^d - 1 = prod over e | d of Phi_e."""
+    d-th roots of unity: q^d - 1 reduced over the Phi_e, e | d, e < d."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    out = Poly.q_power(d) - ONE
-    for e in _divisors(d)[:-1]:
-        out = out.divide_out(cyclotomic_poly(e), e, 1)[0]
-    return out
+    # q^d - 1 packed at q = 2^8
+    return over_cyclotomic_packed((1 << 8 * d) - 1, 8, dict.fromkeys(_divisors(d)[:-1], 1))[0].num
 
 
 def q_power_minus_one_exponents(m: int, power: int = 1) -> Counter[int]:
@@ -127,36 +126,38 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Co
 
 def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
     """The canonical RatFunc num / prod Phi_d^{e_d}, and the exponent map of
-    its denominator.
-
-    The Phi_d are distinct monic irreducibles, so dividing each one out of
-    num while it divides (at most e_d times, `Poly.divide_out`) leaves a
-    coprime pair with a monic denominator: the canonical form that a gcd
-    against the expanded denominator would give.
+    its denominator: `over_cyclotomic_packed` on num's integer part, packed
+    at a width that holds its L1 norm, and scaled back by num's denominator.
     """
-    if not num:
-        return RF_ZERO, Counter()
-    left: Counter[int] = Counter()
-    for d in sorted(exps):
-        e = exps[d]
-        num, k = num.divide_out(cyclotomic_poly(d), d, e)
-        if k < e:
-            left[d] = e - k
-    return RatFunc._raw(num, cyclotomic_product(left)), left
+    den = num._den
+    f = num * den if den > 1 else num
+    bits = balanced_bits(f.l1_norm())
+    value, left = over_cyclotomic_packed(f.pack(bits), bits, exps)
+    if den > 1:
+        value = RatFunc._raw(value.num * Fraction(1, den), value.den)
+    return value, left
 
 
 def over_cyclotomic_packed(value: int, bits: int,
                            exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
-    """`over_cyclotomic` for the integer numerator f packed as value = f(2^bits),
-    every coefficient of f lying in [-2^(bits-1), 2^(bits-1)).
+    """The canonical RatFunc f / prod Phi_d^{e_d} for the integer numerator f
+    packed as value = f(2^bits), every coefficient of f lying in
+    [-2^(bits-1), 2^(bits-1)), and the exponent map of its denominator.
 
-    Each Phi_d is divided out of the packed value (`packed_divide_out`) and
-    the quotient g is unpacked once.  g can outgrow the width that held f,
+    The Phi_d are distinct monic irreducibles, so dividing each one out of
+    f while it divides (at most e_d times, `packed_divide_out`) leaves a
+    coprime pair with a monic denominator: the canonical form that a gcd
+    against the expanded denominator would give.
+
+    The quotient g is unpacked once.  g can outgrow the width that held f,
     and then a trial or the unpack reads wrong digits, so the result is
-    certified exactly at one width w that holds ||g||_1 prod ||Phi_d||_1^k_d
-    and f: g * prod Phi_d^k_d equals f at q = 2^w (both sides fit, so as
-    polynomials), and no Phi_d that is left divides g (its folds fit w).
-    Failing that, the same reduction runs again at twice the width.
+    certified exactly at the width w that holds ||g||_1 prod ||Phi_d||_1^k_d.
+    If w <= bits, every intermediate quotient (g times the Phi_d^k_d still
+    to be divided out) fit the width, so every trial and the unpack read
+    exact digits.  Otherwise g * prod Phi_d^k_d must equal f at q = 2^w
+    (both sides fit, so as polynomials), and no Phi_d that is left may
+    divide g (its folds fit w).  Failing that, the same reduction runs
+    again at twice the width.
     """
     if not value:
         return RF_ZERO, Counter()
@@ -164,16 +165,19 @@ def over_cyclotomic_packed(value: int, bits: int,
     while True:
         x = value
         taken: Counter[int] = Counter()
+        left: Counter[int] = Counter()
         for d in sorted(exps):
             x, k = packed_divide_out(x, bits, cyclotomic_poly(d), d, exps[d])
             if k:
                 taken[d] = k
-        left = Counter(exps) - taken
+            if k < exps[d]:
+                left[d] = exps[d] - k
         g = Poly.unpack(x, bits)
-        w = balanced_bits(max(f.l1_norm(), g.l1_norm() * prod(
-            cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items())))
+        w = balanced_bits(g.l1_norm() * prod(
+            cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items()))
         x = g.pack(w)
-        if (x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) == f.pack(w)
+        if w <= bits or (
+                x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) == f.pack(w)
                 and not any(packed_divide_out(x, w, cyclotomic_poly(d), d, 1)[1]
                             for d in left)):
             return RatFunc._raw(g, cyclotomic_product(left)), left

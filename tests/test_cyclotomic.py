@@ -1,11 +1,11 @@
-"""Oracles for the cyclotomic reduction of identity reports.
+"""Oracles for the cyclotomic reduction behind every canonical form.
 
-The checkers keep their master denominator D as a sign and an exponent
-map {d: e_d} over cyclotomic polynomials, and reduce numerators against
-it by trial division.  None of the helpers below call that code: D is
-expanded here from its defining product, Phi_d comes from the Moebius
-product of the q^e - 1, and the reference canonical form is the generic
-gcd reduction of RatFunc(num, D).
+The library keeps its denominators (the checkers' master denominator D
+among them) as exponent maps {d: e_d} over cyclotomic polynomials, and
+reduces numerators against them by trial division.  None of the helpers
+below call that code: D is expanded here from its defining product, Phi_d
+comes from the Moebius product of the q^e - 1, and the reference
+canonical form is the generic gcd reduction of RatFunc(num, D).
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz.identities import _master_den_exponents, _over_master
-from qcarlitz.polyq import ONE, Poly, balanced_bits, packed_divide_out
+from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits, packed_divide_out
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, over_cyclotomic,
                             over_cyclotomic_packed, q_int_exponents, q_int_poly,
                             q_power_minus_one_exponents)
@@ -95,7 +95,8 @@ def test_q_number_exponent_maps_multiply_back():
 def test_cyclotomic_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for d in range(1, 61):
+    # 105, 165, 195 and 210 index the first Phi_d with a coefficient of magnitude 2
+    for d in [*range(1, 61), 105, 165, 195, 210]:
         expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(d) == Poly([int(c) for c in expected]), d
 
@@ -152,10 +153,34 @@ def integers_over_cyclotomic_maps(draw):
 # only the certified retry at a wider width gets it right
 @example(({1: 3}, (ONE - Poly.q_power(20)) ** 3))
 @example(({2: 1, 3: 2}, Poly()))
-def test_packed_reduction_matches_over_cyclotomic(case):
+def test_packed_reduction_matches_generic_gcd(case):
     exps, f = case
+    den = ONE
+    for d, e in exps.items():
+        den = den * phi_oracle(d) ** e
+    want = RatFunc(f, den)
     bits = least_width(f)
-    assert over_cyclotomic_packed(f.pack(bits), bits, exps) == over_cyclotomic(f, exps)
+    got, left = over_cyclotomic_packed(f.pack(bits), bits, exps)
+    assert (got.num, got.den) == (want.num, want.den)
+    rebuilt = ONE
+    for d, e in left.items():
+        assert e > 0
+        rebuilt = rebuilt * phi_oracle(d) ** e
+    assert rebuilt == want.den
+
+
+def test_over_cyclotomic_caps_and_scales():
+    phi3 = phi_oracle(3)
+    scaled = Poly([2, -1]) * Fraction(-1, 6)
+    # the map caps how often Phi_3 comes out; the rational scale rides along
+    value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 2})
+    assert (value.num, value.den, left) == (scaled * phi3, ONE, {})
+    value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 5})
+    assert (value.num, value.den, left) == (scaled, phi3 ** 2, {3: 2})
+    value, left = over_cyclotomic(ZERO, {3: 4})
+    assert (value.num, value.den, left) == (ZERO, ONE, {})
+    value, left = over_cyclotomic(Poly([5]), {1: 4})
+    assert (value.num, value.den, left) == (Poly([5]), (Poly.q_power(1) - ONE) ** 4, {1: 4})
 
 
 def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():

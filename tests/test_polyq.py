@@ -116,21 +116,6 @@ def test_gcd_basic():
     assert Poly([0, -2]).gcd(ZERO) == Poly([0, 1])
 
 
-def test_divide_out_counts_and_caps_a_factor():
-    phi3 = Poly([1, 1, 1])
-    f = Poly([2, -1]) * phi3 ** 3
-    assert f.divide_out(phi3, 3, 5) == (Poly([2, -1]), 3)
-    assert f.divide_out(phi3, 3, 2) == (Poly([2, -1]) * phi3, 2)
-    scaled = f * Fraction(-1, 6)
-    assert scaled.divide_out(phi3, 3, 5) == (Poly([2, -1]) * Fraction(-1, 6), 3)
-    assert ZERO.divide_out(phi3, 3, 4) == (ZERO, 0)
-    assert Poly([5]).divide_out(Poly([-1, 1]), 1, 4) == (Poly([5]), 0)
-    with pytest.raises(ValueError, match="monic integer"):
-        f.divide_out(phi3 * 2, 3, 1)
-    with pytest.raises(ValueError, match="does not divide"):
-        Poly([-1, 1]).divide_out(Poly([1, 1]), 1, 1)
-
-
 def test_packed_divide_out_counts_and_caps_a_factor():
     phi3 = Poly([1, 1, 1])
     f = Poly([2, -1]) * phi3 ** 3
