@@ -10,7 +10,8 @@ times one rational scalar, and any non-integer step proves g does not
 divide f.  The gcd is the subresultant one; the library calls it only
 inside `RatFunc` arithmetic, since the library reduces over cyclotomic
 exponent maps by trial division of packed values instead
-(`packed_divide_out`, certified by `qcore.over_cyclotomic_packed`).
+(`packed_divide_out`, certified by `qcore.over_cyclotomic_packed`): each
+trial is one integer remainder, and no digit is read.
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -20,7 +21,8 @@ Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
 `Poly.pack`/`Poly.unpack` expose the pair for integer polynomials;
 `balanced_bits` gives the least B for a coefficient bound, and
-`packed_divide_out` divides a cyclotomic factor out of a packed value.
+`packed_divide_out` divides a cyclotomic factor out of a packed value
+with integer remainders alone.
 """
 
 from __future__ import annotations
@@ -65,14 +67,9 @@ def _pack(vec: Sequence[int], bits: int) -> int:
 
 def _unpack(value: int, bits: int, n: int) -> list[int]:
     # the n balanced base-2^bits digits of value, each in [-2^{bits-1}, 2^{bits-1})
-    return _offset_digits(value + _balanced_bias(n, bits >> 3), bits, n)
-
-
-def _offset_digits(raw: int, bits: int, n: int) -> list[int]:
-    # the n base-2^bits digits of raw >= 0, each less its offset 2^{bits-1}
     nbytes = bits >> 3
     half = 1 << (bits - 1)
-    data = raw.to_bytes(n * nbytes, "little")
+    data = (value + _balanced_bias(n, nbytes)).to_bytes(n * nbytes, "little")
     return [int.from_bytes(data[i:i + nbytes], "little") - half
             for i in range(0, n * nbytes, nbytes)]
 
@@ -463,33 +460,22 @@ def packed_divide_out(value: int, bits: int, factor: Poly, period: int,
     """Trial division of a packed polynomial by a cyclotomic factor:
     (value // factor(2**bits)**k, k) for the first k <= limit steps that succeed.
 
-    factor is a monic integer polynomial dividing q**period - 1, so the
-    polynomial mod factor equals (the polynomial mod q**period - 1) mod
-    factor.  Each trial reads value mod 2**(bits * period) - 1 as period
-    balanced digits, which are the coefficients of the polynomial mod
-    q**period - 1 whenever they fit the width; a step is taken when factor
-    divides those digits and factor(2**bits) divides value.  So the answer
-    is the polynomial one as long as the L1 norm of every quotient stays
-    below 2**(bits - 1); a quotient can outgrow the width that held value,
-    and then the caller has to certify the result
-    (`qcore.over_cyclotomic_packed`).
+    factor is a monic integer polynomial dividing q**period - 1, so
+    factor(2**bits) divides 2**(bits * period) - 1, and a trial is one
+    integer remainder: value folded mod 2**(bits * period) - 1, then mod
+    factor(2**bits).  A step divides value by factor(2**bits) exactly.  A
+    failed trial proves that factor does not divide the polynomial, since
+    its value would then be a multiple of factor(2**bits); a passing one
+    can be spurious (85 (1 + q + q^2) at 8 bits over q - 1), so the caller
+    has to certify the result (`qcore.over_cyclotomic_packed`).
     """
     g = factor._c
     if factor._den != 1 or not g or g[-1] != 1:
         raise ValueError("packed_divide_out needs a monic integer factor")
-    divisor = 0  # factor(2**bits), packed once a trial gets this far
-    bias = _balanced_bias(period, bits >> 3)
+    divisor = factor.pack(bits)
     k = 0
-    while k < limit and value:
-        # value + bias mod 2^{bits period} - 1 holds the folded digits, each offset
-        folded = _offset_digits(_mod_mersenne(value + bias, bits * period), bits, period)
-        if _int_divexact_primitive(folded, g) is None:
-            break
-        divisor = divisor or factor.pack(bits)
-        quot, rem = divmod(value, divisor)
-        if rem:
-            break
-        value = quot
+    while k < limit and value and not _mod_mersenne(value, bits * period) % divisor:
+        value //= divisor
         k += 1
     return value, k
 

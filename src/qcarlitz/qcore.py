@@ -97,13 +97,15 @@ def q_int_exponents(t: int, b: int = 1) -> Counter[int]:
 
 
 def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
-    """prod Phi_d^{e_d} over the exponent map {d: e_d}."""
-    factors = [cyclotomic_poly(d) ** e for d, e in sorted(exps.items())]
+    """prod Phi_d^{e_d} over the exponent map {d: e_d}: one integer product
+    of the values at q = 2^w, w holding prod ||Phi_d||_1^{e_d}, which bounds
+    every coefficient of the product, unpacked once."""
+    bits = balanced_bits(prod(cyclotomic_poly(d).l1_norm() ** e for d, e in exps.items()))
+    values = [cyclotomic_poly(d).pack(bits) ** e for d, e in exps.items()]
     # pairwise, so the large products meet once and in balanced sizes
-    while len(factors) > 1:
-        factors = [factors[i] * factors[i + 1] if i + 1 < len(factors) else factors[i]
-                   for i in range(0, len(factors), 2)]
-    return factors[0] if factors else ONE
+    while len(values) > 1:
+        values = [prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return Poly.unpack(prod(values), bits)
 
 
 def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
@@ -149,19 +151,22 @@ def over_cyclotomic_packed(value: int, bits: int,
     coprime pair with a monic denominator: the canonical form that a gcd
     against the expanded denominator would give.
 
-    The quotient g is unpacked once.  g can outgrow the width that held f,
-    and then a trial or the unpack reads wrong digits, so the result is
-    certified exactly at the width w that holds ||g||_1 prod ||Phi_d||_1^k_d.
-    If w <= bits, every intermediate quotient (g times the Phi_d^k_d still
-    to be divided out) fit the width, so every trial and the unpack read
-    exact digits.  Otherwise g * prod Phi_d^k_d must equal f at q = 2^w
-    (both sides fit, so as polynomials), and no Phi_d that is left may
-    divide g (its folds fit w).  Failing that, the same reduction runs
+    Every step is an exact integer division, so the quotient x, unpacked
+    once as g, satisfies g(2^bits) prod Phi_d(2^bits)^k_d = f(2^bits), but a
+    trial can pass spuriously and g can outgrow the width, so the result
+    is certified.  If ||g||_inf prod ||Phi_d||_1^k_d < 2^(bits-1), it bounds
+    every coefficient of g prod Phi_d^k_d, so both sides of that integer
+    identity are balanced bits-wide digits of one integer: the same
+    polynomial.  Then every step was a polynomial division, and every
+    failed trial proves that its Phi_d does not divide g.  Otherwise f is
+    unpacked, g * prod Phi_d^k_d must equal f at q = 2^w, w holding
+    ||g||_1 prod ||Phi_d||_1^k_d (both sides fit, so as polynomials), and no
+    trial by a Phi_d that is left may pass at w (a spurious pass costs a
+    retry, not a wrong answer).  Failing that, the same reduction runs
     again at twice the width.
     """
     if not value:
         return RF_ZERO, Counter()
-    f = Poly.unpack(value, bits)
     while True:
         x = value
         taken: Counter[int] = Counter()
@@ -173,16 +178,17 @@ def over_cyclotomic_packed(value: int, bits: int,
             if k < exps[d]:
                 left[d] = exps[d] - k
         g = Poly.unpack(x, bits)
-        w = balanced_bits(g.l1_norm() * prod(
-            cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items()))
-        x = g.pack(w)
-        if w <= bits or (
-                x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) == f.pack(w)
-                and not any(packed_divide_out(x, w, cyclotomic_poly(d), d, 1)[1]
-                            for d in left)):
-            return RatFunc._raw(g, cyclotomic_product(left)), left
-        bits *= 2
-        value = f.pack(bits)
+        norm = prod(cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items())
+        if balanced_bits(max(map(abs, g._c)) * norm) > bits:
+            f = Poly.unpack(value, bits)
+            w = balanced_bits(g.l1_norm() * norm)
+            x = g.pack(w)
+            if (x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) != f.pack(w)
+                    or any(packed_divide_out(x, w, cyclotomic_poly(d), d, 1)[1] for d in left)):
+                bits *= 2
+                value = f.pack(bits)
+                continue
+        return RatFunc._raw(g, cyclotomic_product(left)), left
 
 
 def q_int(x: int, d: int = 1) -> RatFunc:

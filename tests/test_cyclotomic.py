@@ -153,6 +153,8 @@ def integers_over_cyclotomic_maps(draw):
 # only the certified retry at a wider width gets it right
 @example(({1: 3}, (ONE - Poly.q_power(20)) ** 3))
 @example(({2: 1, 3: 2}, Poly()))
+# 255 = Phi_1(2^8) divides 85 (1 + q + q^2) at q = 2^8, but q - 1 does not
+@example(({1: 1}, Poly([85, 85, 85])))
 def test_packed_reduction_matches_generic_gcd(case):
     exps, f = case
     den = ONE
@@ -167,6 +169,30 @@ def test_packed_reduction_matches_generic_gcd(case):
         assert e > 0
         rebuilt = rebuilt * phi_oracle(d) ** e
     assert rebuilt == want.den
+
+
+def test_spurious_trial_step_is_caught_by_the_certificate():
+    f = Poly([85, 85, 85])
+    # 85 (1 + q + q^2) at q = 2^8 is 85 * 65793 = 255 * 21931: the trial passes
+    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_poly(1), 1, 1)
+    assert (x, k) == (f.pack(8) // 255, 1)
+    value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 1})
+    want = RatFunc(f, phi_oracle(1))
+    assert (value.num, value.den, left) == (want.num, want.den, {1: 1})
+    assert want.den == Poly([-1, 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.integers(1, 60), st.integers(0, 4), max_size=6))
+# prod ||Phi_d||_1^{e_d} = 2^54 3^12 35 has 79 bits; the product's norm has 27
+@example({1: 36, 2: 18, 3: 12, 105: 1})
+@example({})
+def test_cyclotomic_product_matches_oracle(exps):
+    want = ONE
+    for d, e in exps.items():
+        want = want * phi_oracle(d) ** e
+    assert cyclotomic_product(exps) == want
 
 
 def test_over_cyclotomic_caps_and_scales():
