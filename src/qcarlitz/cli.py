@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .carlitz import beta_h, beta_hk, beta_number, beta_number_recurrence, beta_poly
-from .identities import (IdentityParams, IdentityReport, cross34_check,
+from .identities import (CHECKS, IdentityParams, IdentityReport, cross34_check,
                          grid_params, lemma2_coeff_check, sample_grid,
                          thm1_check, thm3_check, thm4_check)
 from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, check_step_budget,
@@ -139,9 +139,8 @@ def _identity_point(task: tuple[str, int, tuple[int, int, int],
 
 def _suite_identity(suite: str, n_max: int, w_max: int, y_max: int,
                     sample: int, jobs: int) -> tuple[dict[str, object], list[dict[str, object]]]:
-    first_n = 0 if suite == "thm1" else 1
-    points = grid_params(range(first_n, n_max + 1), w_max, y_max,
-                         vary_y3=(suite == "thm1"))
+    least_n, _, reads_y3, _ = CHECKS[suite]
+    points = grid_params(range(least_n, n_max + 1), w_max, y_max, vary_y3=reads_y3)
     points = sample_grid(points, sample)
     tasks = [(suite, p.n, p.w, p.y) for p in points]
     if jobs <= 1 or len(tasks) < 4:
@@ -354,21 +353,13 @@ def cmd_table(a: argparse.Namespace) -> int:
         raise ValueError("--n-max must be non-negative")
     if a.d < 1:
         raise ValueError("--d must be positive")
+    key, value_at = ("n", beta_number) if a.target == "beta" else ("x", q_int)
+    header = [key, "num", "den", "q1_limit"]
     rows = []
-    if a.target == "beta":
-        header = ["n", "num", "den", "q1_limit"]
-        for n in range(a.n_max + 1):
-            v = beta_number(n, a.d)
-            rows.append({"n": n, "num": _poly_coeffs(v.num),
-                         "den": _poly_coeffs(v.den),
-                         "q1_limit": str(rf_eval_rational(v, 1))})
-    else:
-        header = ["x", "num", "den", "q1_limit"]
-        for x in range(a.n_max + 1):
-            v = q_int(x, a.d)
-            rows.append({"x": x, "num": _poly_coeffs(v.num),
-                         "den": _poly_coeffs(v.den),
-                         "q1_limit": str(rf_eval_rational(v, 1))})
+    for i in range(a.n_max + 1):
+        v = value_at(i, a.d)
+        rows.append({key: i, "num": _poly_coeffs(v.num), "den": _poly_coeffs(v.den),
+                     "q1_limit": str(rf_eval_rational(v, 1))})
     if a.format == "json":
         _emit(_dump_json({"target": a.target, "d": a.d, "rows": rows}), a.out)
     elif a.format == "text":
@@ -455,10 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"compute": cmd_compute, "verify": cmd_verify, "table": cmd_table}
     try:
         return handler[a.command](a)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -410,11 +410,30 @@ def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, 
                           tuple(reduced[num] for num in nums), witness is None, witness)
 
 
-def _check(identity: str, params: IdentityParams, num_fns) -> IdentityReport:
+# name: (least n, the message refusing a smaller n, whether the values
+# read y3 (Theorems 3 and 4 read only y1 and y2), and one (label prefix,
+# numerator builder) pair per expression)
+CHECKS = {
+    "thm1": (0, None, True, (("", _thm1_num),)),
+    "thm3": (1, "Theorem 3 requires positive n", False, (("", _thm3_num),)),
+    "thm4": (1, "Theorem 4 requires positive n", False, (("", _thm4_num),)),
+    "cross34": (1, "cross-theorem check requires positive n", False,
+                (("thm3:", _thm3_num), ("thm4:", _thm4_num))),
+}
+
+
+def _parts(identity: str, params: IdentityParams) -> tuple:
+    least_n, refusal, _, parts = CHECKS[identity]
+    if params.n < least_n:
+        raise ValueError(refusal)
+    return parts
+
+
+def _check(identity: str, params: IdentityParams) -> IdentityReport:
     W = params.w_product
     labels = []
     nums = []
-    for prefix, num_fn in num_fns:
+    for prefix, num_fn in _parts(identity, params):
         for sigma in ALL_PERMUTATIONS:
             bases, w3s = _sigma_bases(params.w, sigma)
             labels.append(prefix + sigma.label)
@@ -423,7 +442,8 @@ def _check(identity: str, params: IdentityParams, num_fns) -> IdentityReport:
                              *_packed_nums(params.n, nums))
 
 
-def _expr(params: IdentityParams, sigma: Permutation3, num_fn) -> RatFunc:
+def _expr(identity: str, params: IdentityParams, sigma: Permutation3) -> RatFunc:
+    [(_, num_fn)] = _parts(identity, params)
     bases, w3s = _sigma_bases(params.w, sigma)
     [num], bits = _packed_nums(params.n, [(num_fn, params.w_product, params.y, bases, w3s)])
     return _over_master(num, bits, params.n, _sorted_bases(params.w))
@@ -431,37 +451,29 @@ def _expr(params: IdentityParams, sigma: Permutation3, num_fn) -> RatFunc:
 
 def thm1_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the triple product-sum identity."""
-    return _expr(params, sigma, _thm1_num)
+    return _expr("thm1", params, sigma)
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:
-    return _check("thm1", params, (("", _thm1_num),))
+    return _check("thm1", params)
 
 
 def thm3_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the two-part sum with T-factors."""
-    if params.n < 1:
-        raise ValueError("Theorem 3 requires positive n")
-    return _expr(params, sigma, _thm3_num)
+    return _expr("thm3", params, sigma)
 
 
 def thm3_check(params: IdentityParams) -> IdentityReport:
-    if params.n < 1:
-        raise ValueError("Theorem 3 requires positive n")
-    return _check("thm3", params, (("", _thm3_num),))
+    return _check("thm3", params)
 
 
 def thm4_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
     """One permutation's value of the binomial sum with inner w3-fold sums."""
-    if params.n < 1:
-        raise ValueError("Theorem 4 requires positive n")
-    return _expr(params, sigma, _thm4_num)
+    return _expr("thm4", params, sigma)
 
 
 def thm4_check(params: IdentityParams) -> IdentityReport:
-    if params.n < 1:
-        raise ValueError("Theorem 4 requires positive n")
-    return _check("thm4", params, (("", _thm4_num),))
+    return _check("thm4", params)
 
 
 def cross34_check(params: IdentityParams) -> IdentityReport:
@@ -471,9 +483,7 @@ def cross34_check(params: IdentityParams) -> IdentityReport:
     values must agree; a shared master denominator makes this one
     numerator comparison.
     """
-    if params.n < 1:
-        raise ValueError("cross-theorem check requires positive n")
-    return _check("cross34", params, (("thm3:", _thm3_num), ("thm4:", _thm4_num)))
+    return _check("cross34", params)
 
 
 def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:
@@ -514,8 +524,8 @@ _SAMPLE_SEED = 20140919
 def grid_params(n_values, w_max: int, y_max: int, vary_y3: bool = True) -> list[IdentityParams]:
     """All parameter tuples over the given bounds, in lexicographic order.
 
-    With vary_y3 false, y3 stays 0: the checkers that ignore y3 would
-    otherwise re-verify identical expressions.
+    With vary_y3 false, y3 stays 0: the checks whose `CHECKS` entry does not
+    read y3 would otherwise re-verify identical expressions.
     """
     ws = range(1, w_max + 1)
     ys = range(y_max + 1)

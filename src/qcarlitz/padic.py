@@ -105,8 +105,7 @@ class PadicInt:
         value = Fraction(value)
         if value.denominator % p == 0:
             raise ValueError(f"{value} is not a p-adic integer for p={p}")
-        m = p ** K
-        return cls(p, K, value.numerator * pow(value.denominator, -1, m) % m)
+        return cls(p, K, _rat_mod(value, p, K))
 
     @property
     def modulus(self) -> int:

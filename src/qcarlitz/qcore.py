@@ -6,14 +6,14 @@ carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}: sums are taken over the lcm of the maps with products
 only, and one certified reducer gives the canonical form by trial
 division, with no gcd: `over_cyclotomic_packed` for a numerator packed as
-one integer, its value at q = 2^B, and `over_cyclotomic` for a `Poly`.
+one integer, its value at q = 2^B, and `over_cyclotomic` for an integer
+`Poly`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt, prod
 from typing import Mapping, Sequence
@@ -127,17 +127,13 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Co
 
 
 def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
-    """The canonical RatFunc num / prod Phi_d^{e_d}, and the exponent map of
-    its denominator: `over_cyclotomic_packed` on num's integer part, packed
-    at a width that holds its L1 norm, and scaled back by num's denominator.
+    """The canonical RatFunc num / prod Phi_d^{e_d} for an integer polynomial
+    num, and the exponent map of its denominator: `over_cyclotomic_packed`
+    on num packed at a width that holds its L1 norm.  A rational num raises
+    ValueError; `RatFunc` reduces those.
     """
-    den = num._den
-    f = num * den if den > 1 else num
-    bits = balanced_bits(f.l1_norm())
-    value, left = over_cyclotomic_packed(f.pack(bits), bits, exps)
-    if den > 1:
-        value = RatFunc._raw(value.num * Fraction(1, den), value.den)
-    return value, left
+    bits = balanced_bits(num.l1_norm())
+    return over_cyclotomic_packed(num.pack(bits), bits, exps)
 
 
 def over_cyclotomic_packed(value: int, bits: int,
@@ -195,7 +191,6 @@ def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 
 
-@lru_cache(maxsize=None)
 def q_arg_bracket(x: QArg) -> RatFunc:
     """[x]_{q^d} = (q^e - 1)/(q^d - 1) for the carried argument x = e/d."""
     if x.is_integer:

@@ -106,7 +106,7 @@ def numerators_over_master(draw):
     n = draw(st.integers(0, 3))
     bases = bases_of(draw(st.sampled_from(W_TRIPLES)))
     f = Poly(draw(st.lists(st.integers(-30, 30), max_size=6)))
-    f = f * Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+    f = f * draw(st.integers(-5, 5).filter(bool))
     # a sub-multiset of D's factors, sometimes one Phi_d more than D has
     for d, e in _master_den_exponents(n, bases):
         f = f * phi_oracle(d) ** draw(st.integers(0, e + 1))
@@ -118,17 +118,16 @@ def numerators_over_master(draw):
 @given(numerators_over_master())
 @example((2, (1, 2, 2), Poly()))
 def test_reduction_matches_generic_gcd(case):
-    # every case through over_cyclotomic (the carlitz path); the integral
-    # ones also packed, through the identity checkers' reduction
+    # every case through over_cyclotomic (the carlitz path) and packed,
+    # through the identity checkers' reduction
     n, bases, num = case
     want = RatFunc(num, expanded_master_den(n, bases))
     exps = dict(_master_den_exponents(n, bases))
     got, _ = over_cyclotomic(-num if n % 2 else num, exps)
     assert (got.num, got.den) == (want.num, want.den)
-    if all(c.denominator == 1 for c in num.coefficients()):
-        bits = least_width(num)
-        got = _over_master(num.pack(bits), bits, n, bases)
-        assert (got.num, got.den) == (want.num, want.den)
+    bits = least_width(num)
+    got = _over_master(num.pack(bits), bits, n, bases)
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def least_width(f):
@@ -197,8 +196,8 @@ def test_cyclotomic_product_matches_oracle(exps):
 
 def test_over_cyclotomic_caps_and_scales():
     phi3 = phi_oracle(3)
-    scaled = Poly([2, -1]) * Fraction(-1, 6)
-    # the map caps how often Phi_3 comes out; the rational scale rides along
+    scaled = Poly([2, -1]) * -6
+    # the map caps how often Phi_3 comes out; the integer content rides along
     value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 2})
     assert (value.num, value.den, left) == (scaled * phi3, ONE, {})
     value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 5})
@@ -207,6 +206,9 @@ def test_over_cyclotomic_caps_and_scales():
     assert (value.num, value.den, left) == (ZERO, ONE, {})
     value, left = over_cyclotomic(Poly([5]), {1: 4})
     assert (value.num, value.den, left) == (Poly([5]), (Poly.q_power(1) - ONE) ** 4, {1: 4})
+    # rational numerators are RatFunc's to reduce (tests/test_ratfunc.py)
+    with pytest.raises(ValueError):
+        over_cyclotomic(Poly([Fraction(1, 2)]), {1: 1})
 
 
 def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():

@@ -15,8 +15,8 @@ from math import comb, factorial
 import pytest
 
 from qcarlitz.carlitz import beta_h, beta_poly
-from qcarlitz.identities import (ALL_PERMUTATIONS, IDENTITY_PERMUTATION,
-                                 IdentityParams, Permutation3, _Packed, _packed_nums,
+from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IDENTITY_PERMUTATION,
+                                 IdentityParams, Permutation3, _check, _Packed, _packed_nums,
                                  _slot_bound, _slot_norm, _thm1_num, _thm3_num,
                                  _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
@@ -256,18 +256,47 @@ def test_lemma2_grid():
                 assert r.params == {"n": n, "d": d, "w3": w3}
 
 
+PUBLIC_CHECKS = {"thm1": thm1_check, "thm3": thm3_check, "thm4": thm4_check,
+                 "cross34": cross34_check}
+PUBLIC_EXPRS = {"thm3": thm3_expr, "thm4": thm4_expr}
+REFUSALS = {"thm3": "Theorem 3 requires positive n",
+            "thm4": "Theorem 4 requires positive n",
+            "cross34": "cross-theorem check requires positive n"}
+
+
 def test_positive_degree_required():
-    p0 = IdentityParams(0, (1, 1, 1))
-    with pytest.raises(ValueError, match="Theorem 3 requires positive n"):
-        thm3_expr(p0, IDENTITY_PERMUTATION)
-    with pytest.raises(ValueError, match="Theorem 3 requires positive n"):
-        thm3_check(p0)
-    with pytest.raises(ValueError, match="Theorem 4 requires positive n"):
-        thm4_expr(p0, IDENTITY_PERMUTATION)
-    with pytest.raises(ValueError, match="Theorem 4 requires positive n"):
-        thm4_check(p0)
-    with pytest.raises(ValueError, match="requires positive n"):
-        cross34_check(p0)
+    # each check refuses the degree below its least n with its own message,
+    # through the report and through one permutation's value
+    assert set(CHECKS) == set(PUBLIC_CHECKS)
+    assert {name for name, (least_n, *_) in CHECKS.items() if least_n > 0} == set(REFUSALS)
+    for name, (least_n, refusal, _, _) in CHECKS.items():
+        if least_n == 0:
+            continue
+        assert refusal == REFUSALS[name]
+        below = IdentityParams(least_n - 1, (1, 1, 1))
+        with pytest.raises(ValueError, match=REFUSALS[name]):
+            _check(name, below)
+        with pytest.raises(ValueError, match=REFUSALS[name]):
+            PUBLIC_CHECKS[name](below)
+        if name in PUBLIC_EXPRS:
+            with pytest.raises(ValueError, match=REFUSALS[name]):
+                PUBLIC_EXPRS[name](below, IDENTITY_PERMUTATION)
+
+
+def test_checks_that_ignore_y3_give_the_same_values_at_any_y3():
+    # the CLI's grids hold y3 at 0 for these checks (grid_params vary_y3)
+    for name, (_, _, reads_y3, _) in CHECKS.items():
+        if reads_y3:
+            continue
+        for p in grid_params((1, 2), 2, 1, vary_y3=False):
+            moved = IdentityParams(p.n, p.w, (p.y[0], p.y[1], 2))
+            assert PUBLIC_CHECKS[name](p).values == PUBLIC_CHECKS[name](moved).values, (name, p)
+    # thm1 reads y3, and its values do depend on it
+    _, _, reads_y3, _ = CHECKS["thm1"]
+    assert reads_y3
+    values = [thm1_check(IdentityParams(2, (1, 2, 2), y)).values
+              for y in ((0, 1, 0), (0, 1, 1))]
+    assert values[0] != values[1]
 
 
 def test_lemma2_argument_validation():
