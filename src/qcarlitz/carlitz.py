@@ -10,8 +10,11 @@ Every denominator in the closed forms and in the recurrence is a product
 of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
-over the lcm of the maps and reduced once by trial division with the
-Phi_m (`qcore.over_cyclotomic`, the identity checkers' packed reducer).
+over the lcm of the maps (`qcore.cyclotomic_sum`: each join of two halves
+is one integer expression at q = 2^w, w bounding the joined coefficients,
+unpacked once) and reduced once by trial division with the Phi_m
+(`qcore.over_cyclotomic`, the identity checkers' packed reducer).  The
+two routes share only these two calls; neither calls the other's sum.
 """
 
 from __future__ import annotations

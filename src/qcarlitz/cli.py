@@ -21,17 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .carlitz import beta_h, beta_hk, beta_number, beta_number_recurrence, beta_poly
-from .identities import (CHECKS, IdentityParams, IdentityReport, cross34_check,
-                         grid_params, lemma2_coeff_check, sample_grid,
-                         thm1_check, thm3_check, thm4_check)
+from .identities import (CHECKS, IdentityParams, IdentityReport, _check, grid_params,
+                         lemma2_coeff_check, sample_grid)
 from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, check_step_budget,
                     verify_eq2_qexp, verify_eq3, witt_check)
 from .polyq import Poly
 from .qcore import QArg, power_sum_T, q_int
 from .ratfunc import RatFunc, rf_eval_rational
 
-SUITES = ("qlaws", "carlitz-cross", "lemma2", "thm1", "thm3", "thm4",
-          "cross34", "padic")
+# the identity suites are the checks of identities.CHECKS, in its order
+SUITES = ("qlaws", "carlitz-cross", "lemma2", *CHECKS, "padic")
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +122,10 @@ def _suite_lemma2(n_max: int) -> tuple[dict[str, object], list[dict[str, object]
     return {"n_max": n_max, "d": [1, 2, 6], "w3": [1, 2, 3]}, results
 
 
-_IDENTITY_CHECKS = {
-    "thm1": thm1_check,
-    "thm3": thm3_check,
-    "thm4": thm4_check,
-    "cross34": cross34_check,
-}
-
-
 def _identity_point(task: tuple[str, int, tuple[int, int, int],
                                 tuple[int, int, int]]) -> dict[str, object]:
     suite, n, w, y = task
-    return _serialize(_IDENTITY_CHECKS[suite](IdentityParams(n, w, y)))
+    return _serialize(_check(suite, IdentityParams(n, w, y)))
 
 
 def _suite_identity(suite: str, n_max: int, w_max: int, y_max: int,

@@ -11,7 +11,9 @@ divide f.  The gcd is the subresultant one; the library calls it only
 inside `RatFunc` arithmetic, since the library reduces over cyclotomic
 exponent maps by trial division of packed values instead
 (`packed_divide_out`, certified by `qcore.over_cyclotomic_packed`): each
-trial is one integer remainder, and no digit is read.
+trial is one integer remainder by the divisor's value Phi_d(2^B), which
+the caller passes as an integer (`qcore.cyclotomic_value`), and no digit
+is read.
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -21,8 +23,8 @@ Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
 `Poly.pack`/`Poly.unpack` expose the pair for integer polynomials;
 `balanced_bits` gives the least B for a coefficient bound, and
-`packed_divide_out` divides a cyclotomic factor out of a packed value
-with integer remainders alone.
+`packed_divide_out` divides a cyclotomic factor, given by its packed
+value, out of a packed value with integer remainders alone.
 """
 
 from __future__ import annotations
@@ -455,24 +457,21 @@ def _mod_mersenne(x: int, s: int) -> int:
     return x % ((1 << s) - 1)
 
 
-def packed_divide_out(value: int, bits: int, factor: Poly, period: int,
+def packed_divide_out(value: int, bits: int, divisor: int, period: int,
                       limit: int) -> tuple[int, int]:
     """Trial division of a packed polynomial by a cyclotomic factor:
-    (value // factor(2**bits)**k, k) for the first k <= limit steps that succeed.
+    (value // divisor**k, k) for the first k <= limit steps that succeed.
 
-    factor is a monic integer polynomial dividing q**period - 1, so
-    factor(2**bits) divides 2**(bits * period) - 1, and a trial is one
-    integer remainder: value folded mod 2**(bits * period) - 1, then mod
-    factor(2**bits).  A step divides value by factor(2**bits) exactly.  A
-    failed trial proves that factor does not divide the polynomial, since
-    its value would then be a multiple of factor(2**bits); a passing one
-    can be spurious (85 (1 + q + q^2) at 8 bits over q - 1), so the caller
-    has to certify the result (`qcore.over_cyclotomic_packed`).
+    divisor is factor(2**bits) for a monic integer factor of q**period - 1
+    (`qcore.cyclotomic_value` gives Phi_d(2**bits)), so it divides
+    2**(bits * period) - 1, and a trial is one integer remainder: value
+    folded mod 2**(bits * period) - 1, then mod divisor.  A step divides
+    value by divisor exactly.  A failed trial proves that the factor does
+    not divide the polynomial, since its value would then be a multiple of
+    divisor; a passing one can be spurious (85 (1 + q + q^2) at 8 bits over
+    q - 1), so the caller has to certify the result
+    (`qcore.over_cyclotomic_packed`).
     """
-    g = factor._c
-    if factor._den != 1 or not g or g[-1] != 1:
-        raise ValueError("packed_divide_out needs a monic integer factor")
-    divisor = factor.pack(bits)
     k = 0
     while k < limit and value and not _mod_mersenne(value, bits * period) % divisor:
         value //= divisor

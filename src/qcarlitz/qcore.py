@@ -3,11 +3,14 @@
 Every denominator the library builds is a product of cyclotomic
 polynomials, since q^m - 1 = prod over d | m of Phi_d.  Such a product is
 carried as an exponent map {d: e_d} (a Counter) standing for
-prod Phi_d^{e_d}: sums are taken over the lcm of the maps with products
-only, and one certified reducer gives the canonical form by trial
-division, with no gcd: `over_cyclotomic_packed` for a numerator packed as
-one integer, its value at q = 2^B, and `over_cyclotomic` for an integer
-`Poly`.
+prod Phi_d^{e_d}, and all of its arithmetic runs on packed integers, values
+at q = 2^B.  `cyclotomic_value` gives Phi_d(2^B) exactly from the Moebius
+product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
+takes sums over the lcm of the maps, each join one integer product-sum
+at its own width, unpacked once.  One certified reducer gives the
+canonical form by trial division, with no gcd: `over_cyclotomic_packed`
+for a numerator packed as one integer, and `over_cyclotomic` for an
+integer `Poly`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, isqrt, prod
 from typing import Mapping, Sequence
 
@@ -96,25 +100,77 @@ def q_int_exponents(t: int, b: int = 1) -> Counter[int]:
     return Counter({d: 1 for d in _divisors(b * t) if b % d})
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+# bounded: a Carlitz pass to n = 40 asks for about 2200 (d, bits) pairs,
+# one to n = 60 for about 6000
+@lru_cache(maxsize=4096)
+def cyclotomic_value(d: int, bits: int) -> int:
+    """Phi_d(2^bits) as an exact integer, from the Moebius product
+    prod over k | d of (2^{bits k} - 1)^{mu(d/k)}: mu(d/k) is (-1)^r when d/k
+    is a product of r distinct primes and 0 otherwise.  No polynomial is
+    built or packed."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be positive")
+    up = down = 1
+    primes = _prime_factors(d)
+    for r in range(len(primes) + 1):
+        for ps in combinations(primes, r):
+            factor = (1 << bits * (d // prod(ps))) - 1
+            if r & 1:
+                down *= factor
+            else:
+                up *= factor
+    return up // down
+
+
+def _norm_product(exps: Mapping[int, int]) -> int:
+    # prod ||Phi_d||_1^{e_d}: it bounds every coefficient of prod Phi_d^{e_d}
+    # and, times ||f||_1, every coefficient of f prod Phi_d^{e_d}
+    return prod(cyclotomic_poly(d).l1_norm() ** e for d, e in exps.items())
+
+
+def _packed_product(exps: Mapping[int, int], bits: int) -> int:
+    # prod Phi_d(2^bits)^{e_d}, pairwise, so the large values meet once and
+    # in balanced sizes
+    values = [cyclotomic_value(d, bits) ** e for d, e in exps.items()]
+    while len(values) > 1:
+        values = [prod(values[i:i + 2]) for i in range(0, len(values), 2)]
+    return prod(values)
+
+
 def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
     """prod Phi_d^{e_d} over the exponent map {d: e_d}: one integer product
     of the values at q = 2^w, w holding prod ||Phi_d||_1^{e_d}, which bounds
     every coefficient of the product, unpacked once."""
-    bits = balanced_bits(prod(cyclotomic_poly(d).l1_norm() ** e for d, e in exps.items()))
-    values = [cyclotomic_poly(d).pack(bits) ** e for d, e in exps.items()]
-    # pairwise, so the large products meet once and in balanced sizes
-    while len(values) > 1:
-        values = [prod(values[i:i + 2]) for i in range(0, len(values), 2)]
-    return Poly.unpack(prod(values), bits)
+    bits = balanced_bits(_norm_product(exps))
+    return Poly.unpack(_packed_product(exps, bits), bits)
 
 
 def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
-    """The sum of num / prod Phi_d^{e_d} over terms (num, {d: e_d}), as one
-    numerator over the lcm of the maps.  Not reduced.
+    """The sum of num / prod Phi_d^{e_d} over terms (num, {d: e_d}), num an
+    integer polynomial, as one numerator over the lcm of the maps.  Not
+    reduced.
 
     The two halves are summed first and then joined over the lcm of their
     maps, so a Phi_d is multiplied into about log(len(terms)) cofactors,
-    not into one per term.  Products only: no division, no gcd.
+    not into one per term.  A join is one integer expression at q = 2^w,
+    left(2^w) prod Phi_d(2^w)^{c_d} + right(2^w) prod Phi_d(2^w)^{c'_d} with
+    c and c' the cofactor maps, unpacked once.  Each join takes its own w,
+    holding ||left||_1 prod ||Phi_d||_1^{c_d} + ||right||_1 prod ||Phi_d||_1^{c'_d}:
+    that bounds every coefficient of the joined numerator, so its digits
+    are read back exactly and nothing needs certifying.  Products and
+    sums only: no division, no gcd.
     """
     if len(terms) == 1:
         return terms[0]
@@ -122,8 +178,11 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Co
     left, left_exps = cyclotomic_sum(terms[:mid])
     right, right_exps = cyclotomic_sum(terms[mid:])
     lcm = left_exps | right_exps
-    return (left * cyclotomic_product(lcm - left_exps)
-            + right * cyclotomic_product(lcm - right_exps)), lcm
+    left_cof, right_cof = lcm - left_exps, lcm - right_exps
+    bits = balanced_bits(left.l1_norm() * _norm_product(left_cof)
+                         + right.l1_norm() * _norm_product(right_cof))
+    return Poly.unpack(left.pack(bits) * _packed_product(left_cof, bits)
+                       + right.pack(bits) * _packed_product(right_cof, bits), bits), lcm
 
 
 def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
@@ -168,19 +227,19 @@ def over_cyclotomic_packed(value: int, bits: int,
         taken: Counter[int] = Counter()
         left: Counter[int] = Counter()
         for d in sorted(exps):
-            x, k = packed_divide_out(x, bits, cyclotomic_poly(d), d, exps[d])
+            x, k = packed_divide_out(x, bits, cyclotomic_value(d, bits), d, exps[d])
             if k:
                 taken[d] = k
             if k < exps[d]:
                 left[d] = exps[d] - k
         g = Poly.unpack(x, bits)
-        norm = prod(cyclotomic_poly(d).l1_norm() ** k for d, k in taken.items())
+        norm = _norm_product(taken)
         if balanced_bits(max(map(abs, g._c)) * norm) > bits:
             f = Poly.unpack(value, bits)
             w = balanced_bits(g.l1_norm() * norm)
             x = g.pack(w)
-            if (x * prod(cyclotomic_poly(d).pack(w) ** k for d, k in taken.items()) != f.pack(w)
-                    or any(packed_divide_out(x, w, cyclotomic_poly(d), d, 1)[1] for d in left)):
+            if (x * _packed_product(taken, w) != f.pack(w)
+                    or any(packed_divide_out(x, w, cyclotomic_value(d, w), d, 1)[1] for d in left)):
                 bits *= 2
                 value = f.pack(bits)
                 continue

@@ -8,7 +8,9 @@ comes from the Moebius product of the q^e - 1, and the reference
 canonical form is the generic gcd reduction of RatFunc(num, D).
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from qcarlitz.identities import _master_den_exponents, _over_master
 from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits, packed_divide_out
-from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, over_cyclotomic,
+from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
+                            cyclotomic_value, over_cyclotomic,
                             over_cyclotomic_packed, q_int_exponents, q_int_poly,
                             q_power_minus_one_exponents)
 from qcarlitz.ratfunc import RatFunc
@@ -51,6 +54,7 @@ def moebius(m):
     return -sign if m > 1 else sign
 
 
+@lru_cache(maxsize=None)
 def phi_oracle(d):
     """Phi_d = prod over e | d of (q^e - 1)^mu(d/e)."""
     up, down = ONE, ONE
@@ -99,6 +103,23 @@ def test_cyclotomic_poly_matches_sympy():
     for d in [*range(1, 61), 105, 165, 195, 210]:
         expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(d) == Poly([int(c) for c in expected]), d
+
+
+def test_cyclotomic_value_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    # every d <= 210: 105, 165, 195 and 210 are the ones whose Phi_d has a
+    # coefficient of magnitude 2
+    for d in range(1, 211):
+        coeffs = [int(c) for c in sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()]
+        for bits in (8, 16, 64, 256):
+            want = 0
+            for c in coeffs:
+                want = (want << bits) + c
+            assert cyclotomic_value(d, bits) == want, (d, bits)
+            assert cyclotomic_value(d, bits) == cyclotomic_poly(d).pack(bits), (d, bits)
+    with pytest.raises(ValueError):
+        cyclotomic_value(0, 8)
 
 
 @st.composite
@@ -173,7 +194,7 @@ def test_packed_reduction_matches_generic_gcd(case):
 def test_spurious_trial_step_is_caught_by_the_certificate():
     f = Poly([85, 85, 85])
     # 85 (1 + q + q^2) at q = 2^8 is 85 * 65793 = 255 * 21931: the trial passes
-    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_poly(1), 1, 1)
+    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_value(1, 8), 1, 1)
     assert (x, k) == (f.pack(8) // 255, 1)
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 1})
     want = RatFunc(f, phi_oracle(1))
@@ -192,6 +213,40 @@ def test_cyclotomic_product_matches_oracle(exps):
     for d, e in exps.items():
         want = want * phi_oracle(d) ** e
     assert cyclotomic_product(exps) == want
+
+
+@st.composite
+def terms_over_cyclotomic_maps(draw):
+    return draw(st.lists(st.tuples(
+        st.lists(st.integers(-40, 40), max_size=5).map(Poly),
+        st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=4)),
+        min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(terms_over_cyclotomic_maps())
+# both numerators have norm 1, but the left cofactor (q + 1)^12 has norm
+# 2^12: the join is packed at 16 bits, and 1 + (q + 1)^12 has a coefficient
+# 924 that 8 bits do not hold
+@example([(ONE, {}), (ONE, {2: 12})])
+# a zero numerator adds nothing, but its map still enters the lcm
+@example([(ZERO, {3: 1}), (Poly([7]), {})])
+def test_cyclotomic_sum_matches_generic_sum(terms):
+    want = RatFunc(ZERO)
+    lcm = Counter()
+    for num, exps in terms:
+        den = ONE
+        for d, e in exps.items():
+            den = den * phi_oracle(d) ** e
+        want = want + RatFunc(num, den)
+        lcm |= Counter(exps)
+    num, exps = cyclotomic_sum([(num, Counter(exps)) for num, exps in terms])
+    assert +exps == lcm
+    den = ONE
+    for d, e in exps.items():
+        den = den * phi_oracle(d) ** e
+    assert RatFunc(num, den) == want
 
 
 def test_over_cyclotomic_caps_and_scales():
@@ -216,7 +271,7 @@ def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
     quotient = -(q_int_poly(20) ** 3)
     assert least_width(f) == 8 and max(abs(c) for c in quotient.coefficients()) == 300
     # dividing at the width that holds f alone reads a wrong quotient back
-    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_poly(1), 1, 3)
+    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_value(1, 8), 1, 3)
     assert k == 3 and Poly.unpack(x, 8) != quotient
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 3})
     assert (value.num, value.den, left) == (quotient, ONE, {})
