@@ -11,10 +11,11 @@ of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
 over the lcm of the maps (`qcore.cyclotomic_sum`: each join of two halves
-is one integer expression at q = 2^w, w bounding the joined coefficients,
-unpacked once) and reduced once by trial division with the Phi_m
-(`qcore.over_cyclotomic`, the identity checkers' packed reducer).  The
-two routes share only these two calls; neither calls the other's sum.
+is one integer expression at q = 2^w, w bounding the joined coefficients)
+and reduced once by trial division with the Phi_m: the packed sum goes
+straight to `qcore.over_cyclotomic_packed`, the identity checkers'
+reducer, at the width of its last join.  The two routes share only these
+two calls; neither calls the other's sum.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from functools import lru_cache
 from math import comb
 
 from .polyq import ONE, Poly
-from .qcore import (QArg, cyclotomic_sum, over_cyclotomic, q_int_exponents, q_int_poly,
-                    q_power_minus_one_exponents)
+from .qcore import (QArg, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
+                    q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -94,8 +95,9 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
         terms = [(ONE, Counter())] if n == 1 else []
         for i, (num, exps) in enumerate(carried):
             terms.append(((num * -comb(n, i)).shift(d * (i + 1)), exps))
-        num, exps = cyclotomic_sum(terms)
-        value, left = over_cyclotomic(num, exps + q_power_minus_one_exponents(d * (n + 1)))
+        num, bits, exps = cyclotomic_sum(terms)
+        value, left = over_cyclotomic_packed(num, bits,
+                                             exps + q_power_minus_one_exponents(d * (n + 1)))
         values.append(value)
         carried.append((value.num, left))
     return BetaTable(base_exponent=d, values=tuple(values))
@@ -114,10 +116,10 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
             c *= j + h - i
             exps.update(q_int_exponents(j + h - i, d))
         terms.append((Poly([c]).shift(j * e), exps))
-    num, exps = cyclotomic_sum(terms)
+    num, bits, exps = cyclotomic_sum(terms)
     # (1 - q^d)^n = (-1)^n (q^d - 1)^n
-    return over_cyclotomic(-num if n & 1 else num,
-                           exps + q_power_minus_one_exponents(d, n))[0]
+    return over_cyclotomic_packed(-num if n & 1 else num, bits,
+                                  exps + q_power_minus_one_exponents(d, n))[0]
 
 
 def beta_poly(n: int, d: int, x: QArg) -> RatFunc:

@@ -8,12 +8,8 @@ path: by Gauss's lemma an exact quotient of primitive integer polynomials
 is itself integer, so f/g is integer long division of the primitive parts
 times one rational scalar, and any non-integer step proves g does not
 divide f.  The gcd is the subresultant one; the library calls it only
-inside `RatFunc` arithmetic, since the library reduces over cyclotomic
-exponent maps by trial division of packed values instead
-(`packed_divide_out`, certified by `qcore.over_cyclotomic_packed`): each
-trial is one integer remainder by the divisor's value Phi_d(2^B), which
-the caller passes as an integer (`qcore.cyclotomic_value`), and no digit
-is read.
+inside `RatFunc` arithmetic: every other reduction in the library runs
+packed, over cyclotomic exponent maps (`qcore`).
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -21,10 +17,8 @@ each c_i + 2^{B-1} is written as one B/8-byte field, `int.from_bytes`
 reads all fields at once, and one subtraction removes the offsets.
 Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
-`Poly.pack`/`Poly.unpack` expose the pair for integer polynomials;
-`balanced_bits` gives the least B for a coefficient bound, and
-`packed_divide_out` divides a cyclotomic factor, given by its packed
-value, out of a packed value with integer remainders alone.
+`Poly.pack`/`Poly.unpack` expose the pair for integer polynomials, and
+`balanced_bits` gives the least B for a coefficient bound.
 """
 
 from __future__ import annotations
@@ -446,37 +440,6 @@ def _term_text(coeff: Fraction, power: int) -> str:
     if mag.denominator == 1:
         return f"{mag}{qpart}"
     return f"({mag}){qpart}"
-
-
-def _mod_mersenne(x: int, s: int) -> int:
-    # x mod 2^s - 1 in linear time: 2^s = 1 there, so the bits of x above any
-    # multiple h of s fold onto the bits below it
-    while x.bit_length() > s + 1:
-        h = (x.bit_length() // 2 + s - 1) // s * s
-        x = (x >> h) + (x & ((1 << h) - 1))
-    return x % ((1 << s) - 1)
-
-
-def packed_divide_out(value: int, bits: int, divisor: int, period: int,
-                      limit: int) -> tuple[int, int]:
-    """Trial division of a packed polynomial by a cyclotomic factor:
-    (value // divisor**k, k) for the first k <= limit steps that succeed.
-
-    divisor is factor(2**bits) for a monic integer factor of q**period - 1
-    (`qcore.cyclotomic_value` gives Phi_d(2**bits)), so it divides
-    2**(bits * period) - 1, and a trial is one integer remainder: value
-    folded mod 2**(bits * period) - 1, then mod divisor.  A step divides
-    value by divisor exactly.  A failed trial proves that the factor does
-    not divide the polynomial, since its value would then be a multiple of
-    divisor; a passing one can be spurious (85 (1 + q + q^2) at 8 bits over
-    q - 1), so the caller has to certify the result
-    (`qcore.over_cyclotomic_packed`).
-    """
-    k = 0
-    while k < limit and value and not _mod_mersenne(value, bits * period) % divisor:
-        value //= divisor
-        k += 1
-    return value, k
 
 
 def _check_bits(bits: int) -> None:

@@ -7,10 +7,10 @@ prod Phi_d^{e_d}, and all of its arithmetic runs on packed integers, values
 at q = 2^B.  `cyclotomic_value` gives Phi_d(2^B) exactly from the Moebius
 product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
 takes sums over the lcm of the maps, each join one integer product-sum
-at its own width, unpacked once.  One certified reducer gives the
-canonical form by trial division, with no gcd: `over_cyclotomic_packed`
-for a numerator packed as one integer, and `over_cyclotomic` for an
-integer `Poly`.
+at its own width, and returns the last join still packed.  The one
+cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
+a packed numerator by trial division (`packed_divide_out`), with no gcd;
+a trial can pass spuriously, so the reducer certifies its result.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb, isqrt, prod
 from typing import Mapping, Sequence
 
-from .polyq import ONE, Poly, ZERO, balanced_bits, packed_divide_out
+from .polyq import ONE, Poly, ZERO, balanced_bits
 from .ratfunc import RF_ZERO, RatFunc
 
 
@@ -112,8 +112,8 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
-# bounded: a Carlitz pass to n = 40 asks for about 2200 (d, bits) pairs,
-# one to n = 60 for about 6000
+# bounded: a Carlitz pass to n = 40 asks for 2176 (d, bits) pairs, one to
+# n = 60 for 5295
 @lru_cache(maxsize=4096)
 def cyclotomic_value(d: int, bits: int) -> int:
     """Phi_d(2^bits) as an exact integer, from the Moebius product
@@ -157,42 +157,75 @@ def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
     return Poly.unpack(_packed_product(exps, bits), bits)
 
 
-def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
+def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int, Counter[int]]:
     """The sum of num / prod Phi_d^{e_d} over terms (num, {d: e_d}), num an
-    integer polynomial, as one numerator over the lcm of the maps.  Not
-    reduced.
+    integer polynomial, as one numerator over the lcm of the maps, not
+    reduced: (value, bits, lcm) with value the numerator packed at
+    q = 2^bits, the triple `over_cyclotomic_packed` takes.
 
     The two halves are summed first and then joined over the lcm of their
     maps, so a Phi_d is multiplied into about log(len(terms)) cofactors,
-    not into one per term.  A join is one integer expression at q = 2^w,
+    not into one per term.  A join takes its halves unpacked and is one
+    integer expression at q = 2^w,
     left(2^w) prod Phi_d(2^w)^{c_d} + right(2^w) prod Phi_d(2^w)^{c'_d} with
-    c and c' the cofactor maps, unpacked once.  Each join takes its own w,
-    holding ||left||_1 prod ||Phi_d||_1^{c_d} + ||right||_1 prod ||Phi_d||_1^{c'_d}:
+    c and c' the cofactor maps.  Each join takes its own w, holding
+    ||left||_1 prod ||Phi_d||_1^{c_d} + ||right||_1 prod ||Phi_d||_1^{c'_d}:
     that bounds every coefficient of the joined numerator, so its digits
-    are read back exactly and nothing needs certifying.  Products and
-    sums only: no division, no gcd.
+    are exact and nothing needs certifying; a single term packs at the
+    width of its own L1 norm.  Products and sums only: no division, no gcd.
     """
     if len(terms) == 1:
-        return terms[0]
+        num, exps = terms[0]
+        bits = balanced_bits(num.l1_norm())
+        return num.pack(bits), bits, exps
     mid = len(terms) // 2
-    left, left_exps = cyclotomic_sum(terms[:mid])
-    right, right_exps = cyclotomic_sum(terms[mid:])
+    left, left_exps = _unpacked_sum(terms[:mid])
+    right, right_exps = _unpacked_sum(terms[mid:])
     lcm = left_exps | right_exps
     left_cof, right_cof = lcm - left_exps, lcm - right_exps
     bits = balanced_bits(left.l1_norm() * _norm_product(left_cof)
                          + right.l1_norm() * _norm_product(right_cof))
-    return Poly.unpack(left.pack(bits) * _packed_product(left_cof, bits)
-                       + right.pack(bits) * _packed_product(right_cof, bits), bits), lcm
+    return (left.pack(bits) * _packed_product(left_cof, bits)
+            + right.pack(bits) * _packed_product(right_cof, bits)), bits, lcm
 
 
-def over_cyclotomic(num: Poly, exps: Mapping[int, int]) -> tuple[RatFunc, Counter[int]]:
-    """The canonical RatFunc num / prod Phi_d^{e_d} for an integer polynomial
-    num, and the exponent map of its denominator: `over_cyclotomic_packed`
-    on num packed at a width that holds its L1 norm.  A rational num raises
-    ValueError; `RatFunc` reduces those.
+def _unpacked_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
+    # a half of a join as a Poly: a single term as it is, not packed and read back
+    if len(terms) == 1:
+        return terms[0]
+    value, bits, exps = cyclotomic_sum(terms)
+    return Poly.unpack(value, bits), exps
+
+
+def _mod_mersenne(x: int, s: int) -> int:
+    # x mod 2^s - 1 in linear time: 2^s = 1 there, so the bits of x above any
+    # multiple h of s fold onto the bits below it
+    while x.bit_length() > s + 1:
+        h = (x.bit_length() // 2 + s - 1) // s * s
+        x = (x >> h) + (x & ((1 << h) - 1))
+    return x % ((1 << s) - 1)
+
+
+def packed_divide_out(value: int, bits: int, divisor: int, period: int,
+                      limit: int) -> tuple[int, int]:
+    """Trial division of a packed polynomial by a cyclotomic factor:
+    (value // divisor**k, k) for the first k <= limit steps that succeed.
+
+    divisor is factor(2**bits) for a monic integer factor of q**period - 1
+    (`cyclotomic_value` gives Phi_d(2**bits)), so it divides
+    2**(bits * period) - 1, and a trial is one integer remainder: value
+    folded mod 2**(bits * period) - 1, then mod divisor.  A step divides
+    value by divisor exactly.  A failed trial proves that the factor does
+    not divide the polynomial, since its value would then be a multiple of
+    divisor; a passing one can be spurious (85 (1 + q + q^2) at 8 bits over
+    q - 1), so the caller has to certify the result
+    (`over_cyclotomic_packed`).
     """
-    bits = balanced_bits(num.l1_norm())
-    return over_cyclotomic_packed(num.pack(bits), bits, exps)
+    k = 0
+    while k < limit and value and not _mod_mersenne(value, bits * period) % divisor:
+        value //= divisor
+        k += 1
+    return value, k
 
 
 def over_cyclotomic_packed(value: int, bits: int,
@@ -254,7 +287,8 @@ def q_arg_bracket(x: QArg) -> RatFunc:
     """[x]_{q^d} = (q^e - 1)/(q^d - 1) for the carried argument x = e/d."""
     if x.is_integer:
         return q_int(x.e // x.d, x.d)
-    return over_cyclotomic(Poly.q_power(x.e) - ONE, q_power_minus_one_exponents(x.d))[0]
+    # q^e - 1 packed at q = 2^8
+    return over_cyclotomic_packed((1 << 8 * x.e) - 1, 8, q_power_minus_one_exponents(x.d))[0]
 
 
 def multinomial(n: int, k: int, l: int, m: int) -> int:

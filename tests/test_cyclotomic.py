@@ -9,7 +9,6 @@ canonical form is the generic gcd reduction of RatFunc(num, D).
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -17,12 +16,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from qcarlitz import carlitz, qcore
 from qcarlitz.identities import _master_den_exponents, _over_master
-from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits, packed_divide_out
+from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
-                            cyclotomic_value, over_cyclotomic,
-                            over_cyclotomic_packed, q_int_exponents, q_int_poly,
-                            q_power_minus_one_exponents)
+                            cyclotomic_value, over_cyclotomic_packed, packed_divide_out,
+                            q_int_exponents, q_int_poly, q_power_minus_one_exponents)
 from qcarlitz.ratfunc import RatFunc
 
 W_TRIPLES = list(combinations_with_replacement(range(1, 4), 3))
@@ -139,12 +138,12 @@ def numerators_over_master(draw):
 @given(numerators_over_master())
 @example((2, (1, 2, 2), Poly()))
 def test_reduction_matches_generic_gcd(case):
-    # every case through over_cyclotomic (the carlitz path) and packed,
-    # through the identity checkers' reduction
+    # every case through the reducer itself and through the identity
+    # checkers' entry, which carries D's sign
     n, bases, num = case
     want = RatFunc(num, expanded_master_den(n, bases))
     exps = dict(_master_den_exponents(n, bases))
-    got, _ = over_cyclotomic(-num if n % 2 else num, exps)
+    got, _ = reduce_at_least_width(-num if n % 2 else num, exps)
     assert (got.num, got.den) == (want.num, want.den)
     bits = least_width(num)
     got = _over_master(num.pack(bits), bits, n, bases)
@@ -154,6 +153,12 @@ def test_reduction_matches_generic_gcd(case):
 def least_width(f):
     """The least byte width whose balanced digits hold every coefficient of f."""
     return balanced_bits(max((abs(int(c)) for c in f.coefficients()), default=0))
+
+
+def reduce_at_least_width(f, exps):
+    """over_cyclotomic_packed on the integer polynomial f packed at least_width."""
+    bits = least_width(f)
+    return over_cyclotomic_packed(f.pack(bits), bits, exps)
 
 
 @st.composite
@@ -241,7 +246,8 @@ def test_cyclotomic_sum_matches_generic_sum(terms):
             den = den * phi_oracle(d) ** e
         want = want + RatFunc(num, den)
         lcm |= Counter(exps)
-    num, exps = cyclotomic_sum([(num, Counter(exps)) for num, exps in terms])
+    value, bits, exps = cyclotomic_sum([(num, Counter(exps)) for num, exps in terms])
+    num = Poly.unpack(value, bits)
     assert +exps == lcm
     den = ONE
     for d, e in exps.items():
@@ -253,17 +259,14 @@ def test_over_cyclotomic_caps_and_scales():
     phi3 = phi_oracle(3)
     scaled = Poly([2, -1]) * -6
     # the map caps how often Phi_3 comes out; the integer content rides along
-    value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 2})
+    value, left = reduce_at_least_width(scaled * phi3 ** 3, {3: 2})
     assert (value.num, value.den, left) == (scaled * phi3, ONE, {})
-    value, left = over_cyclotomic(scaled * phi3 ** 3, {3: 5})
+    value, left = reduce_at_least_width(scaled * phi3 ** 3, {3: 5})
     assert (value.num, value.den, left) == (scaled, phi3 ** 2, {3: 2})
-    value, left = over_cyclotomic(ZERO, {3: 4})
+    value, left = reduce_at_least_width(ZERO, {3: 4})
     assert (value.num, value.den, left) == (ZERO, ONE, {})
-    value, left = over_cyclotomic(Poly([5]), {1: 4})
+    value, left = reduce_at_least_width(Poly([5]), {1: 4})
     assert (value.num, value.den, left) == (Poly([5]), (Poly.q_power(1) - ONE) ** 4, {1: 4})
-    # rational numerators are RatFunc's to reduce (tests/test_ratfunc.py)
-    with pytest.raises(ValueError):
-        over_cyclotomic(Poly([Fraction(1, 2)]), {1: 1})
 
 
 def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
@@ -276,3 +279,36 @@ def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 3})
     assert (value.num, value.den, left) == (quotient, ONE, {})
 
+
+def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch):
+    # the closed form and the recurrence hand the reducer their sums packed
+    # at the width of the last join, which holds every quotient: no
+    # reduction of either route, d = 1..3 and n <= 20, fails its certificate
+    # and starts again from the numerator packed at twice its width
+    reduce = qcore.over_cyclotomic_packed
+    trials, reruns = [], []
+
+    def divide_out(value, bits, *args):
+        trials.append((value, bits))
+        return packed_divide_out(value, bits, *args)
+
+    def observed(value, bits, exps):
+        start = len(trials)
+        out = reduce(value, bits, exps)
+        wide = Poly.unpack(value, bits).pack(2 * bits)
+        reruns.append((wide, 2 * bits) in trials[start:])
+        return out
+
+    monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
+    # wherever a module binds the reducer by name
+    for module in (qcore, carlitz):
+        if vars(module).get("over_cyclotomic_packed") is reduce:
+            monkeypatch.setattr(module, "over_cyclotomic_packed", observed)
+    carlitz._beta_hk_monomial.cache_clear()
+    for d in (1, 2, 3):
+        carlitz.beta_number_recurrence(20, d)
+        for n in range(21):
+            carlitz.beta_number(n, d)
+    # 60 recurrence steps and 63 closed forms, and any Phi_d built on the way
+    assert len(reruns) >= 123
+    assert not any(reruns)

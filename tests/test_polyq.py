@@ -6,7 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz.polyq import (_KRON_CUTOFF, ONE, Poly, Q, ZERO, _kron_mul, _school_mul,
-                            balanced_bits, packed_divide_out)
+                            balanced_bits)
+from qcarlitz.qcore import packed_divide_out
 
 
 def test_construction_trims_and_normalizes():
