@@ -47,24 +47,19 @@ All permutations (twelve for cross34) share one width B, the least multiple
 of 8 bits holding a bound on every numerator coefficient plus a sign bit,
 so equal integers are equal numerators.  The bound is the same nested sum
 over L1 bounds of the factors (`_Norms`): [b]_q^k and T have non-negative
-coefficients, so their norms are their values at q = 1, and (q - 1) counts
-2.  A slot value's norm is read once from its unpacked value at a width
-that holds its closed-form bound: the slot cofactor (1-q^b)^{n-deg} times
-r <= n - deg q-integers is +-(1-q^b)^{n-deg-r} prod (1-q^{bt}), so at most
-2^{n-deg}, and the beta numerator is at most 2^deg [h]...[h+deg] at q = 1.
-The closed forms alone would widen B, because the alternating beta sum and
-the products of (1 - q^{bt}) cancel: at w = (3, 3, 2), y = (1, 1, 0) thm1
-needs 40, 64 and 96 bits at n = 4, 8 and 12 from the read norms, against
-48, 88 and 136 from the closed forms.
+coefficients, so their norms are their values at q = 1, (q - 1) counts 2,
+and a slot value has the closed-form bound `_slot_bound`.  That bound
+ignores the cancellation in the alternating beta sum and in the products
+of (1 - q^{bt}): at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at 48, 88 and
+136 bits at n = 4, 8 and 12, where the slots' actual norms would give 40,
+64 and 96.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
 (`qcore.over_cyclotomic_packed`), called at the checkers' own width B.
-The reduced numerator can need more than B bits, so the result is
-certified rather than proved to fit: at the thm1 point above with n = 8 the reduced numerator has 64-bit
-coefficients while 64 bits hold the unreduced one (102 against 96 at
-n = 12), and trusting the width there gives a wrong quotient.  A failed
-certificate reruns the reduction at twice the width.
+The reduced numerator can need more bits than the unreduced one, so the
+result is certified rather than proved to fit, and a failed certificate
+reruns the reduction at twice the width.
 """
 
 from __future__ import annotations
@@ -220,10 +215,8 @@ class _Packed:
         """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches.
 
         Its coefficients fit the width, since the bound behind bits holds
-        ||T||_1 times the norms of the other factors of a term, and those
-        are nonzero: a slot value has constant term h when e > 0, and the
-        tests find none that vanishes at e = 0.  A zero one would make
-        `pack` raise, not give a wrong value.
+        ||T||_1 times the bounds of the other factors of a term, and every
+        one of those bounds is at least 1.
         """
         return power_sum_T(tdeg, m, w, b).num.pack(self.bits)
 
@@ -273,14 +266,6 @@ def _slot_bound(n: int, deg: int, h: int, count: int) -> int:
     return (1 << (n - deg)) * (1 << deg) * prod(range(h, h + deg + 1)) * count
 
 
-@lru_cache(maxsize=None)
-def _slot_norm(n: int, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
-    """The L1 norm of `_Packed.slot`, read from its value at a width that
-    holds the closed-form bound."""
-    bits = balanced_bits(_slot_bound(n, deg, h, count))
-    return Poly.unpack(_Packed(n, bits).slot(b, deg, h, e, step, count), bits).l1_norm()
-
-
 class _Norms:
     """L1 bounds of the factors `_Packed` evaluates."""
 
@@ -301,7 +286,7 @@ class _Norms:
         return sum(i ** m for i in range(w + 1))
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        return _slot_norm(self.n, b, deg, h, e, step, count)
+        return _slot_bound(self.n, deg, h, count)
 
 
 # ---------------------------------------------------------------------------

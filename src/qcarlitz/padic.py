@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .carlitz import beta_hk
@@ -57,7 +56,6 @@ def check_step_budget(p: int, levels: int) -> None:
                 f"{STEP_BUDGET} steps; lower N")
 
 
-@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -76,11 +76,16 @@ def _divisors(m: int) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> Poly:
     """Phi_d, the monic integer polynomial whose roots are the primitive
-    d-th roots of unity: q^d - 1 reduced over the Phi_e, e | d, e < d."""
+    d-th roots of unity, unpacked from Phi_d(2^bits).  Those roots lie on
+    the unit circle, so Phi_d has Mahler measure 1 and its coefficients are
+    at most C(phi(d), i) in magnitude: bits holds C(phi(d), phi(d) // 2)."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    # q^d - 1 packed at q = 2^8
-    return over_cyclotomic_packed((1 << 8 * d) - 1, 8, dict.fromkeys(_divisors(d)[:-1], 1))[0].num
+    phi = d
+    for p in _prime_factors(d):
+        phi -= phi // p
+    bits = balanced_bits(comb(phi, phi // 2))
+    return Poly.unpack(cyclotomic_value(d, bits), bits)
 
 
 def q_power_minus_one_exponents(m: int, power: int = 1) -> Counter[int]:
@@ -112,8 +117,8 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
-# bounded: a Carlitz pass to n = 40 asks for 2176 (d, bits) pairs, one to
-# n = 60 for 5295
+# bounded: a Carlitz pass to n = 40 asks for 2158 (d, bits) pairs, one to
+# n = 60 for 5247
 @lru_cache(maxsize=4096)
 def cyclotomic_value(d: int, bits: int) -> int:
     """Phi_d(2^bits) as an exact integer, from the Moebius product

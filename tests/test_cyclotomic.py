@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qcarlitz import carlitz, qcore
-from qcarlitz.identities import _master_den_exponents, _over_master
+from qcarlitz import carlitz, identities, qcore
+from qcarlitz.identities import IdentityParams, _master_den_exponents, _over_master
 from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
                             cyclotomic_value, over_cyclotomic_packed, packed_divide_out,
@@ -98,8 +98,9 @@ def test_q_number_exponent_maps_multiply_back():
 def test_cyclotomic_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    # 105, 165, 195 and 210 index the first Phi_d with a coefficient of magnitude 2
-    for d in [*range(1, 61), 105, 165, 195, 210]:
+    # every d <= 210: 105, 165, 195 and 210 are the ones whose Phi_d has a
+    # coefficient of magnitude 2
+    for d in range(1, 211):
         expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(d) == Poly([int(c) for c in expected]), d
 
@@ -280,11 +281,30 @@ def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
     assert (value.num, value.den, left) == (quotient, ONE, {})
 
 
-def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch):
+def _carlitz_pass():
+    # 60 recurrence steps and 63 closed forms
+    carlitz._beta_hk_monomial.cache_clear()
+    for d in (1, 2, 3):
+        carlitz.beta_number_recurrence(20, d)
+        for n in range(21):
+            carlitz.beta_number(n, d)
+    return 123
+
+
+def _thm1_point():
+    # all six values agree, so one reduction
+    assert identities.thm1_check(IdentityParams(8, (3, 3, 2), (1, 1, 0))).verdict
+    return 1
+
+
+@pytest.mark.parametrize("run", [_carlitz_pass, _thm1_point], ids=["carlitz", "thm1"])
+def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch, run):
     # the closed form and the recurrence hand the reducer their sums packed
-    # at the width of the last join, which holds every quotient: no
-    # reduction of either route, d = 1..3 and n <= 20, fails its certificate
-    # and starts again from the numerator packed at twice its width
+    # at the width of the last join, and the checkers theirs at the width of
+    # the closed-form slot bounds; both widths hold every quotient, so no
+    # reduction fails its certificate and starts again from the numerator
+    # packed at twice its width (at the thm1 point the reduced numerator
+    # has 64-bit coefficients, which 64 bits do not hold)
     reduce = qcore.over_cyclotomic_packed
     trials, reruns = [], []
 
@@ -301,14 +321,9 @@ def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch):
 
     monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
     # wherever a module binds the reducer by name
-    for module in (qcore, carlitz):
+    for module in (qcore, carlitz, identities):
         if vars(module).get("over_cyclotomic_packed") is reduce:
             monkeypatch.setattr(module, "over_cyclotomic_packed", observed)
-    carlitz._beta_hk_monomial.cache_clear()
-    for d in (1, 2, 3):
-        carlitz.beta_number_recurrence(20, d)
-        for n in range(21):
-            carlitz.beta_number(n, d)
-    # 60 recurrence steps and 63 closed forms, and any Phi_d built on the way
-    assert len(reruns) >= 123
+    calls = run()
+    assert len(reruns) == calls
     assert not any(reruns)
