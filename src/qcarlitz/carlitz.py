@@ -32,28 +32,30 @@ from .qcore import (QArg, cyclotomic_sum, over_cyclotomic_packed, q_int_exponent
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
-@lru_cache(maxsize=None)
-def bernoulli_classical(n: int) -> Fraction:
-    """B_n solved literally from (B+1)^n - B_n = delta_{1,n}, B_0 = 1.
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n solved in turn from (B+1)^m - B_m = delta_{1,m}, B_0 = 1.
 
-    The n = 1 instance is vacuous (both B_1 terms cancel and the delta
-    absorbs the constant), so B_n is pinned by the order-(n+1) instance;
+    The m = 1 instance is vacuous (both B_1 terms cancel and the delta
+    absorbs the constant), so B_m is pinned by the order-(m+1) instance;
     solving in that order yields B_1 = -1/2.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if n == 0:
-        return Fraction(1)
-    acc = sum(comb(n + 1, i) * bernoulli_classical(i) for i in range(n))
-    return Fraction(-acc, n + 1)
+    bs = [Fraction(1)]
+    for m in range(1, n + 1):
+        bs.append(-sum(comb(m + 1, i) * b for i, b in enumerate(bs)) / (m + 1))
+    return bs
+
+
+def bernoulli_classical(n: int) -> Fraction:
+    """B_n, with B_1 = -1/2."""
+    return _bernoulli_numbers(n)[n]
 
 
 def bernoulli_poly_classical(n: int, x: Fraction | int) -> Fraction:
     """B_n(x) = sum_l C(n,l) B_l x^(n-l)."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be non-negative")
     x = Fraction(x)
-    return sum((comb(n, l) * bernoulli_classical(l) * x ** (n - l) for l in range(n + 1)),
+    return sum((comb(n, l) * b * x ** (n - l) for l, b in enumerate(_bernoulli_numbers(n))),
                Fraction(0))
 
 

@@ -21,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .carlitz import beta_h, beta_hk, beta_number, beta_number_recurrence, beta_poly
-from .identities import (CHECKS, IdentityParams, IdentityReport, _check, grid_params,
-                         lemma2_coeff_check, sample_grid)
+from .identities import (CHECKS, IdentityParams, IdentityReport, _check, _pair_report,
+                         grid_params, lemma2_coeff_check, sample_grid)
 from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, check_step_budget,
                     verify_eq2_qexp, verify_eq3, witt_check)
 from .polyq import Poly
@@ -64,13 +64,6 @@ def _serialize(report: IdentityReport | PadicReport) -> dict[str, object]:
     if detail is not None:
         out["detail"] = detail
     return out
-
-
-def _pair_report(identity: str, params: dict[str, object], labels: tuple[str, str],
-                 lhs: RatFunc, rhs: RatFunc) -> IdentityReport:
-    verdict = lhs == rhs
-    return IdentityReport(identity, params, labels, (lhs, rhs), verdict,
-                          None if verdict else labels)
 
 
 # ---------------------------------------------------------------------------

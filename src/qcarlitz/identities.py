@@ -395,6 +395,15 @@ def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, 
                           tuple(reduced[num] for num in nums), witness is None, witness)
 
 
+def _pair_report(identity: str, params: dict[str, object], labels: tuple[str, str],
+                 lhs: RatFunc, rhs: RatFunc) -> IdentityReport:
+    """Verdict of a two-sided identity: lhs and rhs are canonical, so
+    equality in Q(q) is literal equality."""
+    verdict = lhs == rhs
+    return IdentityReport(identity, params, labels, (lhs, rhs), verdict,
+                          None if verdict else labels)
+
+
 # name: (least n, the message refusing a smaller n, whether the values
 # read y3 (Theorems 3 and 4 read only y1 and y2), and one (label prefix,
 # numerator builder) pair per expression)
@@ -494,10 +503,7 @@ def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:
     rhs = (Poly.q_power(d) - ONE) * power_sum_T(1, n, w3 - 1, d)
     if n >= 1:
         rhs = rhs + power_sum_T(2, n - 1, w3 - 1, d) * n
-    verdict = lhs == rhs
-    return IdentityReport(
-        "lemma2", {"n": n, "d": d, "w3": w3}, ("lhs", "rhs"), (lhs, rhs),
-        verdict, None if verdict else ("lhs", "rhs"))
+    return _pair_report("lemma2", {"n": n, "d": d, "w3": w3}, ("lhs", "rhs"), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

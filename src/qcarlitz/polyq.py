@@ -2,14 +2,13 @@
 
 A polynomial is stored as a primitive integer coefficient vector plus a
 single positive integer denominator, so bulk arithmetic runs on Python's
-big integers.  Multiplication above a small cutoff packs the vectors into
-one big integer each (Kronecker substitution).  Exact division has one
-path: by Gauss's lemma an exact quotient of primitive integer polynomials
-is itself integer, so f/g is integer long division of the primitive parts
-times one rational scalar, and any non-integer step proves g does not
-divide f.  The gcd is the subresultant one; the library calls it only
-inside `RatFunc` arithmetic: every other reduction in the library runs
-packed, over cyclotomic exponent maps (`qcore`).
+big integers.  Multiplication is the schoolbook product.  Exact division
+has one path: by Gauss's lemma an exact quotient of primitive integer
+polynomials is itself integer, so f/g is integer long division of the
+primitive parts times one rational scalar, and any non-integer step
+proves g does not divide f.  The gcd is the subresultant one; the library
+calls it only inside `RatFunc` arithmetic: every other reduction in the
+library runs packed, over cyclotomic exponent maps (`qcore`).
 
 Packing is byte-wise.  An integer vector c_0..c_{n-1} whose entries lie in
 [-2^{B-1}, 2^{B-1}), B a multiple of 8 bits, becomes its value at q = 2^B:
@@ -26,8 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Sequence
-
-_KRON_CUTOFF = 1600  # len(a)*len(b) above which Kronecker multiplication wins
 
 
 def _content(vec: Sequence[int]) -> int:
@@ -76,14 +73,6 @@ def balanced_bits(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
-def _kron_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
-    # every product coefficient is at most min(len) * amax * bmax in magnitude
-    bits = balanced_bits(amax * bmax * min(len(a), len(b)))
-    return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1)
-
-
 def _school_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -91,14 +80,6 @@ def _school_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _vec_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) * len(b) <= _KRON_CUTOFF:
-        return _school_mul(a, b)
-    return _kron_mul(a, b)
 
 
 def _rv_normalize(vec: list[int], den: int) -> tuple[list[int], int]:
@@ -324,7 +305,7 @@ class Poly:
             return NotImplemented
         if not self._c or not other._c:
             return ZERO
-        return Poly._make(_vec_mul(self._c, other._c), self._den * other._den)
+        return Poly._make(_school_mul(self._c, other._c), self._den * other._den)
 
     __rmul__ = __mul__
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcarlitz.polyq import (_KRON_CUTOFF, ONE, Poly, Q, ZERO, _kron_mul, _school_mul,
-                            balanced_bits)
+from qcarlitz.polyq import ONE, Poly, Q, ZERO, _school_mul, balanced_bits
 from qcarlitz.qcore import packed_divide_out
 
 
@@ -55,15 +54,15 @@ def test_arithmetic_small():
         a ** -1
 
 
-def test_mul_matches_schoolbook_across_cutoff():
-    # degree ~60 operands push the product through the Kronecker path
+def test_mul_matches_packed_product():
+    # the packed product evaluates both factors at q = 2^w and multiplies
+    # two integers: an oracle that shares no code with the schoolbook loop
     rng = Random(7)
     for _ in range(8):
-        av = [rng.randrange(-50, 51) for _ in range(rng.randrange(40, 80))]
-        bv = [rng.randrange(-50, 51) for _ in range(rng.randrange(40, 80))]
-        a, b = Poly(av), Poly(bv)
-        want = _school_mul(av, bv)
-        assert (a * b).coefficients() == Poly(want).coefficients()
+        a = Poly([rng.randrange(-50, 51) for _ in range(rng.randrange(40, 80))])
+        b = Poly([rng.randrange(-50, 51) for _ in range(rng.randrange(40, 80))])
+        w = balanced_bits(a.l1_norm() * b.l1_norm())
+        assert a * b == Poly.unpack(a.pack(w) * b.pack(w), w)
 
 
 def test_mul_large_coefficients():
@@ -203,8 +202,6 @@ def test_packed_product_matches_schoolbook(case, data):
     b = [1] if data is None else data.draw(packable(bits, min_len=1))[0]
     want = _school_mul(a, b)
     if any(a) and any(b):
-        # the multiplication path; Poly never hands it a zero operand
-        assert _kron_mul(a, b) == want
         # a width from the L1 norms holds every product coefficient (and
         # each factor's, as long as neither factor vanishes)
         width = balanced_bits(Poly(a).l1_norm() * Poly(b).l1_norm())
@@ -293,8 +290,8 @@ def test_divexact_refuses_a_remainder(f, g, r):
 
 
 # ---------------------------------------------------------------------------
-# ring axioms: Poly is the reference the packed paths are checked against,
-# so its + and * are checked on both sides of the Kronecker cutoff
+# ring axioms for + and *: Poly is the reference the packed paths are
+# checked against
 
 RING_COEF = st.one_of(st.integers(-60, 60),
                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
@@ -302,7 +299,7 @@ RING_COEF = st.one_of(st.integers(-60, 60),
 
 @st.composite
 def ring_polys(draw):
-    """Up to 70 coefficients: products of two fall on both sides of _KRON_CUTOFF."""
+    """Up to 70 coefficients, shifted by up to q^2."""
     return Poly(draw(st.lists(RING_COEF, max_size=70))).shift(draw(st.integers(0, 2)))
 
 
@@ -313,12 +310,11 @@ LONG_B = Poly([Fraction((3 * i) % 7 - 3, 1 + i % 2) for i in range(55)])
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(ring_polys(), ring_polys(), ring_polys())
-@example(LONG_A, LONG_B, SHORT)    # Kronecker products on every side
+@example(LONG_A, LONG_B, SHORT)
 @example(SHORT, LONG_A, LONG_B)
 @example(LONG_A, ZERO, LONG_B)
 @example(ONE, SHORT, -SHORT)
 def test_ring_axioms(a, b, c):
-    assert len(LONG_A.coefficients()) * len(LONG_B.coefficients()) > _KRON_CUTOFF
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
