@@ -16,6 +16,13 @@ and reduced once by trial division with the Phi_m: the packed sum goes
 straight to `qcore.over_cyclotomic_packed`, the identity checkers'
 reducer, at the width of its last join.  The two routes share only these
 two calls; neither calls the other's sum.
+
+The closed form in base q^d at z = q^e uses only powers of q^g, with
+g = gcd(d, e), so it is computed once in base q^{d/g} at q^{e/g} and
+carried over by q -> q^g, which keeps the value canonical.  Every
+beta_number thus reduces to base q.  The recurrence stays native in
+every base, so comparing the two routes still compares two independent
+computations at d > 1.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .polyq import ONE, Poly
 from .qcore import (QArg, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
@@ -69,7 +76,9 @@ class BetaTable:
 
 def beta_number(n: int, d: int = 1) -> RatFunc:
     """beta_{n,q^d} by the closed form
-    (1/(1-q^d)^n) * sum_l C(n,l) (-1)^l (l+1)/[l+1]_{q^d}."""
+    (1/(1-q^d)^n) * sum_l C(n,l) (-1)^l (l+1)/[l+1]_{q^d}.
+
+    That is beta_{n,q} with q -> q^d, so only the base-q sum is reduced."""
     if n < 0:
         raise ValueError("index must be non-negative")
     if d < 1:
@@ -107,9 +116,22 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
 
 @lru_cache(maxsize=None)
 def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
-    # shared closed-form core: argument enters only through z = q^e
+    """Shared closed-form core: the argument enters only through z = q^e.
+
+    Every power of q in the sum is a multiple of g = gcd(d, e), so for
+    g > 1 the value is the base-q^{d/g} value at q^{e/g} with q -> q^g.
+    That substitution is a ring homomorphism of Q[q] that keeps every
+    coefficient: it carries a Bezout identity A N + B D = 1 of the
+    reduced pair to one of the substituted pair, so they stay coprime,
+    and the denominator stays monic.  The result is canonical with no
+    further reduction, and only g = 1 reaches the cyclotomic sum.
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
+    g = gcd(d, e)
+    if g > 1:
+        # through the module name, so the base-q^{d/g} value is cached
+        return _beta_hk_monomial(n, h, k, d // g, e // g).substitute_power(g)
     terms = []
     for j in range(n + 1):
         c = comb(n, j) * (-1 if j & 1 else 1)

@@ -223,3 +223,27 @@ def test_beta_families_need_no_gcd(monkeypatch):
     assert beta_number(12, 3) == want_closed[12]
     assert list(beta_number_recurrence(12, 3).values) == want_closed
     assert beta_hk(6, 4, 3, 2, QArg(5, 2)) == want_hk
+
+
+# gcd(d, e) = g > 1, with 1 < g < d at (6, 4), (6, 3) and (6, 9)
+SUBSTITUTED_BASES = [(2, 0), (3, 0), (6, 0), (2, 4), (3, 6), (6, 4), (6, 3), (6, 9)]
+
+
+@pytest.mark.parametrize("d, e", SUBSTITUTED_BASES)
+def test_substituted_closed_form_matches_generic_sum(d, e):
+    # a cold cache, so each value is built by the substitution path
+    carlitz._beta_hk_monomial.cache_clear()
+    for n in range(9):
+        assert beta_poly(n, d, QArg(e, d)) == closed_form_by_gcd(n, 1, 1, d, e), (n, d, e)
+        assert beta_hk(n, 3, 2, d, QArg(e, d)) == closed_form_by_gcd(n, 3, 2, d, e), (n, d, e)
+
+
+def test_recurrence_stays_native_in_base_q_d(monkeypatch):
+    want = [closed_form_by_gcd(n, 1, 1, 3, 0) for n in range(13)]
+
+    def refuse(self, d):
+        raise AssertionError("substitute_power called")
+
+    monkeypatch.setattr(Poly, "substitute_power", refuse)
+    monkeypatch.setattr(RatFunc, "substitute_power", refuse)
+    assert list(beta_number_recurrence(12, 3).values) == want
