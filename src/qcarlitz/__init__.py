@@ -13,13 +13,12 @@ from .carlitz import (BetaTable, bernoulli_classical, bernoulli_poly_classical,
 from .identities import (ALL_PERMUTATIONS, IdentityParams, IdentityReport,
                          Permutation3, cross34_check, grid_params,
                          lemma2_coeff_check, sample_grid, thm1_check,
-                         thm1_expr, thm3_check, thm3_expr, thm4_check,
-                         thm4_expr)
+                         thm3_check, thm4_check)
 from .padic import (IntegrandSpec, PadicInt, PadicReport, VolkenbornJob,
-                    padic_exp, padic_log, verify_eq2_qexp, verify_eq3,
-                    volkenborn_approx, volkenborn_scaled, witt_check)
+                    padic_log, verify_eq2_qexp, verify_eq3, volkenborn_approx,
+                    volkenborn_scaled, witt_check)
 from .polyq import Poly
-from .qcore import QArg, multinomial, power_sum_T, q_arg_bracket, q_int, q_int_poly
+from .qcore import QArg, power_sum_T, q_int, q_int_poly
 from .ratfunc import RatFunc, rf_eval_rational
 
 __version__ = "0.1.0"
@@ -30,10 +29,8 @@ __all__ = [
     "QArg", "RatFunc", "VolkenbornJob", "bernoulli_classical",
     "bernoulli_poly_classical", "beta_h", "beta_hk", "beta_number",
     "beta_number_recurrence", "beta_poly", "beta_poly_expansion",
-    "cross34_check", "grid_params", "lemma2_coeff_check", "multinomial",
-    "padic_exp", "padic_log", "power_sum_T", "q_arg_bracket", "q_int",
-    "q_int_poly", "rf_eval_rational", "sample_grid", "thm1_check",
-    "thm1_expr", "thm3_check", "thm3_expr", "thm4_check", "thm4_expr",
-    "verify_eq2_qexp", "verify_eq3", "volkenborn_approx",
-    "volkenborn_scaled", "witt_check",
+    "cross34_check", "grid_params", "lemma2_coeff_check", "padic_log",
+    "power_sum_T", "q_int", "q_int_poly", "rf_eval_rational", "sample_grid",
+    "thm1_check", "thm3_check", "thm4_check", "verify_eq2_qexp",
+    "verify_eq3", "volkenborn_approx", "volkenborn_scaled", "witt_check",
 ]

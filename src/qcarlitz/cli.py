@@ -291,14 +291,11 @@ def cmd_compute(a: argparse.Namespace) -> int:
 
 
 def cmd_verify(a: argparse.Namespace) -> int:
-    for name in ("n_max", "y_max", "sample"):
+    for name, least in (("n_max", 0), ("y_max", 0), ("w_max", 1), ("sample", 1)):
         flag = getattr(a, name)
-        if flag is not None and flag < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be non-negative")
-    if a.w_max is not None and a.w_max < 1:
-        raise ValueError("--w-max must be positive")
-    if a.sample is not None and a.sample == 0:
-        raise ValueError("--sample must be positive")
+        if flag is not None and flag < least:
+            rule = "positive" if least else "non-negative"
+            raise ValueError(f"--{name.replace('_', '-')} must be {rule}")
     jobs = _resolve_jobs(a.jobs)
     suites = SUITES if a.suite == "all" else (a.suite,)
     grid: dict[str, object] = {}

@@ -73,8 +73,7 @@ from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, balanced_bits
-from .qcore import (QArg, over_cyclotomic_packed, power_sum_T, q_int_exponents,
-                    q_power_minus_one_exponents)
+from .qcore import QArg, over_cyclotomic_packed, power_sum_T, q_power_minus_one_exponents
 from .ratfunc import RatFunc
 
 @dataclass(frozen=True, order=True)
@@ -123,7 +122,6 @@ class Permutation3:
 
 
 ALL_PERMUTATIONS = tuple(Permutation3(p) for p in permutations((1, 2, 3)))
-IDENTITY_PERMUTATION = ALL_PERMUTATIONS[0]
 
 
 @dataclass(frozen=True)
@@ -151,13 +149,15 @@ def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[in
     """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
 
-    (1-q^b)^n = (-1)^n (q^b - 1)^n; the three bases give the sign (-1)^{3n}.
+    Each [t]_{q^b} = (q^{bt} - 1)/(q^b - 1) takes one factor of
+    (1-q^b)^n = (-1)^n (q^b - 1)^n, so a slot is
+    (-1)^n prod_{t=2..n+1} (q^{bt} - 1); the three bases give the sign
+    (-1)^{3n}.
     """
     exps: Counter[int] = Counter()
     for b in bases:
-        exps.update(q_power_minus_one_exponents(b, n))
         for t in range(2, n + 2):
-            exps.update(q_int_exponents(t, b))
+            exps.update(q_power_minus_one_exponents(b * t))
     return tuple(sorted(exps.items()))
 
 
@@ -416,18 +416,14 @@ CHECKS = {
 }
 
 
-def _parts(identity: str, params: IdentityParams) -> tuple:
+def _check(identity: str, params: IdentityParams) -> IdentityReport:
     least_n, refusal, _, parts = CHECKS[identity]
     if params.n < least_n:
         raise ValueError(refusal)
-    return parts
-
-
-def _check(identity: str, params: IdentityParams) -> IdentityReport:
     W = params.w_product
     labels = []
     nums = []
-    for prefix, num_fn in _parts(identity, params):
+    for prefix, num_fn in parts:
         for sigma in ALL_PERMUTATIONS:
             bases, w3s = _sigma_bases(params.w, sigma)
             labels.append(prefix + sigma.label)
@@ -436,37 +432,18 @@ def _check(identity: str, params: IdentityParams) -> IdentityReport:
                              *_packed_nums(params.n, nums))
 
 
-def _expr(identity: str, params: IdentityParams, sigma: Permutation3) -> RatFunc:
-    [(_, num_fn)] = _parts(identity, params)
-    bases, w3s = _sigma_bases(params.w, sigma)
-    [num], bits = _packed_nums(params.n, [(num_fn, params.w_product, params.y, bases, w3s)])
-    return _over_master(num, bits, params.n, _sorted_bases(params.w))
-
-
-def thm1_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
-    """One permutation's value of the triple product-sum identity."""
-    return _expr("thm1", params, sigma)
-
-
 def thm1_check(params: IdentityParams) -> IdentityReport:
+    """Six-way check of the triple product-sum identity."""
     return _check("thm1", params)
 
 
-def thm3_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
-    """One permutation's value of the two-part sum with T-factors."""
-    return _expr("thm3", params, sigma)
-
-
 def thm3_check(params: IdentityParams) -> IdentityReport:
+    """Six-way check of the two-part sum with T-factors."""
     return _check("thm3", params)
 
 
-def thm4_expr(params: IdentityParams, sigma: Permutation3) -> RatFunc:
-    """One permutation's value of the binomial sum with inner w3-fold sums."""
-    return _expr("thm4", params, sigma)
-
-
 def thm4_check(params: IdentityParams) -> IdentityReport:
+    """Six-way check of the binomial sum with inner w3-fold sums."""
     return _check("thm4", params)
 
 

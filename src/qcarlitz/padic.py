@@ -185,33 +185,6 @@ def padic_log(u: PadicInt) -> PadicInt:
     return PadicInt(p, K, acc)
 
 
-def padic_exp(t: PadicInt) -> PadicInt:
-    """sum_{k>=0} t^k / k!; converges for v_p(t) >= 1, p odd, keeping K digits
-    since v_p(k!) = (k - digitsum(k))/(p-1) <= (k-1) v_p(t)."""
-    p, K = t.p, t.K
-    if p == 2:
-        raise ValueError("exp domain: p must be odd")
-    if t.residue % p:
-        raise ValueError("exp domain: argument must be 0 (mod p)")
-    if t.residue == 0:
-        return PadicInt(p, K, 1)
-    m = p ** K
-    vt = _int_val(t.residue, p)
-    acc = 1
-    k = 1
-    fact_v = 0
-    fact_unit = 1
-    # same envelope as the log: v_p(k!) = (k - digitsum(k))/(p-1) <= (k-1)/(p-1)
-    while k * vt * (p - 1) - (k - 1) < K * (p - 1):
-        kv = _int_val(k, p)
-        fact_v += kv
-        fact_unit = fact_unit * (k // p ** kv) % m
-        term = pow(t.residue, k, m * p ** fact_v) // p ** fact_v
-        acc = (acc + term * pow(fact_unit, -1, m)) % m
-        k += 1
-    return PadicInt(p, K, acc)
-
-
 @dataclass(frozen=True)
 class IntegrandSpec:
     """f(x) = q^{c x} [x+s]_q^m."""

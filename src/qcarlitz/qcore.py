@@ -1,4 +1,4 @@
-"""q-integers, bracket arguments, multinomials, and q-power sums.
+"""q-integers, q-power sums, and the cyclotomic arithmetic of denominators.
 
 Every denominator the library builds is a product of cyclotomic
 polynomials, since q^m - 1 = prod over d | m of Phi_d.  Such a product is
@@ -286,23 +286,6 @@ def over_cyclotomic_packed(value: int, bits: int,
 
 def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
-
-
-def q_arg_bracket(x: QArg) -> RatFunc:
-    """[x]_{q^d} = (q^e - 1)/(q^d - 1) for the carried argument x = e/d."""
-    if x.is_integer:
-        return q_int(x.e // x.d, x.d)
-    # q^e - 1 packed at q = 2^8
-    return over_cyclotomic_packed((1 << 8 * x.e) - 1, 8, q_power_minus_one_exponents(x.d))[0]
-
-
-def multinomial(n: int, k: int, l: int, m: int) -> int:
-    """n!/(k! l! m!) for a genuine three-part composition of n."""
-    if min(n, k, l, m) < 0:
-        raise ValueError("multinomial arguments must be non-negative")
-    if k + l + m != n:
-        raise ValueError(f"parts {k}+{l}+{m} do not sum to {n}")
-    return comb(n, k) * comb(n - k, l)
 
 
 @lru_cache(maxsize=None)

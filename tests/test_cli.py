@@ -230,3 +230,7 @@ def test_verify_bound_validation(capsys):
     code, _, err = run(capsys, "verify", "--suite", "thm1", "--w-max", "0")
     assert code == 2
     assert "must be positive" in err
+    for sample in ("-1", "0"):
+        code, _, err = run(capsys, "verify", "--suite", "thm1", "--sample", sample)
+        assert code == 2
+        assert "--sample must be positive" in err

@@ -4,10 +4,10 @@ Each case runs one suite at its default grid (or at a grid named in the
 case) and compares the sha256 of the report with the digest checked in
 beside this file.  A change to the algebra that keeps every verdict but
 alters one canonical form, one coefficient string or the row order fails
-here.  The README's `compute` and `table` examples are compared with the
-output of the same commands.
+here.  The README's `compute`, `table` and thm1 `verify` examples are
+compared with the output of the same commands.
 
-Every case but lemma2, and both README examples, run with `Poly.gcd` and
+Every case but lemma2, and every README example, run with `Poly.gcd` and
 `Poly.divexact` raising: the suites reduce over cyclotomic exponent maps,
 and only lemma2 sums beta_hk values through public `RatFunc` arithmetic.
 
@@ -75,8 +75,11 @@ def _readme_output(command: str) -> list[str]:
     return lines[start:lines.index("```", start)]
 
 
-@pytest.mark.parametrize("command", ["qcarlitz compute beta --n 2",
-                                     "qcarlitz table beta --n-max 3"])
+@pytest.mark.parametrize("command", [
+    "qcarlitz compute beta --n 2",
+    "qcarlitz table beta --n-max 3",
+    "qcarlitz verify --suite thm1 --n-max 2 --w-max 2 --y-max 1 --sample 6",
+])
 def test_readme_example_output(command, capsys, monkeypatch):
     _refuse_generic_algebra(monkeypatch)
     assert cli.main(command.split()[1:]) == 0

@@ -15,15 +15,13 @@ from math import comb, factorial
 import pytest
 
 from qcarlitz.carlitz import beta_h, beta_poly
-from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IDENTITY_PERMUTATION,
-                                 IdentityParams, Permutation3, _check, _Packed, _packed_nums,
-                                 _slot_bound, _thm1_num, _thm3_num,
-                                 _thm4_num, cross34_check, grid_params,
+from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
+                                 _check, _Packed, _packed_nums, _slot_bound, _thm1_num,
+                                 _thm3_num, _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
-                                 thm1_expr, thm3_check, thm3_expr, thm4_check,
-                                 thm4_expr)
+                                 thm3_check, thm4_check)
 from qcarlitz.polyq import ONE, ZERO, Poly
-from qcarlitz.qcore import QArg, multinomial, power_sum_T, q_int, q_int_poly
+from qcarlitz.qcore import QArg, power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 QM1 = RatFunc(Poly([-1, 1]))
@@ -40,6 +38,17 @@ def sigma_data(p, sigma):
 
 def lattice(n):
     return [(k, l, n - k - l) for k in range(n + 1) for l in range(n - k + 1)]
+
+
+def multinomial(n, k, l, m):
+    """n!/(k! l! m!) for a composition (k, l, m) of n."""
+    assert k + l + m == n
+    return comb(n, k) * comb(n - k, l)
+
+
+def value_of(report, sigma):
+    """The report's canonical value for the permutation sigma."""
+    return report.values[report.labels.index(sigma.label)]
 
 
 def naive_thm1(p, sigma):
@@ -150,7 +159,7 @@ def test_permutation_validation_and_arrange():
     s = Permutation3((2, 3, 1))
     assert s.label == "231"
     assert s.arrange((10, 20, 30)) == (20, 30, 10)
-    assert IDENTITY_PERMUTATION.arrange((10, 20, 30)) == (10, 20, 30)
+    assert ALL_PERMUTATIONS[0].arrange((10, 20, 30)) == (10, 20, 30)
     assert len(ALL_PERMUTATIONS) == 6
     assert tuple(s.label for s in ALL_PERMUTATIONS) == (
         "123", "132", "213", "231", "312", "321")
@@ -162,30 +171,30 @@ def test_permutation_validation_and_arrange():
 
 def test_thm1_degree_zero_is_one():
     for w in [(1, 1, 1), (2, 3, 1)]:
-        p = IdentityParams(0, w, (1, 2, 0))
-        for s in ALL_PERMUTATIONS:
-            assert thm1_expr(p, s) == RF_ONE
-    r = thm1_check(IdentityParams(0, (2, 3, 1), (1, 2, 0)))
-    assert r.verdict
-    assert all(v == RF_ONE for v in r.values)
+        r = thm1_check(IdentityParams(0, w, (1, 2, 0)))
+        assert r.verdict
+        assert all(v == RF_ONE for v in r.values)
 
 
 def test_thm1_matches_direct_evaluation():
     for p in PTS1:
+        r = thm1_check(p)
         for s in SOME_SIGMAS:
-            assert thm1_expr(p, s) == naive_thm1(p, s), (p, s.label)
+            assert value_of(r, s) == naive_thm1(p, s), (p, s.label)
 
 
 def test_thm3_matches_direct_evaluation():
     for p in PTS34:
+        r = thm3_check(p)
         for s in SOME_SIGMAS:
-            assert thm3_expr(p, s) == naive_thm3(p, s), (p, s.label)
+            assert value_of(r, s) == naive_thm3(p, s), (p, s.label)
 
 
 def test_thm4_matches_direct_evaluation():
     for p in PTS34:
+        r = thm4_check(p)
         for s in SOME_SIGMAS:
-            assert thm4_expr(p, s) == naive_thm4(p, s), (p, s.label)
+            assert value_of(r, s) == naive_thm4(p, s), (p, s.label)
 
 
 def test_six_way_reports():
@@ -258,15 +267,13 @@ def test_lemma2_grid():
 
 PUBLIC_CHECKS = {"thm1": thm1_check, "thm3": thm3_check, "thm4": thm4_check,
                  "cross34": cross34_check}
-PUBLIC_EXPRS = {"thm3": thm3_expr, "thm4": thm4_expr}
 REFUSALS = {"thm3": "Theorem 3 requires positive n",
             "thm4": "Theorem 4 requires positive n",
             "cross34": "cross-theorem check requires positive n"}
 
 
 def test_positive_degree_required():
-    # each check refuses the degree below its least n with its own message,
-    # through the report and through one permutation's value
+    # each check refuses the degree below its least n with its own message
     assert set(CHECKS) == set(PUBLIC_CHECKS)
     assert {name for name, (least_n, *_) in CHECKS.items() if least_n > 0} == set(REFUSALS)
     for name, (least_n, refusal, _, _) in CHECKS.items():
@@ -278,9 +285,6 @@ def test_positive_degree_required():
             _check(name, below)
         with pytest.raises(ValueError, match=REFUSALS[name]):
             PUBLIC_CHECKS[name](below)
-        if name in PUBLIC_EXPRS:
-            with pytest.raises(ValueError, match=REFUSALS[name]):
-                PUBLIC_EXPRS[name](below, IDENTITY_PERMUTATION)
 
 
 def test_checks_that_ignore_y3_give_the_same_values_at_any_y3():

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from qcarlitz.carlitz import beta_hk, beta_number
 from qcarlitz.padic import (IntegrandSpec, PadicInt, VolkenbornJob,
-                            check_step_budget, padic_exp, padic_log,
-                            verify_eq2_qexp, verify_eq3, volkenborn_approx,
-                            volkenborn_scaled, witt_check)
+                            check_step_budget, padic_log, verify_eq2_qexp,
+                            verify_eq3, volkenborn_approx, volkenborn_scaled,
+                            witt_check)
 from qcarlitz.qcore import QArg
 from qcarlitz.ratfunc import rf_eval_rational
 
@@ -125,23 +125,11 @@ def test_log_term_valuation_is_not_monotone():
     assert padic_log(PadicInt(3, 8, 4)).residue == log_oracle(4, 3, 8)
 
 
-def test_exp_log_round_trips():
-    for p, K in [(3, 6), (5, 5), (7, 4)]:
-        for ures in [1 + p, 1 + 3 * p, 1 + p ** 2 + p]:
-            u = PadicInt(p, K, ures)
-            assert padic_exp(padic_log(u)) == u
-        for tres in [p, 2 * p, p * p + p]:
-            t = PadicInt(p, K, tres)
-            assert padic_log(padic_exp(t)) == t
-
-
 def test_log_exp_domains():
     with pytest.raises(ValueError, match="log domain"):
         padic_log(PadicInt(3, 4, 2))
     with pytest.raises(ValueError, match="log domain"):
         padic_log(PadicInt(2, 4, 3))
-    with pytest.raises(ValueError, match="exp domain"):
-        padic_exp(PadicInt(3, 4, 1))
 
 
 VOLKENBORN_CASES = [

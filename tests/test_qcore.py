@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import (QArg, multinomial, power_sum_T, q_arg_bracket,
-                            q_int, q_int_poly)
+from qcarlitz.qcore import QArg, power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RatFunc
 
 
@@ -63,34 +62,6 @@ def test_qarg():
         QArg(-1, 2)
     with pytest.raises(ValueError):
         QArg(0, 0)
-
-
-def test_q_arg_bracket(monkeypatch):
-    # [e/d]_{q^d} = (1 - q^e)/(1 - q^d), fractional arguments included
-    args = [QArg(3, 2), QArg(4, 6), QArg(9, 6), QArg(10, 4), QArg(4, 2), QArg(0, 5)]
-    want = [RatFunc(ONE - Poly.q_power(x.e), ONE - Poly.q_power(x.d)) for x in args]
-    want[0] = RatFunc(Poly([1, 1, 1]), Poly([1, 1]))
-
-    def refuse(self, other):
-        raise AssertionError("generic gcd or division called")
-
-    monkeypatch.setattr(Poly, "gcd", refuse)
-    monkeypatch.setattr(Poly, "divexact", refuse)
-    # q_arg_bracket has no cache, so every bracket is built under the refusal
-    got = [q_arg_bracket(x) for x in args]
-    assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
-    assert got[-2] == q_int(2, 2)
-    assert got[-1] == RatFunc(0)
-
-
-def test_multinomial():
-    assert multinomial(5, 2, 2, 1) == 30
-    assert multinomial(0, 0, 0, 0) == 1
-    assert multinomial(4, 4, 0, 0) == 1
-    with pytest.raises(ValueError):
-        multinomial(5, 2, 2, 2)
-    with pytest.raises(ValueError):
-        multinomial(3, -1, 2, 2)
 
 
 def test_power_sum_examples():
