@@ -114,7 +114,9 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     return BetaTable(base_exponent=d, values=tuple(values))
 
 
-@lru_cache(maxsize=None)
+# bounded: the test suite in one process reaches 282 keys, a carlitz-cross
+# pass to n = 60 183
+@lru_cache(maxsize=512)
 def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
     """Shared closed-form core: the argument enters only through z = q^e.
 

@@ -144,7 +144,9 @@ class IdentityReport:
 # the master denominator
 
 
-@lru_cache(maxsize=None)
+# bounded: the test suite in one process reaches 71 (n, bases) keys, the
+# thm1 grid to n = 4, w = 3, y = 2 50
+@lru_cache(maxsize=256)
 def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
     """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.

@@ -421,10 +421,10 @@ def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicRepor
         raise ValueError("n and x must be non-negative")
     p, q0, N, K = job.p, job.q0, job.N, job.K
     check_step_budget(p, k * N)
-    exact = rf_eval_rational(beta_hk(n, h, k, 1, QArg(x, 1)), q0)
     if K <= k * N:
         raise ValueError(
             f"precision underflow: k={k} needs K >= {k * N + 1}, got {K}")
+    exact = rf_eval_rational(beta_hk(n, h, k, 1, QArg(x, 1)), q0)
     # the first k of q^{(h-1) y1} q^{y1} and q^{(h-2) y2} q^{y2}
     e, y = _scaled_level(p, q0, N, K, (h, h - 1)[:k], n, x)
     out = y.K

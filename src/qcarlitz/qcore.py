@@ -10,7 +10,8 @@ takes sums over the lcm of the maps, each join one integer product-sum
 at its own width, and returns the last join still packed.  The one
 cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
 a packed numerator by trial division (`packed_divide_out`), with no gcd;
-a trial can pass spuriously, so the reducer certifies its result.
+a trial can pass spuriously, so the reducer certifies its result with one
+coefficient bound and at most one integer product.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class QArg:
         return self.e // self.d
 
 
-@lru_cache(maxsize=None)
+# bounded: the test suite in one process reaches 91 keys, qlaws 51
+@lru_cache(maxsize=256)
 def q_int_poly(x: int, d: int = 1) -> Poly:
     """[x]_{q^d} = 1 + q^d + ... + q^{d(x-1)} as a plain polynomial."""
     if x < 0:
@@ -73,7 +75,9 @@ def _divisors(m: int) -> list[int]:
     return small + [m // d for d in reversed(small) if d * d != m]
 
 
-@lru_cache(maxsize=None)
+# bounded: the test suite in one process reaches 210 (every d <= 210), a
+# carlitz-cross pass to n = 60 123
+@lru_cache(maxsize=512)
 def cyclotomic_poly(d: int) -> Poly:
     """Phi_d, the monic integer polynomial whose roots are the primitive
     d-th roots of unity, unpacked from Phi_d(2^bits).  Those roots lie on
@@ -141,7 +145,7 @@ def cyclotomic_value(d: int, bits: int) -> int:
 
 def _norm_product(exps: Mapping[int, int]) -> int:
     # prod ||Phi_d||_1^{e_d}: it bounds every coefficient of prod Phi_d^{e_d}
-    # and, times ||f||_1, every coefficient of f prod Phi_d^{e_d}
+    # and, times ||f||_inf, every coefficient of f prod Phi_d^{e_d}
     return prod(cyclotomic_poly(d).l1_norm() ** e for d, e in exps.items())
 
 
@@ -244,19 +248,19 @@ def over_cyclotomic_packed(value: int, bits: int,
     coprime pair with a monic denominator: the canonical form that a gcd
     against the expanded denominator would give.
 
-    Every step is an exact integer division, so the quotient x, unpacked
+    Every step is an exact integer division, so the quotient, unpacked
     once as g, satisfies g(2^bits) prod Phi_d(2^bits)^k_d = f(2^bits), but a
     trial can pass spuriously and g can outgrow the width, so the result
-    is certified.  If ||g||_inf prod ||Phi_d||_1^k_d < 2^(bits-1), it bounds
-    every coefficient of g prod Phi_d^k_d, so both sides of that integer
-    identity are balanced bits-wide digits of one integer: the same
-    polynomial.  Then every step was a polynomial division, and every
-    failed trial proves that its Phi_d does not divide g.  Otherwise f is
-    unpacked, g * prod Phi_d^k_d must equal f at q = 2^w, w holding
-    ||g||_1 prod ||Phi_d||_1^k_d (both sides fit, so as polynomials), and no
-    trial by a Phi_d that is left may pass at w (a spurious pass costs a
-    retry, not a wrong answer).  Failing that, the same reduction runs
-    again at twice the width.
+    is certified by one bound: w holds ||g||_inf prod ||Phi_d||_1^k_d, which
+    bounds every coefficient of g prod Phi_d^k_d, since
+    ||a b||_inf <= ||a||_inf ||b||_1.  If w <= bits, both sides of that
+    identity are balanced bits-wide digits of one integer; otherwise they
+    must agree at q = 2^w, where both fit.  Either way
+    f = g prod Phi_d^k_d as polynomials, so every value the trials saw is
+    the exact value at 2^bits of a polynomial that g divides, and every
+    failed trial proves that its Phi_d does not divide g: nothing left
+    needs a second trial.  If the product at 2^w disagrees, the same
+    reduction runs again at twice the width.
     """
     if not value:
         return RF_ZERO, Counter()
@@ -271,13 +275,10 @@ def over_cyclotomic_packed(value: int, bits: int,
             if k < exps[d]:
                 left[d] = exps[d] - k
         g = Poly.unpack(x, bits)
-        norm = _norm_product(taken)
-        if balanced_bits(max(map(abs, g._c)) * norm) > bits:
+        w = balanced_bits(max(map(abs, g._c)) * _norm_product(taken))
+        if w > bits:
             f = Poly.unpack(value, bits)
-            w = balanced_bits(g.l1_norm() * norm)
-            x = g.pack(w)
-            if (x * _packed_product(taken, w) != f.pack(w)
-                    or any(packed_divide_out(x, w, cyclotomic_value(d, w), d, 1)[1] for d in left)):
+            if g.pack(w) * _packed_product(taken, w) != f.pack(w):
                 bits *= 2
                 value = f.pack(bits)
                 continue
@@ -288,7 +289,9 @@ def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 
 
-@lru_cache(maxsize=None)
+# bounded: the test suite in one process reaches 233 keys, lemma2 to n = 12
+# 225, the cross34 grid to n = 3, w = 3, y = 2 144
+@lru_cache(maxsize=512)
 def power_sum_T(n: int, m: int, w: int, d: int = 1) -> RatFunc:
     """T_{n,m}(w | q^d) = sum_{i=0..w} q^{dni} [i]_{q^d}^m, always a polynomial."""
     if min(n, m, w) < 0:

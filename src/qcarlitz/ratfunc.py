@@ -37,7 +37,7 @@ class RatFunc:
             # a constant denominator is coprime to num: only the scaling remains
             if den.degree > 0:
                 g = num.gcd(den)
-                if g.degree > 0 or g.leading_coeff != 1:
+                if g.degree > 0:
                     num = num.divexact(g)
                     den = den.divexact(g)
             lc = den.leading_coeff
@@ -98,7 +98,7 @@ class RatFunc:
         if not t:
             return RF_ZERO
         h = t.gcd(d)
-        if h.degree > 0 or h.leading_coeff != 1:
+        if h.degree > 0:
             t = t.divexact(h)
             bd = bd.divexact(h)
         return RatFunc._monic_scaled(t, ad1 * bd)
@@ -128,11 +128,11 @@ class RatFunc:
         if ad == ONE and bd == ONE:
             return RatFunc._raw(an * bn, ONE)
         g1 = an.gcd(bd)
-        if g1.degree > 0 or g1.leading_coeff != 1:
+        if g1.degree > 0:
             an = an.divexact(g1)
             bd = bd.divexact(g1)
         g2 = bn.gcd(ad)
-        if g2.degree > 0 or g2.leading_coeff != 1:
+        if g2.degree > 0:
             bn = bn.divexact(g2)
             ad = ad.divexact(g2)
         return RatFunc._monic_scaled(an * bn, ad * bd)

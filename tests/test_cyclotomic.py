@@ -310,9 +310,12 @@ def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch, run):
     # the closed-form slot bounds; both widths hold every quotient, so no
     # reduction fails its certificate and starts again from the numerator
     # packed at twice its width (at the thm1 point the reduced numerator
-    # has 64-bit coefficients, which 64 bits do not hold)
+    # has 64-bit coefficients, which 64 bits do not hold, so the
+    # certificate takes its one product at a wider width).  A certified
+    # product proves every failed trial at the caller's width, so no trial
+    # division runs at any other width either.
     reduce = qcore.over_cyclotomic_packed
-    trials, reruns = [], []
+    trials, reruns, widths = [], [], []
 
     def divide_out(value, bits, *args):
         trials.append((value, bits))
@@ -323,6 +326,7 @@ def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch, run):
         out = reduce(value, bits, exps)
         wide = Poly.unpack(value, bits).pack(2 * bits)
         reruns.append((wide, 2 * bits) in trials[start:])
+        widths.append({w for _, w in trials[start:]} <= {bits})
         return out
 
     monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
@@ -333,3 +337,4 @@ def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch, run):
     calls = run()
     assert len(reruns) == calls
     assert not any(reruns)
+    assert all(widths)

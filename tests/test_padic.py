@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcarlitz import padic
 from qcarlitz.carlitz import beta_hk, beta_number
 from qcarlitz.padic import (IntegrandSpec, PadicInt, VolkenbornJob,
                             check_step_budget, padic_log, verify_eq2_qexp,
@@ -358,12 +359,18 @@ def test_runaway_summation_is_refused_up_front():
     assert time.monotonic() - t0 < 1
 
 
-def test_witt_guards():
+def test_witt_guards(monkeypatch):
     job = VolkenbornJob(3, 4, 3, 10, IntegrandSpec(0, 0))
     with pytest.raises(ValueError, match="k must be 1 or 2"):
         witt_check(1, 2, 3, 0, job)
     with pytest.raises(ValueError):
         witt_check(1, 1, 2, 0, job)
+
+    def closed_form(*args):
+        raise AssertionError("the closed form ran for a refused request")
+
+    # refused before the closed form is evaluated
+    monkeypatch.setattr(padic, "beta_hk", closed_form)
     with pytest.raises(ValueError, match="K >= 7"):
         witt_check(1, 2, 2, 0, VolkenbornJob(3, 4, 3, 6, IntegrandSpec(0, 0)))
 
