@@ -18,7 +18,7 @@ from .padic import (IntegrandSpec, PadicInt, PadicReport, VolkenbornJob,
                     padic_log, verify_eq2_qexp, verify_eq3, volkenborn_approx,
                     volkenborn_scaled, witt_check)
 from .polyq import Poly
-from .qcore import QArg, power_sum_T, q_int, q_int_poly
+from .qcore import power_sum_T, q_int, q_int_poly
 from .ratfunc import RatFunc, rf_eval_rational
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_PERMUTATIONS", "BetaTable", "IdentityParams", "IdentityReport",
     "IntegrandSpec", "PadicInt", "PadicReport", "Permutation3", "Poly",
-    "QArg", "RatFunc", "VolkenbornJob", "bernoulli_classical",
+    "RatFunc", "VolkenbornJob", "bernoulli_classical",
     "bernoulli_poly_classical", "beta_h", "beta_hk", "beta_number",
     "beta_number_recurrence", "beta_poly", "beta_poly_expansion",
     "cross34_check", "grid_params", "lemma2_coeff_check", "padic_log",

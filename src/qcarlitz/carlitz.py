@@ -3,8 +3,9 @@
 The classical numbers serve as q -> 1 limit oracles.  The q-families come
 in four layers: numbers, polynomials, the twisted order-h polynomials, and
 the doubly indexed (h, k) polynomials whose q-falling factorial denominator
-forces h >= k.  Polynomial arguments are QArg monomials z = q^e so that
-fractional arguments with integral q-power exponents stay inside Q(q).
+forces h >= k.  A polynomial in base q^d takes its argument x as an int or
+a Fraction and enters only through the monomial z = q^{dx}, so x must make
+dx a non-negative integer: fractional arguments stay inside Q(q).
 
 Every denominator in the closed forms and in the recurrence is a product
 of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
@@ -34,8 +35,8 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .polyq import ONE, Poly
-from .qcore import (QArg, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
-                    q_int_poly, q_power_minus_one_exponents)
+from .qcore import (cyclotomic_sum, over_cyclotomic_packed, q_int_exponents, q_int_poly,
+                    q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -148,16 +149,31 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
                                   exps + q_power_minus_one_exponents(d, n))[0]
 
 
-def beta_poly(n: int, d: int, x: QArg) -> RatFunc:
-    """beta_{n,q^d}(x) with q^{d l x} realized as q^{l e}."""
-    _check_base(d, x)
-    return _beta_hk_monomial(n, 1, 1, d, x.e)
+def _exponent(d: int, x: int | Fraction) -> int:
+    # the exponent e = dx of z = q^{dx}, the only way the argument enters
+    if d < 1:
+        raise ValueError("base exponent must be positive")
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"argument must be an int or a Fraction, got {type(x).__name__}")
+    if x < 0:
+        raise ValueError("argument must be non-negative")
+    e = d * x
+    if e % 1:
+        raise ValueError(f"q^(dx) = q^({e}) is not an integral power of q")
+    return int(e)
 
 
-def beta_poly_expansion(n: int, d: int, x: QArg) -> RatFunc:
+def beta_poly(n: int, d: int, x: int | Fraction) -> RatFunc:
+    """beta_{n,q^d}(x) with q^{d l x} realized as q^{l e}, e = dx."""
+    return _beta_hk_monomial(n, 1, 1, d, _exponent(d, x))
+
+
+def beta_poly_expansion(n: int, d: int, x: int | Fraction) -> RatFunc:
     """sum_l C(n,l) q^{dlx} beta_{l,q^d} [x]_{q^d}^{n-l}; integer x only."""
-    _check_base(d, x)
-    xi = x.integer_value()
+    e = _exponent(d, x)
+    if e % d:
+        raise ValueError(f"argument {x} is not an integer")
+    xi = e // d
     bracket = q_int_poly(xi, d)
     acc = RF_ZERO
     for l in range(n + 1):
@@ -166,26 +182,17 @@ def beta_poly_expansion(n: int, d: int, x: QArg) -> RatFunc:
     return acc
 
 
-def beta_h(n: int, h: int, d: int, x: QArg) -> RatFunc:
-    """Order-h q-Bernoulli polynomial in base q^d at the QArg x."""
+def beta_h(n: int, h: int, d: int, x: int | Fraction) -> RatFunc:
+    """Order-h q-Bernoulli polynomial in base q^d at x."""
     if h < 1:
         raise ValueError("q-falling denominator may vanish for h < 1")
-    _check_base(d, x)
-    return _beta_hk_monomial(n, h, 1, d, x.e)
+    return _beta_hk_monomial(n, h, 1, d, _exponent(d, x))
 
 
-def beta_hk(n: int, h: int, k: int, d: int, x: QArg) -> RatFunc:
+def beta_hk(n: int, h: int, k: int, d: int, x: int | Fraction) -> RatFunc:
     """(h,k) q-Bernoulli polynomial: weights (j+h)_k / [j+h]_{q^d,k}."""
     if k < 1:
         raise ValueError("order k must be positive")
     if h < k:
         raise ValueError("degenerate q-falling factorial for h < k")
-    _check_base(d, x)
-    return _beta_hk_monomial(n, h, k, d, x.e)
-
-
-def _check_base(d: int, x: QArg) -> None:
-    if d < 1:
-        raise ValueError("base exponent must be positive")
-    if x.d != d:
-        raise ValueError(f"argument carries base q^{x.d}, family is in base q^{d}")
+    return _beta_hk_monomial(n, h, k, d, _exponent(d, x))

@@ -26,7 +26,7 @@ from .identities import (CHECKS, IdentityParams, IdentityReport, _check, _pair_r
 from .padic import (IntegrandSpec, PadicReport, VolkenbornJob, check_step_budget,
                     verify_eq2_qexp, verify_eq3, witt_check)
 from .polyq import Poly
-from .qcore import QArg, power_sum_T, q_int
+from .qcore import power_sum_T, q_int
 from .ratfunc import RatFunc, rf_eval_rational
 
 # the identity suites are the checks of identities.CHECKS, in its order
@@ -261,11 +261,11 @@ def _compute_value(a: argparse.Namespace) -> RatFunc:
     if a.target == "beta":
         return beta_number(a.n, d)
     if a.target == "beta_poly":
-        return beta_poly(a.n, d, QArg(d * x, d))
+        return beta_poly(a.n, d, x)
     if a.target == "beta_h":
-        return beta_h(a.n, a.h, d, QArg(d * x, d))
+        return beta_h(a.n, a.h, d, x)
     if a.target == "beta_hk":
-        return beta_hk(a.n, a.h, a.k, d, QArg(d * x, d))
+        return beta_hk(a.n, a.h, a.k, d, x)
     if a.target == "T":
         return power_sum_T(a.n, a.m, a.w, d)
     return q_int(x, d)

@@ -73,7 +73,7 @@ from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, balanced_bits
-from .qcore import QArg, over_cyclotomic_packed, power_sum_T, q_power_minus_one_exponents
+from .qcore import over_cyclotomic_packed, power_sum_T, q_power_minus_one_exponents
 from .ratfunc import RatFunc
 
 @dataclass(frozen=True, order=True)
@@ -85,6 +85,11 @@ class IdentityParams:
     y: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self) -> None:
+        # stored as tuples, so params hash and compare however the triples came
+        object.__setattr__(self, "w", tuple(self.w))
+        object.__setattr__(self, "y", tuple(self.y))
+        if not all(isinstance(v, int) for v in (self.n, *self.w, *self.y)):
+            raise ValueError("n, w and y must hold integers")
         if self.n < 0:
             raise ValueError("degree n must be non-negative")
         if len(self.w) != 3 or any(wi < 1 for wi in self.w):
@@ -478,7 +483,7 @@ def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:
     if d < 1 or w3 < 1:
         raise ValueError("d and w3 must be positive")
     q_pow = RatFunc(Poly.q_power(d * w3))
-    lhs = q_pow * beta_poly(n, d, QArg(d * w3, d)) - beta_number(n, d)
+    lhs = q_pow * beta_poly(n, d, w3) - beta_number(n, d)
     rhs = (Poly.q_power(d) - ONE) * power_sum_T(1, n, w3 - 1, d)
     if n >= 1:
         rhs = rhs + power_sum_T(2, n - 1, w3 - 1, d) * n

@@ -36,7 +36,6 @@ from fractions import Fraction
 from math import comb
 
 from .carlitz import beta_hk
-from .qcore import QArg
 from .ratfunc import rf_eval_rational
 
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
@@ -424,7 +423,7 @@ def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicRepor
     if K <= k * N:
         raise ValueError(
             f"precision underflow: k={k} needs K >= {k * N + 1}, got {K}")
-    exact = rf_eval_rational(beta_hk(n, h, k, 1, QArg(x, 1)), q0)
+    exact = rf_eval_rational(beta_hk(n, h, k, 1, x), q0)
     # the first k of q^{(h-1) y1} q^{y1} and q^{(h-2) y2} q^{y2}
     e, y = _scaled_level(p, q0, N, K, (h, h - 1)[:k], n, x)
     out = y.K

@@ -9,15 +9,16 @@ product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
 takes sums over the lcm of the maps, each join one integer product-sum
 at its own width, and returns the last join still packed.  The one
 cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
-a packed numerator by trial division (`packed_divide_out`), with no gcd;
-a trial can pass spuriously, so the reducer certifies its result with one
-coefficient bound and at most one integer product.
+a packed numerator by trial division with each Phi_d of the map
+(`packed_divide_out(value, bits, d, limit)`), with no gcd; a trial can
+pass spuriously, so the reducer certifies its result with one coefficient
+bound and at most one integer product.  The q-integers [x]_{q^d} here take
+integer x; the Carlitz families take rational arguments themselves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, isqrt, prod
@@ -25,33 +26,6 @@ from typing import Mapping, Sequence
 
 from .polyq import ONE, Poly, ZERO, balanced_bits
 from .ratfunc import RF_ZERO, RatFunc
-
-
-@dataclass(frozen=True)
-class QArg:
-    """Argument x = e/d of a base-q^d family, carried as the monomial q^e.
-
-    Stored as given: (e, d) is not reduced, since every consumer only ever
-    needs the monomial q^e and the base q^d themselves.
-    """
-
-    e: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.e < 0:
-            raise ValueError("q exponent must be non-negative")
-        if self.d < 1:
-            raise ValueError("base exponent must be positive")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.e % self.d == 0
-
-    def integer_value(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"argument {self.e}/{self.d} is not an integer")
-        return self.e // self.d
 
 
 # bounded: the test suite in one process reaches 91 keys, qlaws 51
@@ -215,23 +189,20 @@ def _mod_mersenne(x: int, s: int) -> int:
     return x % ((1 << s) - 1)
 
 
-def packed_divide_out(value: int, bits: int, divisor: int, period: int,
-                      limit: int) -> tuple[int, int]:
-    """Trial division of a packed polynomial by a cyclotomic factor:
-    (value // divisor**k, k) for the first k <= limit steps that succeed.
+def packed_divide_out(value: int, bits: int, d: int, limit: int) -> tuple[int, int]:
+    """Trial division of the polynomial packed as value = f(2**bits) by
+    Phi_d: (value // Phi_d(2**bits)**k, k) for the first k <= limit steps
+    that succeed.
 
-    divisor is factor(2**bits) for a monic integer factor of q**period - 1
-    (`cyclotomic_value` gives Phi_d(2**bits)), so it divides
-    2**(bits * period) - 1, and a trial is one integer remainder: value
-    folded mod 2**(bits * period) - 1, then mod divisor.  A step divides
-    value by divisor exactly.  A failed trial proves that the factor does
-    not divide the polynomial, since its value would then be a multiple of
-    divisor; a passing one can be spurious (85 (1 + q + q^2) at 8 bits over
-    q - 1), so the caller has to certify the result
-    (`over_cyclotomic_packed`).
+    Phi_d divides q**d - 1, so a trial is one integer remainder: value
+    folded mod 2**(bits * d) - 1, then mod Phi_d(2**bits).  A failed trial
+    proves that Phi_d does not divide f; a passing one can be spurious
+    (85 (1 + q + q^2) at 8 bits over q - 1), so the caller has to certify
+    the result (`over_cyclotomic_packed`).
     """
+    divisor = cyclotomic_value(d, bits)
     k = 0
-    while k < limit and value and not _mod_mersenne(value, bits * period) % divisor:
+    while k < limit and value and not _mod_mersenne(value, bits * d) % divisor:
         value //= divisor
         k += 1
     return value, k
@@ -269,7 +240,7 @@ def over_cyclotomic_packed(value: int, bits: int,
         taken: Counter[int] = Counter()
         left: Counter[int] = Counter()
         for d in sorted(exps):
-            x, k = packed_divide_out(x, bits, cyclotomic_value(d, bits), d, exps[d])
+            x, k = packed_divide_out(x, bits, d, exps[d])
             if k:
                 taken[d] = k
             if k < exps[d]:

@@ -9,7 +9,7 @@ from qcarlitz.carlitz import (bernoulli_classical, bernoulli_poly_classical,
                               beta_number_recurrence, beta_poly,
                               beta_poly_expansion)
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import QArg, q_int, q_int_poly
+from qcarlitz.qcore import q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RatFunc, rf_eval_rational
 
 F = Fraction
@@ -67,18 +67,18 @@ def test_boundary_relation():
     # because the defining recurrence itself starts at n = 1
     for d in (1, 2):
         for n in range(1, 9):
-            lhs = (RatFunc(Poly.q_power(d)) * beta_poly(n, d, QArg(d, d))
+            lhs = (RatFunc(Poly.q_power(d)) * beta_poly(n, d, 1)
                    - beta_number(n, d))
             assert lhs == (RF_ONE if n == 1 else RatFunc(0)), (n, d)
 
 
 def test_beta_poly_values():
-    assert beta_poly(1, 1, QArg(1, 1)) == RatFunc(ONE, Poly([1, 1]))
-    assert beta_poly(3, 2, QArg(0, 2)) == beta_number(3, 2)
-    assert rf_eval_rational(beta_poly(2, 1, QArg(1, 1)), 1) == \
+    assert beta_poly(1, 1, 1) == RatFunc(ONE, Poly([1, 1]))
+    assert beta_poly(3, 2, 0) == beta_number(3, 2)
+    assert rf_eval_rational(beta_poly(2, 1, 1), 1) == \
         bernoulli_poly_classical(2, 1)
     with pytest.raises(ValueError):
-        beta_poly(2, 1, QArg(1, 2))
+        beta_poly(2, 1, F(1, 2))
 
 
 def test_addition_theorem():
@@ -86,60 +86,76 @@ def test_addition_theorem():
     for n in range(6):
         for x in range(4):
             for y in range(4):
-                lhs = beta_poly(n, 1, QArg(x + y, 1))
+                lhs = beta_poly(n, 1, x + y)
                 rhs = RatFunc(0)
                 for l in range(n + 1):
                     rhs = rhs + (RatFunc(Poly([comb(n, l)]).shift(l * x))
-                                 * beta_poly(l, 1, QArg(y, 1))
+                                 * beta_poly(l, 1, y)
                                  * q_int(x, 1) ** (n - l))
                 assert lhs == rhs, (n, x, y, "forward")
                 rev = RatFunc(0)
                 for l in range(n + 1):
                     rev = rev + (RatFunc(Poly([comb(n, l)]).shift(l * y))
-                                 * beta_poly(l, 1, QArg(x, 1))
+                                 * beta_poly(l, 1, x)
                                  * q_int(y, 1) ** (n - l))
                 assert lhs == rev, (n, x, y, "reversed")
 
 
 def test_beta_poly_expansion_route():
-    assert beta_poly_expansion(1, 1, QArg(1, 1)) == beta_poly(1, 1, QArg(1, 1))
-    assert beta_poly_expansion(3, 2, QArg(4, 2)) == beta_poly(3, 2, QArg(4, 2))
+    assert beta_poly_expansion(1, 1, 1) == beta_poly(1, 1, 1)
+    assert beta_poly_expansion(3, 2, 2) == beta_poly(3, 2, 2)
     for n in range(5):
-        assert beta_poly_expansion(n, 1, QArg(0, 1)) == beta_number(n, 1)
+        assert beta_poly_expansion(n, 1, 0) == beta_number(n, 1)
     with pytest.raises(ValueError):
-        beta_poly_expansion(2, 2, QArg(3, 2))
+        beta_poly_expansion(2, 2, F(3, 2))
 
 
 def test_beta_h():
     for n in range(7):
-        assert beta_h(n, 1, 1, QArg(2, 1)) == beta_poly(n, 1, QArg(2, 1))
-    assert beta_h(0, 2, 1, QArg(5, 1)) == RatFunc(Poly([2]), Poly([1, 1]))
+        assert beta_h(n, 1, 1, 2) == beta_poly(n, 1, 2)
+    assert beta_h(0, 2, 1, 5) == RatFunc(Poly([2]), Poly([1, 1]))
     want = (RatFunc(Poly([2]), Poly([1, 1])) - RatFunc(Poly([3]), Poly([1, 1, 1]))) \
         * RatFunc(ONE, Poly([1, -1]))
-    assert beta_h(1, 2, 1, QArg(0, 1)) == want
+    assert beta_h(1, 2, 1, 0) == want
     with pytest.raises(ValueError):
-        beta_h(1, 0, 1, QArg(0, 1))
+        beta_h(1, 0, 1, 0)
 
 
 def test_beta_hk():
     for n in range(6):
-        assert beta_hk(n, 3, 1, 1, QArg(1, 1)) == beta_h(n, 3, 1, QArg(1, 1))
-    assert beta_hk(0, 3, 2, 1, QArg(0, 1)) == \
+        assert beta_hk(n, 3, 1, 1, 1) == beta_h(n, 3, 1, 1)
+    assert beta_hk(0, 3, 2, 1, 0) == \
         RatFunc(Poly([6]), Poly([1, 1]) * Poly([1, 1, 1]))
     two = RatFunc(Poly([2]), Poly([1, 1]))
     six = RatFunc(Poly([6]), Poly([1, 1, 1]) * Poly([1, 1]))
     want = (two - six) * RatFunc(ONE, Poly([1, -1]))
-    assert beta_hk(1, 2, 2, 1, QArg(0, 1)) == want
+    assert beta_hk(1, 2, 2, 1, 0) == want
     with pytest.raises(ValueError):
-        beta_hk(1, 1, 2, 1, QArg(0, 1))
+        beta_hk(1, 1, 2, 1, 0)
     with pytest.raises(ValueError):
-        beta_hk(1, 2, 0, 1, QArg(0, 1))
+        beta_hk(1, 2, 0, 1, 0)
+
+
+@pytest.mark.parametrize("family", [
+    lambda d, x: beta_poly(2, d, x),
+    lambda d, x: beta_poly_expansion(2, d, x),
+    lambda d, x: beta_h(2, 2, d, x),
+    lambda d, x: beta_hk(2, 3, 2, d, x),
+], ids=["beta_poly", "beta_poly_expansion", "beta_h", "beta_hk"])
+def test_families_refuse_bad_arguments(family):
+    # an integral Fraction is its integer; a negative x, a non-integral dx,
+    # a base d < 1 and a float are refused up front
+    assert family(3, F(6, 3)) == family(3, 2)
+    for d, x in [(2, -1), (2, F(-1, 2)), (1, F(1, 2)), (2, F(1, 3)), (0, 1), (-1, 0),
+                 (1, 1.0), (2, "1")]:
+        with pytest.raises(ValueError):
+            family(d, x)
 
 
 def test_fractional_argument_lands_in_q_of_q():
-    # x = 3/2 in base q^2 is carried as the monomial q^3; evaluating at a
+    # x = 3/2 in base q^2 enters as the monomial q^3; evaluating at a
     # rational point must match the defining sum computed with Fractions
-    v = beta_poly(2, 2, QArg(3, 2))
+    v = beta_poly(2, 2, F(3, 2))
     q0 = F(2)
 
     def br(t):
@@ -206,7 +222,7 @@ def test_beta_hk_matches_sympy(k):
     for d in (1, 2, 3):
         for h in range(k, k + 3):
             for e in (0, d, 2 * d + 1):
-                got = beta_hk(n, h, k, d, QArg(e, d))
+                got = beta_hk(n, h, k, d, F(e, d))
                 assert coeff_lists(got) == sympy_closed_form(n, h, k, d, e), (h, d, e)
 
 
@@ -222,7 +238,7 @@ def test_beta_families_need_no_gcd(monkeypatch):
     monkeypatch.setattr(carlitz, "_beta_hk_monomial", carlitz._beta_hk_monomial.__wrapped__)
     assert beta_number(12, 3) == want_closed[12]
     assert list(beta_number_recurrence(12, 3).values) == want_closed
-    assert beta_hk(6, 4, 3, 2, QArg(5, 2)) == want_hk
+    assert beta_hk(6, 4, 3, 2, F(5, 2)) == want_hk
 
 
 # gcd(d, e) = g > 1, with 1 < g < d at (6, 4), (6, 3) and (6, 9)
@@ -234,8 +250,8 @@ def test_substituted_closed_form_matches_generic_sum(d, e):
     # a cold cache, so each value is built by the substitution path
     carlitz._beta_hk_monomial.cache_clear()
     for n in range(9):
-        assert beta_poly(n, d, QArg(e, d)) == closed_form_by_gcd(n, 1, 1, d, e), (n, d, e)
-        assert beta_hk(n, 3, 2, d, QArg(e, d)) == closed_form_by_gcd(n, 3, 2, d, e), (n, d, e)
+        assert beta_poly(n, d, F(e, d)) == closed_form_by_gcd(n, 1, 1, d, e), (n, d, e)
+        assert beta_hk(n, 3, 2, d, F(e, d)) == closed_form_by_gcd(n, 3, 2, d, e), (n, d, e)
 
 
 def test_recurrence_stays_native_in_base_q_d(monkeypatch):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end, run in process."""
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -53,6 +54,21 @@ def test_compute_csv(capsys):
     assert rows[0] == ["target", "text", "num", "den"]
     assert rows[1][0] == "beta"
     assert json.loads(rows[1][2]) == ["0", "1"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("beta_poly", "--n", "3", "--d", "2", "--x", "2", "--format", "json"),
+     "beaa0b00d913ad1fc9f6e8b70fb26172b7173e6e45fc4cae7ca5a4461f1fbea9"),
+    (("beta_hk", "--n", "3", "--h", "3", "--k", "2", "--d", "2", "--x", "1", "--format", "json"),
+     "188649f162ecd458d5446ab9372496e144d746ea8af6d946a2567850a4942608"),
+    (("beta_h", "--n", "2", "--h", "2", "--d", "3", "--x", "1"),
+     "c714c304f76d613ff5455d4cec3d1538108e88a90024fa0d2531e382e264df49"),
+])
+def test_compute_polynomial_families_bytes(capsys, argv, digest):
+    # sha256 of stdout, pinned: bases q^2 and q^3 at a nonzero --x
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_missing_flag(capsys):

@@ -205,7 +205,7 @@ def test_packed_reduction_matches_generic_gcd(case):
 def test_spurious_trial_step_is_caught_by_the_certificate():
     f = Poly([85, 85, 85])
     # 85 (1 + q + q^2) at q = 2^8 is 85 * 65793 = 255 * 21931: the trial passes
-    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_value(1, 8), 1, 1)
+    x, k = packed_divide_out(f.pack(8), 8, 1, 1)
     assert (x, k) == (f.pack(8) // 255, 1)
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 1})
     want = RatFunc(f, phi_oracle(1))
@@ -280,7 +280,7 @@ def test_packed_reduction_certifies_a_quotient_that_outgrows_the_width():
     quotient = -(q_int_poly(20) ** 3)
     assert least_width(f) == 8 and max(abs(c) for c in quotient.coefficients()) == 300
     # dividing at the width that holds f alone reads a wrong quotient back
-    x, k = packed_divide_out(f.pack(8), 8, cyclotomic_value(1, 8), 1, 3)
+    x, k = packed_divide_out(f.pack(8), 8, 1, 3)
     assert k == 3 and Poly.unpack(x, 8) != quotient
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 3})
     assert (value.num, value.den, left) == (quotient, ONE, {})

@@ -9,6 +9,7 @@ the same code exercised twice.
 
 import hashlib
 import json
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -21,7 +22,7 @@ from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permu
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm3_check, thm4_check)
 from qcarlitz.polyq import ONE, ZERO, Poly
-from qcarlitz.qcore import QArg, power_sum_T, q_int, q_int_poly
+from qcarlitz.qcore import power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 QM1 = RatFunc(Poly([-1, 1]))
@@ -60,9 +61,9 @@ def naive_thm1(p, sigma):
         term = RatFunc(multinomial(p.n, k, l, m))
         term = term * q_int(b1) ** k * q_int(b2) ** l * q_int(b3) ** m
         term = term * qp(W * ((l + m) * y1 + m * y2))
-        term = term * beta_h(k, l + m + 1, b1, QArg(W * y1, b1))
-        term = term * beta_h(l, m + 1, b2, QArg(W * y2, b2))
-        term = term * beta_poly(m, b3, QArg(W * y3, b3))
+        term = term * beta_h(k, l + m + 1, b1, Fraction(W * y1, b1))
+        term = term * beta_h(l, m + 1, b2, Fraction(W * y2, b2))
+        term = term * beta_poly(m, b3, Fraction(W * y3, b3))
         acc = acc + term
     return acc
 
@@ -76,8 +77,8 @@ def naive_thm3(p, sigma):
         term = RatFunc(p.n * multinomial(p.n - 1, k, l, m))
         term = term * q_int(b1) ** k * q_int(b2) ** l * q_int(b3) ** (m + 1)
         term = term * qp(W * ((l + m + 1) * y1 + (m + 1) * y2))
-        term = term * beta_h(k, l + m + 2, b1, QArg(W * y1, b1))
-        term = term * beta_h(l, m + 2, b2, QArg(W * y2, b2))
+        term = term * beta_h(k, l + m + 2, b1, Fraction(W * y1, b1))
+        term = term * beta_h(l, m + 2, b2, Fraction(W * y2, b2))
         term = term * power_sum_T(2, m, w3s - 1, b3)
         part1 = part1 + term
     part2 = RF_ZERO
@@ -85,8 +86,8 @@ def naive_thm3(p, sigma):
         term = RatFunc(multinomial(p.n, k, l, m))
         term = term * q_int(b1) ** k * q_int(b2) ** l * q_int(b3) ** (m + 1)
         term = term * qp(W * ((l + m) * y1 + m * y2))
-        term = term * beta_h(k, l + m + 1, b1, QArg(W * y1, b1))
-        term = term * beta_h(l, m + 1, b2, QArg(W * y2, b2))
+        term = term * beta_h(k, l + m + 1, b1, Fraction(W * y1, b1))
+        term = term * beta_h(l, m + 1, b2, Fraction(W * y2, b2))
         term = term * power_sum_T(1, m, w3s - 1, b3)
         part2 = part2 + term
     return part1 + QM1 * part2
@@ -102,9 +103,9 @@ def naive_thm4(p, sigma):
         inner = RF_ZERO
         for i in range(w3s):
             inner = inner + qp(2 * b3 * i) * beta_h(n - 1 - k, 2, b2,
-                                                    QArg(W * y2 + b3 * i, b2))
+                                                    Fraction(W * y2 + b3 * i, b2))
         term = RatFunc(n * comb(n - 1, k))
-        term = term * beta_h(k, n - k + 1, b1, QArg(W * y1, b1))
+        term = term * beta_h(k, n - k + 1, b1, Fraction(W * y1, b1))
         term = term * qp(W * ((n - k) * y1 + y2))
         term = term * q_int(b3) * q_int(b1) ** k * q_int(b2) ** (n - 1 - k)
         part1 = part1 + term * inner
@@ -113,9 +114,9 @@ def naive_thm4(p, sigma):
         inner = RF_ZERO
         for i in range(w3s):
             inner = inner + qp(b3 * i) * beta_poly(n - k, b2,
-                                                   QArg(W * y2 + b3 * i, b2))
+                                                   Fraction(W * y2 + b3 * i, b2))
         term = RatFunc(comb(n, k))
-        term = term * beta_h(k, n - k + 1, b1, QArg(W * y1, b1))
+        term = term * beta_h(k, n - k + 1, b1, Fraction(W * y1, b1))
         term = term * qp(W * (n - k) * y1)
         term = term * q_int(b3) * q_int(b1) ** k * q_int(b2) ** (n - k)
         part2 = part2 + term * inner
@@ -153,6 +154,20 @@ def test_params_validation():
         IdentityParams(1, (1, 1), (0, 0, 0))
     with pytest.raises(ValueError):
         IdentityParams(1, (1, 1, 1), (0, -1, 0))
+
+
+def test_params_store_integer_triples():
+    # lists are stored as tuples, so params hash, compare and check as given
+    p = IdentityParams(2, [1, 2, 3], [1, 0, 0])
+    assert (p.w, p.y) == ((1, 2, 3), (1, 0, 0))
+    assert p == IdentityParams(2, (1, 2, 3), (1, 0, 0))
+    assert hash(p) == hash(IdentityParams(2, (1, 2, 3), (1, 0, 0)))
+    assert thm1_check(p).verdict
+    # a non-integer entry is refused here, not deep inside a check
+    for bad in [(2, (1.5, 2, 3)), (2, (1, 2, 3), (0, 1.0, 0)), (2.0, (1, 2, 3)),
+                (2, (1, 2, "3"))]:
+        with pytest.raises(ValueError):
+            IdentityParams(*bad)
 
 
 def test_permutation_validation_and_arrange():

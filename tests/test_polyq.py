@@ -121,12 +121,11 @@ def test_packed_divide_out_counts_and_caps_a_factor():
     f = Poly([2, -1]) * phi3 ** 3
     for bits in (8, 16):
         x = f.pack(bits)
-        p3, p1 = phi3.pack(bits), Poly([-1, 1]).pack(bits)
-        assert packed_divide_out(x, bits, p3, 3, 5) == (Poly([2, -1]).pack(bits), 3)
-        assert packed_divide_out(x, bits, p3, 3, 2) == ((Poly([2, -1]) * phi3).pack(bits), 2)
-        assert packed_divide_out(0, bits, p3, 3, 4) == (0, 0)
-        assert packed_divide_out(5, bits, p1, 1, 4) == (5, 0)
-        assert packed_divide_out(-x, bits, p1, 1, 4) == (-x, 0)
+        assert packed_divide_out(x, bits, 3, 5) == (Poly([2, -1]).pack(bits), 3)
+        assert packed_divide_out(x, bits, 3, 2) == ((Poly([2, -1]) * phi3).pack(bits), 2)
+        assert packed_divide_out(0, bits, 3, 4) == (0, 0)
+        assert packed_divide_out(5, bits, 1, 4) == (5, 0)
+        assert packed_divide_out(-x, bits, 1, 4) == (-x, 0)
 
 
 def test_gcd_is_monic_and_divides_both():

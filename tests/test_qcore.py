@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import QArg, power_sum_T, q_int, q_int_poly
+from qcarlitz.qcore import power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RatFunc
 
 
@@ -49,19 +49,6 @@ def test_product_law_exhaustive():
     for a in range(1, 7):
         for b in range(1, 7):
             assert q_int(a * b, 1) == q_int(a, 1) * q_int(b, a), (a, b)
-
-
-def test_qarg():
-    x = QArg(6, 3)
-    assert x.is_integer and x.integer_value() == 2
-    y = QArg(3, 2)
-    assert not y.is_integer
-    with pytest.raises(ValueError):
-        y.integer_value()
-    with pytest.raises(ValueError):
-        QArg(-1, 2)
-    with pytest.raises(ValueError):
-        QArg(0, 0)
 
 
 def test_power_sum_examples():
