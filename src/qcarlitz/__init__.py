@@ -1,10 +1,10 @@
 """Exact computation of Carlitz q-Bernoulli families and their identities.
 
-Everything is exact: polynomials over Q in polyq, rational functions in
-ratfunc, q-number helpers in qcore, the beta families in carlitz, the
-S3-symmetry checkers in identities, and truncated p-adic arithmetic with
-the finite-level Volkenborn engine in padic.  The cli module exposes the
-qcarlitz command.
+Everything is exact: integer polynomials in q in polyq, rational
+functions (quotients of them, in one normal form) in ratfunc, q-number
+helpers in qcore, the beta families in carlitz, the S3-symmetry checkers
+in identities, and truncated p-adic arithmetic with the finite-level
+Volkenborn engine in padic.  The cli module exposes the qcarlitz command.
 """
 
 from .carlitz import (BetaTable, bernoulli_classical, bernoulli_poly_classical,

@@ -37,9 +37,6 @@ SUITES = ("qlaws", "carlitz-cross", "lemma2", *CHECKS, "padic")
 # serialization
 
 def _poly_coeffs(p: Poly) -> list[str]:
-    # str(Fraction(c, 1)) == str(c): an integer polynomial needs no Fractions
-    if p._den == 1:
-        return [str(c) for c in p._c]
     return [str(c) for c in p.coefficients()]
 
 

@@ -31,9 +31,10 @@ y / p^e and y a PadicInt, which is what the check functions use.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 from .carlitz import beta_hk
 from .ratfunc import rf_eval_rational
@@ -222,6 +223,15 @@ class VolkenbornJob:
                 f"precision underflow: K={self.K} leaves no certified digits; "
                 f"need K >= {self.N + 1}")
         check_step_budget(self.p, self.N)
+        # reports print residues mod p^K, of up to floor(K log10 p) + 1
+        # digits (p^K is never a power of 10); 0, or a Python before
+        # 3.10.7 without the limit, means no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and self.K * log10(self.p) >= limit:
+            raise ValueError(
+                f"precision K={self.K} gives residues mod {self.p}^{self.K} of more "
+                f"than {limit} decimal digits, the interpreter's limit for "
+                f"printing an integer; lower K")
 
 
 def _rat_mod(x: Fraction, p: int, K: int) -> int:

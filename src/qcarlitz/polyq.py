@@ -1,12 +1,11 @@
-"""Dense univariate polynomials in q with exact rational coefficients.
+"""Dense univariate polynomials in q with integer coefficients.
 
-A polynomial is stored as a primitive integer coefficient vector plus a
-single positive integer denominator, so bulk arithmetic runs on Python's
-big integers.  Multiplication is the schoolbook product.  Exact division
-has one path: by Gauss's lemma an exact quotient of primitive integer
-polynomials is itself integer, so f/g is integer long division of the
-primitive parts times one rational scalar, and any non-integer step
-proves g does not divide f.  The gcd is the subresultant one; the library
+A polynomial is its tuple of integer coefficients, so arithmetic runs on
+Python's big integers; a rational function (`ratfunc`) keeps any integer
+denominator in its denominator polynomial.  Multiplication is the
+schoolbook product.  Exact division is exact in Z[q]: integer long
+division in which every quotient digit must be an integer and the
+remainder must vanish.  The gcd is the subresultant one; the library
 calls it only inside `RatFunc` arithmetic: every other reduction in the
 library runs packed, over cyclotomic exponent maps (`qcore`).
 
@@ -16,7 +15,7 @@ each c_i + 2^{B-1} is written as one B/8-byte field, `int.from_bytes`
 reads all fields at once, and one subtraction removes the offsets.
 Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
-`Poly.pack`/`Poly.unpack` expose the pair for integer polynomials, and
+`Poly.pack`/`Poly.unpack` expose the pair, and
 `balanced_bits` gives the least B for a coefficient bound.
 """
 
@@ -82,51 +81,20 @@ def _school_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _rv_normalize(vec: list[int], den: int) -> tuple[list[int], int]:
-    _trim(vec)
-    if not vec:
-        return vec, 1
-    if den < 0:
-        den = -den
-        vec = [-c for c in vec]
-    g = _igcd(_content(vec), den)
-    if g > 1:
-        vec = [c // g for c in vec]
-        den //= g
-    return vec, den
-
-
-def _vec_divexact(fv: Sequence[int], fd: int, gv: Sequence[int], gd: int
-                  ) -> tuple[list[int], int] | None:
-    """Quotient of f/g over Q as (vec, den), or None when g does not divide f.
-
-    With f = q^vf (cf/fd) F and g = q^vg (cg/gd) G, F and G primitive, Gauss's
-    lemma makes an exact F/G a primitive integer polynomial: the quotient is
-    q^(vf-vg) (cf gd)/(fd cg) F/G, and F/G is integer long division.
-    """
-    if not fv:
-        return [], 1
-    if not gv:
+def _vec_divexact(f: Sequence[int], g: Sequence[int]) -> list[int] | None:
+    """The quotient f/g in Z[q] by integer long division, or None when g
+    does not divide f there: a non-integer quotient digit or a nonzero
+    remainder proves it, and the division stops at the first of them."""
+    if not f:
+        return []
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    vf = next(i for i, c in enumerate(fv) if c)
-    vg = next(i for i, c in enumerate(gv) if c)
-    if vg > vf or len(gv) > len(fv):
+    rem = list(f)
+    lb = g[-1]
+    m = len(g)
+    qlen = len(f) - m + 1
+    if qlen < 1:
         return None
-    cf, cg = _content(fv), _content(gv)
-    quot = _int_divexact_primitive([c // cf for c in fv[vf:]], [c // cg for c in gv[vg:]])
-    if quot is None:
-        return None
-    scale = cf * gd
-    return [0] * (vf - vg) + [c * scale for c in quot], fd * cg
-
-
-def _int_divexact_primitive(f1: Sequence[int], g1: Sequence[int]) -> list[int] | None:
-    # primitive integer divisor: an exact quotient over Q is integer, so any
-    # non-integer step proves inexactness and we bail out immediately
-    rem = list(f1)
-    lb = g1[-1]
-    m = len(g1)
-    qlen = len(f1) - m + 1
     quot = [0] * qlen
     for k in range(qlen - 1, -1, -1):
         top = rem[k + m - 1]
@@ -136,7 +104,7 @@ def _int_divexact_primitive(f1: Sequence[int], g1: Sequence[int]) -> list[int] |
                 return None
             quot[k] = coef
             for j in range(m - 1):
-                rem[k + j] -= coef * g1[j]
+                rem[k + j] -= coef * g[j]
             rem[k + m - 1] = 0
     if any(rem[: m - 1]):
         return None
@@ -204,108 +172,99 @@ def _vec_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class Poly:
-    """Immutable dense polynomial in q over the rationals."""
+    """Immutable dense polynomial in q with integer coefficients: int or
+    integral Fraction coefficients are accepted, any other is a ValueError."""
 
-    __slots__ = ("_c", "_den")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = (), _raw: tuple[tuple[int, ...], int] | None = None):
+    def __init__(self, coeffs: Iterable[Fraction | int] = (), _raw: tuple[int, ...] | None = None):
         if _raw is not None:
-            self._c, self._den = _raw
+            self._c = _raw
             return
-        fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in fracs:
-            den = den * c.denominator // _igcd(den, c.denominator)
-        vec = _trim([int(c * den) for c in fracs])
-        vec, den = _rv_normalize(vec, den)
-        self._c = tuple(vec)
-        self._den = den
+        vec = []
+        for c in coeffs:
+            if isinstance(c, Fraction) and c.denominator == 1:
+                c = c.numerator
+            elif not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an integer")
+            vec.append(c)
+        self._c = tuple(_trim(vec))
 
     @classmethod
-    def _make(cls, vec: list[int], den: int) -> "Poly":
-        vec, den = _rv_normalize(vec, den)
-        return cls(_raw=(tuple(vec), den))
+    def _make(cls, vec: list[int]) -> "Poly":
+        return cls(_raw=tuple(_trim(vec)))
 
     @classmethod
     def q_power(cls, e: int) -> "Poly":
         if e < 0:
             raise ValueError("q exponent must be non-negative")
-        return cls(_raw=((0,) * e + (1,), 1))
+        return cls(_raw=(0,) * e + (1,))
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._c) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._c):
-            return Fraction(self._c[i], self._den)
-        return Fraction(0)
+    def coeff(self, i: int) -> int:
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._c)
+    def coefficients(self) -> tuple[int, ...]:
+        return self._c
 
     @property
-    def leading_coeff(self) -> Fraction:
-        if not self._c:
-            return Fraction(0)
-        return Fraction(self._c[-1], self._den)
+    def leading_coeff(self) -> int:
+        return self._c[-1] if self._c else 0
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == self._den
+        return bool(self._c) and self._c[-1] == 1
 
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self._c == other._c and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._c, self._den))
-
-    def __add__(self, other: "Poly | int | Fraction"):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        g = _igcd(self._den, other._den)
-        ma, mb = other._den // g, self._den // g
-        n = max(len(self._c), len(other._c))
-        vec = [0] * n
-        for i, c in enumerate(self._c):
-            vec[i] = c * ma
-        for i, c in enumerate(other._c):
-            vec[i] += c * mb
-        return Poly._make(vec, self._den * ma)
+        return self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(self._c)
+
+    def __add__(self, other: "Poly | int"):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = (self._c, other._c) if len(self._c) >= len(other._c) else (other._c, self._c)
+        vec = list(a)
+        for i, c in enumerate(b):
+            vec[i] += c
+        return Poly._make(vec)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(_raw=(tuple(-c for c in self._c), self._den))
+        return Poly(_raw=tuple(-c for c in self._c))
 
-    def __sub__(self, other: "Poly | int | Fraction"):
+    def __sub__(self, other: "Poly | int"):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "Poly | int | Fraction"):
+    def __rsub__(self, other: "Poly | int"):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return (-self) + other
 
-    def __mul__(self, other: "Poly | int | Fraction"):
+    def __mul__(self, other: "Poly | int"):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         if not self._c or not other._c:
             return ZERO
-        return Poly._make(_school_mul(self._c, other._c), self._den * other._den)
+        return Poly(_raw=tuple(_school_mul(self._c, other._c)))
 
     __rmul__ = __mul__
 
@@ -327,7 +286,7 @@ class Poly:
             raise ValueError("shift exponent must be nonnegative")
         if not self._c:
             return self
-        return Poly(_raw=((0,) * e + self._c, self._den))
+        return Poly(_raw=(0,) * e + self._c)
 
     def substitute_power(self, d: int) -> "Poly":
         """The polynomial with q replaced by q**d."""
@@ -338,43 +297,41 @@ class Poly:
         vec = [0] * ((len(self._c) - 1) * d + 1)
         for i, c in enumerate(self._c):
             vec[i * d] = c
-        return Poly(_raw=(tuple(vec), self._den))
+        return Poly(_raw=tuple(vec))
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self._c):
             acc = acc * x + c
-        return acc / self._den
+        return acc
 
     def divexact(self, other: "Poly") -> "Poly":
-        """Exact quotient; raises ValueError when the division is not exact."""
-        res = _vec_divexact(self._c, self._den, other._c, other._den)
-        if res is None:
+        """Exact quotient in Z[q]; raises ValueError when other does not
+        divide self there."""
+        quot = _vec_divexact(self._c, other._c)
+        if quot is None:
             raise ValueError("not an exact polynomial division")
-        return Poly._make(*res)
+        return Poly(_raw=tuple(quot))
 
     def divides(self, other: "Poly") -> bool:
+        """Whether self divides other in Z[q]."""
         if not self._c:
             return not other._c
-        return _vec_divexact(other._c, other._den, self._c, self._den) is not None
+        return _vec_divexact(other._c, self._c) is not None
 
     def l1_norm(self) -> int:
-        """Sum of the absolute values of the coefficients of an integer
-        polynomial; it bounds every coefficient of a product it enters."""
-        if self._den != 1:
-            raise ValueError("l1_norm needs an integer polynomial")
+        """Sum of the absolute values of the coefficients; it bounds every
+        coefficient of a product it enters."""
         return sum(map(abs, self._c))
 
     def pack(self, bits: int) -> int:
-        """The value at q = 2**bits of an integer polynomial whose coefficients
-        lie in [-2**(bits - 1), 2**(bits - 1)); bits is a multiple of 8.
+        """The value at q = 2**bits of a polynomial whose coefficients lie in
+        [-2**(bits - 1), 2**(bits - 1)); bits is a multiple of 8.
 
         Evaluation is a ring homomorphism, so sums and products of packed
         values are packed sums and products; `unpack` reads the polynomial
         back as long as its coefficients stay in that range.
         """
-        if self._den != 1:
-            raise ValueError("packing needs an integer polynomial")
         _check_bits(bits)
         try:
             return _pack(self._c, bits)
@@ -383,14 +340,14 @@ class Poly:
 
     @classmethod
     def unpack(cls, value: int, bits: int) -> "Poly":
-        """The integer polynomial whose balanced base-2**bits digits are value."""
+        """The polynomial whose balanced base-2**bits digits are value."""
         _check_bits(bits)
         # a nonzero top digit c_d makes |value| >= 2^{bits d - 2}: d + 1 digits fit
-        return cls._make(_unpack(value, bits, abs(value).bit_length() // bits + 2), 1)
+        return cls._make(_unpack(value, bits, abs(value).bit_length() // bits + 2))
 
     def gcd(self, other: "Poly") -> "Poly":
         """Greatest common divisor, normalized primitive with positive lead."""
-        return Poly._make(_vec_gcd(self._c, other._c), 1)
+        return Poly(_raw=tuple(_vec_gcd(self._c, other._c)))
 
     def __str__(self) -> str:
         if not self._c:
@@ -399,28 +356,22 @@ class Poly:
         for i, c in enumerate(self._c):
             if c == 0:
                 continue
-            coeff = Fraction(c, self._den)
-            body = _term_text(coeff, i)
+            body = _term_text(abs(c), i)
             if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
+                parts.append(body if c > 0 else "-" + body)
             else:
-                parts.append(("+" if coeff > 0 else "-") + body)
+                parts.append(("+" if c > 0 else "-") + body)
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
 
 
-def _term_text(coeff: Fraction, power: int) -> str:
-    mag = abs(coeff)
+def _term_text(mag: int, power: int) -> str:
     if power == 0:
         return str(mag)
     qpart = "q" if power == 1 else f"q^{power}"
-    if mag == 1:
-        return qpart
-    if mag.denominator == 1:
-        return f"{mag}{qpart}"
-    return f"({mag}){qpart}"
+    return qpart if mag == 1 else f"{mag}{qpart}"
 
 
 def _check_bits(bits: int) -> None:
@@ -431,8 +382,8 @@ def _check_bits(bits: int) -> None:
 def _coerce(value: object) -> Poly | None:
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Poly([value])
+    if isinstance(value, int):
+        return Poly._make([value])
     return None
 
 

@@ -1,50 +1,45 @@
-"""Canonical rational functions in q over the rationals.
+"""Canonical rational functions in q: the field Q(q) as quotients of
+integer polynomials.
 
-Every value is kept gcd-reduced with a monic denominator, so field
-equality is literal componentwise equality.  Arithmetic follows the
-classical reduced-fraction schemes (cross-gcd for products, Henrici's
-gcd-splitting for sums) so intermediate results never need a full
-renormalization pass.
+Every value is kept in one normal form, so field equality is literal
+componentwise equality: num and den are coprime in Z[q] and share no
+integer factor, and den has a positive leading coefficient (zero is
+0/1).  A rational scalar's denominator moves into den.  Every value the
+library computes has a monic den.  Arithmetic follows the classical
+reduced-fraction schemes (cross-gcd for products, Henrici's gcd-splitting
+for sums) so intermediate results never need a full renormalization pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .polyq import ONE, Poly, ZERO
 
 
 class RatFunc:
-    """Immutable reduced fraction of two polynomials in q."""
+    """Immutable reduced fraction num/den of two integer polynomials in q,
+    in the normal form of the module docstring."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly | int | Fraction, den: Poly | int | Fraction = ONE,
                  _reduced: bool = False):
-        if not isinstance(num, Poly):
-            num = Poly([num])
-        if not isinstance(den, Poly):
-            den = Poly([den])
-        if _reduced:
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
-            return
-        if not den:
-            raise ValueError("division by zero polynomial")
-        if not num:
-            num, den = ZERO, ONE
-        else:
+        if not _reduced:
+            (num, a), (den, b) = _split(num), _split(den)
+            if a != b:
+                # (num/a) / (den/b) = (num b) / (den a)
+                num, den = num * b, den * a
+            if not den:
+                raise ValueError("division by zero polynomial")
             # a constant denominator is coprime to num: only the scaling remains
-            if den.degree > 0:
+            if num and den.degree > 0:
                 g = num.gcd(den)
                 if g.degree > 0:
                     num = num.divexact(g)
                     den = den.divexact(g)
-            lc = den.leading_coeff
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
+            num, den = _normal(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -55,20 +50,9 @@ class RatFunc:
     def _raw(cls, num: Poly, den: Poly) -> "RatFunc":
         return cls(num, den, _reduced=True)
 
-    @classmethod
-    def _monic_scaled(cls, num: Poly, den: Poly) -> "RatFunc":
-        if not num:
-            return RF_ZERO
-        lc = den.leading_coeff
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-        return cls._raw(num, den)
-
     @property
     def is_polynomial(self) -> bool:
-        return self.den == ONE
+        return self.den.degree == 0
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -92,7 +76,7 @@ class RatFunc:
             return RatFunc._raw(an + bn, ONE)
         d = ad.gcd(bd)
         if d.degree == 0:
-            return RatFunc._monic_scaled(an * bd + bn * ad, ad * bd)
+            return RatFunc._raw(*_normal(an * bd + bn * ad, ad * bd))
         ad1 = ad.divexact(d)
         t = an * bd.divexact(d) + bn * ad1
         if not t:
@@ -101,7 +85,7 @@ class RatFunc:
         if h.degree > 0:
             t = t.divexact(h)
             bd = bd.divexact(h)
-        return RatFunc._monic_scaled(t, ad1 * bd)
+        return RatFunc._raw(*_normal(t, ad1 * bd))
 
     __radd__ = __add__
 
@@ -135,14 +119,14 @@ class RatFunc:
         if g2.degree > 0:
             bn = bn.divexact(g2)
             ad = ad.divexact(g2)
-        return RatFunc._monic_scaled(an * bn, ad * bd)
+        return RatFunc._raw(*_normal(an * bn, ad * bd))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise ValueError("division by zero rational function")
-        return RatFunc._monic_scaled(self.den, self.num)
+        return RatFunc._raw(*_normal(self.den, self.num))
 
     def __truediv__(self, other: "RatFunc | Poly | int | Fraction") -> "RatFunc":
         other = _coerce(other)
@@ -162,7 +146,7 @@ class RatFunc:
         return RatFunc._raw(self.num**n, self.den**n)
 
     def substitute_power(self, d: int) -> "RatFunc":
-        """q -> q**d; coprimality and the monic denominator survive."""
+        """q -> q**d; the normal form survives."""
         if d < 1:
             raise ValueError("substitution exponent must be positive")
         if d == 1:
@@ -194,13 +178,36 @@ RF_ZERO = RatFunc._raw(ZERO, ONE)
 RF_ONE = RatFunc._raw(ONE, ONE)
 
 
+def _split(value: Poly | int | Fraction) -> tuple[Poly, int]:
+    # value as an integer polynomial over a positive integer
+    if isinstance(value, Poly):
+        return value, 1
+    if isinstance(value, Fraction):
+        return Poly([value.numerator]), value.denominator
+    return Poly([value]), 1
+
+
+def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The normal form of num/den for num and den coprime in Q[q]: divide
+    out the integer content they share, signed so that den's lead is
+    positive."""
+    if not num:
+        return ZERO, ONE
+    lc = den.leading_coeff
+    if lc != 1:
+        c = gcd(*num.coefficients(), *den.coefficients()) * (1 if lc > 0 else -1)
+        if c != 1:
+            content = Poly([c])
+            num, den = num.divexact(content), den.divexact(content)
+    return num, den
+
+
 def _coerce(value: object) -> "RatFunc":
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, Poly):
-        return RatFunc._raw(value, ONE)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc._raw(Poly([value]), ONE)
+    if isinstance(value, (Poly, int, Fraction)):
+        num, den = _split(value)
+        return RatFunc._raw(num, Poly([den]))
     return NotImplemented
 
 

@@ -144,12 +144,17 @@ def test_beta_hk():
 ], ids=["beta_poly", "beta_poly_expansion", "beta_h", "beta_hk"])
 def test_families_refuse_bad_arguments(family):
     # an integral Fraction is its integer; a negative x, a non-integral dx,
-    # a base d < 1 and a float are refused up front
+    # a base d < 1, a float x and a float d are refused up front
     assert family(3, F(6, 3)) == family(3, 2)
     for d, x in [(2, -1), (2, F(-1, 2)), (1, F(1, 2)), (2, F(1, 3)), (0, 1), (-1, 0),
-                 (1, 1.0), (2, "1")]:
+                 (1, 1.0), (2, "1"), (2.0, 1), (1.5, 0), (2.0, 0)]:
         with pytest.raises(ValueError):
             family(d, x)
+    # the numbers share the families' base check
+    for call in (lambda: beta_number(2, 2.0), lambda: beta_number_recurrence(3, 2.0),
+                 lambda: beta_poly(2, 1.5, 0), lambda: beta_poly(2, 2.0, 1)):
+        with pytest.raises(ValueError, match="positive int, got"):
+            call()
 
 
 def test_fractional_argument_lands_in_q_of_q():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -63,9 +64,15 @@ def test_compute_csv(capsys):
      "188649f162ecd458d5446ab9372496e144d746ea8af6d946a2567850a4942608"),
     (("beta_h", "--n", "2", "--h", "2", "--d", "3", "--x", "1"),
      "c714c304f76d613ff5455d4cec3d1538108e88a90024fa0d2531e382e264df49"),
+    (("T", "--n", "2", "--m", "3", "--w", "2", "--d", "2", "--format", "json"),
+     "599db7c2b3f48d85737faa6a968a4685e3ce9509bb1bc02831c229e25c3adc2f"),
+    (("qint", "--x", "5", "--d", "3", "--format", "csv"),
+     "178e6b8c98f09ba94cb97dd8b2ddb4142d7b7f6706d758ee825d2e4a51f6779a"),
+    (("beta", "--n", "4", "--d", "2", "--format", "text"),
+     "e6f4dcef8ea42c6814606b58d637c7f5ef69fa6654ea96a4c4c376d4e9550218"),
 ])
 def test_compute_polynomial_families_bytes(capsys, argv, digest):
-    # sha256 of stdout, pinned: bases q^2 and q^3 at a nonzero --x
+    # sha256 of stdout, pinned: every compute target in base q^2 or q^3
     code, out, _ = run(capsys, "compute", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -144,6 +151,16 @@ def test_verify_padic_refuses_runaway_levels(capsys):
     code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "101",
                          "--q0", "102", "--N", "3", "--K", "10")
     assert code == 2 and out == "" and "budget" in err
+    assert time.monotonic() - t0 < 1
+
+
+def test_verify_padic_refuses_unprintable_precision(capsys, monkeypatch):
+    # residues mod 3^9100 exceed the default 4300-digit limit for printing an
+    # integer; they used to fail only once the first row was printed
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--suite", "padic", "--K", "9100")
+    assert code == 2 and out == "" and "K=9100" in err
     assert time.monotonic() - t0 < 1
 
 

@@ -7,9 +7,10 @@ alters one canonical form, one coefficient string or the row order fails
 here.  The README's `compute`, `table` and thm1 `verify` examples are
 compared with the output of the same commands.
 
-Every case but lemma2, and every README example, run with `Poly.gcd` and
-`Poly.divexact` raising: the suites reduce over cyclotomic exponent maps,
-and only lemma2 sums beta_hk values through public `RatFunc` arithmetic.
+Every case but lemma2 and the default report (which includes lemma2), and
+every README example, run with `Poly.gcd` and `Poly.divexact` raising: the
+suites reduce over cyclotomic exponent maps, and only lemma2 sums beta_hk
+values through public `RatFunc` arithmetic.
 
 Regenerate the digests only when the output is meant to change:
 
@@ -31,9 +32,13 @@ GOLDEN = Path(__file__).with_name("golden_verify.json")
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 CASES = {suite: ["--suite", suite] for suite in cli.SUITES}
+# plain `qcarlitz verify`: every suite at its default grid
+CASES["all"] = []
 CASES["thm1 --jobs 2"] = ["--suite", "thm1", "--jobs", "2"]
-# the benchmark's carlitz grid: the default stops at n = 8
-CASES["carlitz-cross --n-max 20"] = ["--suite", "carlitz-cross", "--n-max", "20"]
+# the benchmark's carlitz grid (the default stops at n = 8), and n = 40:
+# larger packed joins and quotients than n = 20 reaches
+for _n in ("20", "40"):
+    CASES[f"carlitz-cross --n-max {_n}"] = ["--suite", "carlitz-cross", "--n-max", _n]
 # the benchmark's two p-adic levels: p^11 single sums, p^8 double sums
 for _case in ("padic --p 3 --q0 4 --N 11 --K 16", "padic --p 5 --q0 6 --N 4 --K 10"):
     CASES[_case] = ["--suite", *_case.split()]
@@ -63,7 +68,7 @@ def _refuse_generic_algebra(monkeypatch) -> None:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_verify_json_bytes_match_golden(case, monkeypatch):
     expected = json.loads(GOLDEN.read_text())[case]
-    if case != "lemma2":
+    if case not in ("lemma2", "all"):
         _refuse_generic_algebra(monkeypatch)
     assert _digest(CASES[case]) == expected
 

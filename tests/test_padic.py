@@ -9,6 +9,7 @@ beyond the integrand definition.
 """
 
 import operator
+import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -356,6 +357,30 @@ def test_runaway_summation_is_refused_up_front():
     with pytest.raises(ValueError, match="budget"):
         witt_check(1, 2, 2, 0, job)
     assert time.monotonic() - t0 < 1
+
+
+def test_unprintable_precision_is_refused_up_front(monkeypatch):
+    # the default limit: 3^9000 - 1 has 4295 digits, 3^9100 - 1 has 4342
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    t0 = time.monotonic()
+    for K in (10**9, 9100):
+        with pytest.raises(ValueError, match=f"K={K} "):
+            VolkenbornJob(3, 4, 3, K, IntegrandSpec(0, 0))
+    VolkenbornJob(3, 4, 3, 9000, IntegrandSpec(0, 0))
+    assert time.monotonic() - t0 < 1
+    # at a small limit, admitted exactly when the largest residue prints
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40)
+    for p in (3, 5, 7):
+        for K in range(4, 120):
+            fits = len(str(p ** K - 1)) <= 40
+            try:
+                VolkenbornJob(p, p + 1, 3, K, IntegrandSpec(0, 0))
+                assert fits, (p, K)
+            except ValueError as exc:
+                assert not fits and f"K={K} " in str(exc), (p, K)
+    # 0 is no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    VolkenbornJob(3, 4, 3, 10**9, IntegrandSpec(0, 0))
 
 
 def test_witt_guards(monkeypatch):

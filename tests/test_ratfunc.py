@@ -12,29 +12,35 @@ from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc, rf_eval_rational
 
 def test_canonical_form():
     v = RatFunc(Poly([1, 2, 1]), Poly([2, 2]))
-    assert v.num == Poly([Fraction(1, 2), Fraction(1, 2)])
-    assert v.den == ONE
+    assert v.num == Poly([1, 1])
+    assert v.den == Poly([2])
     w = RatFunc(Poly([0, 1]), Poly([0, 2, 2]))
-    assert w.den.is_monic
-    assert w == RatFunc(Poly([Fraction(1, 2)]), Poly([1, 1]))
+    assert (w.num, w.den) == (ONE, Poly([2, 2]))
+    assert w == RatFunc(Fraction(1, 2), Poly([1, 1]))
+    # a negative lead and a shared integer content move out of den
+    u = RatFunc(Poly([0, 6, 6]), Poly([0, 0, -4]))
+    assert (u.num, u.den) == (Poly([-3, -3]), Poly([0, 2]))
 
 
 def test_constant_denominator_needs_no_gcd(monkeypatch):
     q = Poly.q_power(1)
-    poly = Poly([Fraction(3, 2), -4, 0, 6])
+    poly = Poly([6, -8, 0, 12])
     # the same values through the gcd path: a common factor q on both sides
     want = [RatFunc(Poly.q_power(a) * q, q) for a in range(5)]
-    want += [RatFunc(poly * q, Poly([0, 3])), RatFunc(poly * q, q * Fraction(-2, 5))]
+    want += [RatFunc(poly * q, Poly([0, 3])), RatFunc(poly * q, Poly([0, 4])),
+             RatFunc(poly * q * 5, q * -2)]
 
     def refuse(self, other):
         raise AssertionError("Poly.gcd called")
 
     monkeypatch.setattr(Poly, "gcd", refuse)
     got = [RatFunc(Poly.q_power(a)) for a in range(5)]
-    got += [RatFunc(poly, 3), RatFunc(poly, Poly([Fraction(-2, 5)]))]
+    got += [RatFunc(poly, 3), RatFunc(poly, 4), RatFunc(poly, Fraction(-2, 5))]
     assert [(v.num, v.den) for v in got] == [(v.num, v.den) for v in want]
-    assert got[-2].num == Poly([Fraction(1, 2), Fraction(-4, 3), 0, 2])
-    assert all(v.den == ONE for v in got)
+    assert (got[-3].num, got[-3].den) == (poly, Poly([3]))
+    assert (got[-2].num, got[-2].den) == (Poly([3, -4, 0, 6]), Poly([2]))
+    assert (got[-1].num, got[-1].den) == (Poly([-15, 20, 0, -30]), ONE)
+    assert all(v.den.degree == 0 for v in got)
 
 
 def test_zero_and_division_guard():
@@ -69,7 +75,8 @@ def test_coercion():
     v = RatFunc(ONE, Poly([1, 1]))
     assert v + 1 == RatFunc(Poly([2, 1]), Poly([1, 1]))
     assert 1 - v == RatFunc(Poly([0, 1]), Poly([1, 1]))
-    assert v * Fraction(2, 3) == RatFunc(Poly([Fraction(2, 3)]), Poly([1, 1]))
+    assert v * Fraction(2, 3) == RatFunc(Poly([2]), Poly([3, 3]))
+    assert (v * Fraction(2, 3)).den == Poly([3, 3])
     assert Poly([0, 1]) / v == RatFunc(Poly([0, 1, 1]))
     assert v ** 2 == RatFunc(ONE, Poly([1, 2, 1]))
     assert v ** 0 == RF_ONE
@@ -131,12 +138,12 @@ def test_str_rendering():
 # ---------------------------------------------------------------------------
 # canonical form and gcd, against their definitions and against sympy
 
-FRAC = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+COEF = st.integers(-6, 6)
 
 
 @st.composite
 def polys(draw, max_len=5):
-    return Poly(draw(st.lists(FRAC, max_size=max_len))).shift(draw(st.integers(0, 2)))
+    return Poly(draw(st.lists(COEF, max_size=max_len))).shift(draw(st.integers(0, 2)))
 
 
 @st.composite
@@ -152,16 +159,13 @@ def sympy():
 
 
 def _to_sympy(sympy, p: Poly):
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients())]
+    coeffs = [sympy.Integer(c) for c in reversed(p.coefficients())]
     return sympy.Poly(coeffs or [0], sympy.Symbol("q"), domain="QQ")
 
 
-def _monic(p: Poly) -> Poly:
-    return p * (1 / p.leading_coeff) if p else p
-
-
 def _assert_canonical(v: RatFunc) -> None:
-    assert v.den.is_monic
+    assert v.den.leading_coeff > 0
+    assert gcd(*v.num.coefficients(), *v.den.coefficients()) == 1
     assert v.num.gcd(v.den) == ONE
     again = RatFunc(v.num, v.den)
     assert again == v and again.num == v.num and again.den == v.den
@@ -174,22 +178,23 @@ DIFF = settings(max_examples=120, deadline=None, derandomize=True, database=None
 @given(sharing_pairs())
 @example((ZERO, ZERO))
 @example((ZERO, Poly([0, -2])))
-@example((Poly([0, 0, 3]), Poly([0, Fraction(1, 2), 1])))
+@example((Poly([0, 0, 3]), Poly([0, 1, 2])))
 def test_gcd_matches_sympy(sympy, pair):
     a, b = pair
     g = a.gcd(b)
     if g:
         # primitive integer coefficients with a positive lead
-        assert all(c.denominator == 1 for c in g.coefficients())
-        assert gcd(*(c.numerator for c in g.coefficients())) == 1
+        assert all(type(c) is int for c in g.coefficients())
+        assert gcd(*g.coefficients()) == 1
         assert g.leading_coeff > 0
-    assert _to_sympy(sympy, _monic(g)) == sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+    want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+    assert (_to_sympy(sympy, g).monic() if g else _to_sympy(sympy, g)) == want
 
 
 @DIFF
 @given(sharing_pairs())
 @example((Poly([1, 2, 1]), Poly([2, 2])))
-@example((Poly([Fraction(3, 2)]), Poly([0, -4])))
+@example((Poly([3]), Poly([0, -8])))
 def test_normal_form_matches_sympy_cancel(sympy, pair):
     num, den = pair
     if not den:
@@ -198,8 +203,12 @@ def test_normal_form_matches_sympy_cancel(sympy, pair):
     q = sympy.Symbol("q")
     expr = sympy.cancel(_to_sympy(sympy, num).as_expr() / _to_sympy(sympy, den).as_expr())
     n, d = (sympy.Poly(part, q, domain="QQ") for part in sympy.fraction(expr))
+    n, d = n.quo_ground(d.LC()), d.monic()
+    # over a monic den, the least common denominator of all coefficients
+    # gives integer polynomials with coprime contents and a positive lead
+    scale = sympy.ilcm(1, *(c.q for c in n.all_coeffs() + d.all_coeffs()))
     assert (_to_sympy(sympy, v.num), _to_sympy(sympy, v.den)) == \
-        (n.quo_ground(d.LC()), d.monic())
+        (n.mul_ground(scale), d.mul_ground(scale))
 
 
 @DIFF
@@ -215,3 +224,24 @@ def test_canonical_form_invariants(x, y):
         values += [a + b, a - b, a * b] + ([a / b] if b else [])
     for v in values:
         _assert_canonical(v)
+
+
+def _horner(p: Poly, x: Fraction) -> Fraction:
+    return sum((c * x ** i for i, c in enumerate(p.coefficients())), Fraction(0))
+
+
+@DIFF
+@given(polys(), polys().filter(bool), polys(max_len=3).filter(bool),
+       COEF.filter(bool), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+@example(Poly([1, 1]), Poly([2]), ONE, 1, Fraction(1))
+@example(Poly([0, 6, 6]), Poly([0, 0, -4]), Poly([1, 1]), -3, Fraction(-1, 2))
+def test_normal_form_is_unique_and_keeps_the_value(a, b, k, c, x):
+    v = RatFunc(a, b)
+    # a common polynomial factor k and integer factor c leave no trace
+    w = RatFunc(a * k * c, b * k * c)
+    assert w == v and (w.num, w.den) == (v.num, v.den)
+    assert v.den.leading_coeff > 0
+    assert gcd(*v.num.coefficients(), *v.den.coefficients()) == 1
+    bx = _horner(b, x)
+    if bx:
+        assert v.evaluate(x) == _horner(a, x) / bx
