@@ -35,8 +35,8 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .polyq import ONE, Poly
-from .qcore import (cyclotomic_sum, over_cyclotomic_packed, q_int_exponents, q_int_poly,
-                    q_power_minus_one_exponents)
+from .qcore import (check_base, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
+                    q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -82,7 +82,7 @@ def beta_number(n: int, d: int = 1) -> RatFunc:
     That is beta_{n,q} with q -> q^d, so only the base-q sum is reduced."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    _check_base(d)
+    check_base(d)
     return _beta_hk_monomial(n, 1, 1, d, 0)
 
 
@@ -98,7 +98,7 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     """
     if n_max < 0:
         raise ValueError("table size must be non-negative")
-    _check_base(d)
+    check_base(d)
     values = [RF_ONE]
     carried = [(ONE, Counter())]
     for n in range(1, n_max + 1):
@@ -147,15 +147,9 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
                                   exps + q_power_minus_one_exponents(d, n))[0]
 
 
-def _check_base(d: int) -> None:
-    # one check for every entry: a float d would fail deep in gcd or range
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"base exponent must be a positive int, got {d!r}")
-
-
 def _exponent(d: int, x: int | Fraction) -> int:
     # the exponent e = dx of z = q^{dx}, the only way the argument enters
-    _check_base(d)
+    check_base(d)
     if not isinstance(x, (int, Fraction)):
         raise ValueError(f"argument must be an int or a Fraction, got {type(x).__name__}")
     if x < 0:

@@ -5,13 +5,20 @@ Each checker evaluates one symmetric expression at all six permutations of
 
 The evaluation strategy keeps every intermediate over a shared structural
 denominator.  The three bases q^{w2*w3}, q^{w1*w3}, q^{w1*w2} form a
-permutation-invariant multiset, and every beta factor appearing in the
-theorems has denominator dividing
+permutation-invariant multiset.  Every beta factor of the theorems in base
+q^b and degree deg has denominator dividing
+(1-q^b)^deg [2]_{q^b} ... [n+1]_{q^b}, and every theorem multiplies it by
+[b]_q^deg, so with (1-q^b) = (1-q) [b]_q the product has denominator
+dividing (1-q)^n [2]_{q^b} ... [n+1]_{q^b}, and every term has one such
+factor per base.  So each permutation value is assembled as a plain
+polynomial numerator against the same
 
-    D = prod over bases b of (1-q^b)^n * [2]_{q^b} * ... * [n+1]_{q^b},
+    D = (1-q)^{3n} * prod over bases b of [2]_{q^b} * ... * [n+1]_{q^b}.
 
-so each permutation value is assembled as a plain polynomial numerator
-against the same D.  Six-way equality is then literal numerator equality.
+Six-way equality is then literal numerator equality.  Over the larger
+common denominator prod_b (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b} every
+numerator would carry the factor prod_b [b]_q^n, which depends on the
+multiset of bases alone and which the reducer would only divide back out.
 
 D is never expanded.  Every factor of it is a product of cyclotomic
 polynomials, since q^m - 1 = prod_{d | m} Phi_d, so D is carried as the
@@ -25,16 +32,17 @@ homomorphism Z[q] -> Z, so each permutation's numerator is one integer,
 built from closed forms of its factors at X = 2^B:
 
     [t]_{q^b}      = (X^{bt} - 1) // (X^b - 1),
-    (1 - q^b)^k    = (1 - X^b)^k,
+    (1 - q)^k      = (1 - X)^k,
     q^s            = a shift by B*s bits, and (q - 1) x = (x << B) - x.
 
 The only polynomials are the small power sums T_{t,m}(w|q^b), which
 `power_sum_T` caches across checks and which are packed at B.
 
-Each beta factor is taken together with its slot of D, the base-b part
-(1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}, and that product is a polynomial:
+Each beta factor is taken together with its bracket [b]_q^deg and its
+slot of D, the base-b part (1-q)^n [2]_{q^b} ... [n+1]_{q^b}, and that
+product is a polynomial:
 
-    sum_j (-1)^j C(deg, j) (j+h) q^{je} (1-q^b)^{n-deg} P_b / [h+j]_{q^b},
+    sum_j (-1)^j C(deg, j) (j+h) q^{je} (1-q)^{n-deg} P_b / [h+j]_{q^b},
 
 P_b = [2]_{q^b} ... [n+1]_{q^b}.  Theorem 4's inner sum over i < w3 of
 q^{h step i} beta(q^{e + step i}) only multiplies term j by
@@ -50,9 +58,10 @@ over L1 bounds of the factors (`_Norms`): [b]_q^k and T have non-negative
 coefficients, so their norms are their values at q = 1, (q - 1) counts 2,
 and a slot value has the closed-form bound `_slot_bound`.  That bound
 ignores the cancellation in the alternating beta sum and in the products
-of (1 - q^{bt}): at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at 48, 88 and
-136 bits at n = 4, 8 and 12, where the slots' actual norms would give 40,
-64 and 96.
+of (1 - q) and the q-integers: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs
+at 48, 96 and 160 bits at n = 4, 8 and 12, where the slots' actual norms
+would give 40, 80 and 128, and the numerators' coefficients need 24, 64
+and 104.  The numerators have degree 278, 892 and 1842 there.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -68,12 +77,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb, prod
+from math import comb, factorial, prod
 from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, balanced_bits
-from .qcore import over_cyclotomic_packed, power_sum_T, q_power_minus_one_exponents
+from .qcore import (over_cyclotomic_packed, power_sum_T, q_int_exponents,
+                    q_power_minus_one_exponents)
 from .ratfunc import RatFunc
 
 @dataclass(frozen=True, order=True)
@@ -153,18 +163,16 @@ class IdentityReport:
 # thm1 grid to n = 4, w = 3, y = 2 50
 @lru_cache(maxsize=256)
 def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
-    """D = prod over the base multiset of (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}
+    """D = (1-q)^{3n} prod over the base multiset of [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
 
-    Each [t]_{q^b} = (q^{bt} - 1)/(q^b - 1) takes one factor of
-    (1-q^b)^n = (-1)^n (q^b - 1)^n, so a slot is
-    (-1)^n prod_{t=2..n+1} (q^{bt} - 1); the three bases give the sign
-    (-1)^{3n}.
+    (1-q)^{3n} = (-1)^n Phi_1^{3n}, and each [t]_{q^b} is a product of
+    distinct Phi_d (`q_int_exponents`).
     """
-    exps: Counter[int] = Counter()
+    exps = q_power_minus_one_exponents(1, 3 * n)
     for b in bases:
         for t in range(2, n + 2):
-            exps.update(q_power_minus_one_exponents(b * t))
+            exps.update(q_int_exponents(t, b))
     return tuple(sorted(exps.items()))
 
 
@@ -228,8 +236,8 @@ class _Packed:
         return power_sum_T(tdeg, m, w, b).num.pack(self.bits)
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) times
-        the master slot (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
+        """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) [b]_q^deg
+        times the master slot (1-q)^n [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
         key = (b, deg, h, e, step, count)
         value = self._slots.get(key)
         if value is None:
@@ -238,7 +246,8 @@ class _Packed:
 
     def _slot(self, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
         # beta^{(h)}_{deg} is sum_j (-1)^j C(deg, j) (j+h) q^{je} / [h+j]
-        # over (1-q^b)^deg; in the slot, [h+j] divides [1] [2] ... [n+1]
+        # over (1-q^b)^deg = (1-q)^deg [b]_q^deg; in the slot, [h+j] divides
+        # [1] [2] ... [n+1]
         n = self.n
         if h < 1 or h + deg > n + 1:
             raise ValueError("beta factor denominator exceeds the master slot")
@@ -252,7 +261,7 @@ class _Packed:
                 term *= _q_int_at(count, self.bits * t * step)
             term = self.shift(term, j * e)
             acc = acc - term if j & 1 else acc + term
-        return acc * (1 - (1 << self.bits * b)) ** (n - deg)
+        return acc * (1 - (1 << self.bits)) ** (n - deg)
 
 
 @lru_cache(maxsize=256)
@@ -263,14 +272,22 @@ def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     return (full, full) + tuple(full // _q_int_at(t, bits * b) for t in range(2, n + 2))
 
 
-def _slot_bound(n: int, deg: int, h: int, count: int) -> int:
+def _slot_bound(n: int, b: int, deg: int, h: int, count: int) -> int:
     """Closed-form bound on the L1 norm of `_Packed.slot`.
 
-    The slot cofactor (1-q^b)^{n-deg} prod [t]_{q^b} has r <= n - deg
-    q-integers, so it is +-(1-q^b)^{n-deg-r} prod (1-q^{bt}): norm at most
-    2^{n-deg}.  The beta numerator is at most 2^deg [h]...[h+deg] at q = 1.
+    Term j is C(deg, j) (h+j) [count]_{q^{(h+j) step}} (1-q)^{n-deg} times
+    the q-integers [t]_{q^b} of P_b / [h+j].  Each factor (1-q) counts 2,
+    each [t]_{q^b} counts t and (h+j) P_b / [h+j] counts (n+1)!, so the
+    terms sum to at most 2^n (n+1)! count.  In base q, (1-q) [t]_q = 1 - q^t
+    counts 2, not 2t, so there each (1-q) pairs with one of the largest t.
     """
-    return (1 << (n - deg)) * (1 << deg) * prod(range(h, h + deg + 1)) * count
+    if b > 1:
+        return (1 << n) * factorial(n + 1) * count
+    total = 0
+    for j in range(deg + 1):
+        ts = [t for t in range(2, n + 2) if t != h + j]
+        total += comb(deg, j) * (h + j) * prod(ts[:max(len(ts) - (n - deg), 0)])
+    return (1 << (n - deg)) * total * count
 
 
 class _Norms:
@@ -293,7 +310,7 @@ class _Norms:
         return sum(i ** m for i in range(w + 1))
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        return _slot_bound(self.n, deg, h, count)
+        return _slot_bound(self.n, b, deg, h, count)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +326,23 @@ class _Norms:
 
 
 def _outer(ev, b1: int, e1: int, inner) -> int:
-    """sum_k C(n, k) q^{e1 (n-k)} [b1]^k slot(b1, k, n-k+1, e1) inner(n - k)."""
+    """sum_k C(n, k) q^{e1 (n-k)} slot(b1, k, n-k+1, e1) inner(n - k)."""
     n = ev.n
-    return sum(comb(n, k) * ev.shift(ev.slot(b1, k, n - k + 1, e1) * ev.bracket(b1, k)
-                                     * inner(n - k), e1 * (n - k))
+    return sum(comb(n, k) * ev.shift(ev.slot(b1, k, n - k + 1, e1) * inner(n - k), e1 * (n - k))
                for k in range(n + 1))
 
 
 def _inner(ev, b2: int, e2: int, j: int, h: int, tail: list[int]) -> int:
-    """sum_{l+m=j} C(j, l) q^{e2 (m+h-1)} [b2]^l slot(b2, l, m+h, e2) tail[m]."""
-    return sum(comb(j, l) * ev.shift(ev.slot(b2, l, j - l + h, e2) * ev.bracket(b2, l)
-                                     * tail[j - l], e2 * (j - l + h - 1))
+    """sum_{l+m=j} C(j, l) q^{e2 (m+h-1)} slot(b2, l, m+h, e2) tail[m]."""
+    return sum(comb(j, l) * ev.shift(ev.slot(b2, l, j - l + h, e2) * tail[j - l],
+                                     e2 * (j - l + h - 1))
                for l in range(j + 1))
 
 
 def _thm1_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
               _w3s: int) -> int:
     b1, b2, b3 = bases
-    tail = [ev.slot(b3, m, 1, W * y[2]) * ev.bracket(b3, m) for m in range(ev.n + 1)]
+    tail = [ev.slot(b3, m, 1, W * y[2]) for m in range(ev.n + 1)]
     return _outer(ev, b1, W * y[0], lambda j: _inner(ev, b2, W * y[1], j, 1, tail))
 
 
@@ -353,9 +369,9 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     e0 = W * y[1]
 
     def inner(j: int) -> int:
-        out = ev.times_q_minus_1(ev.slot(b2, j, 1, e0, b3, w3s) * ev.bracket(b2, j))
+        out = ev.times_q_minus_1(ev.slot(b2, j, 1, e0, b3, w3s))
         if j:
-            out += j * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s) * ev.bracket(b2, j - 1), e0)
+            out += j * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s), e0)
         return out
 
     outer = _outer(ev, b1, W * y[0], inner)

@@ -215,10 +215,6 @@ class Poly:
     def leading_coeff(self) -> int:
         return self._c[-1] if self._c else 0
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == 1
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

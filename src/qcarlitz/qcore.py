@@ -28,14 +28,21 @@ from .polyq import ONE, Poly, ZERO, balanced_bits
 from .ratfunc import RF_ZERO, RatFunc
 
 
-# bounded: the test suite in one process reaches 91 keys, qlaws 51
-@lru_cache(maxsize=256)
+def check_base(d: int) -> None:
+    """Refuse a base exponent d of q^d that is not a positive int, at the
+    entry: a float d would fail deep inside, in range or a list product."""
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"base exponent must be a positive int, got {d!r}")
+
+
+# bounded: the test suite in one process reaches 91 keys, qlaws 51; typed,
+# so a float base equal to a cached int one still reaches check_base
+@lru_cache(maxsize=256, typed=True)
 def q_int_poly(x: int, d: int = 1) -> Poly:
     """[x]_{q^d} = 1 + q^d + ... + q^{d(x-1)} as a plain polynomial."""
+    check_base(d)
     if x < 0:
         raise ValueError("q-integer argument must be non-negative")
-    if d < 1:
-        raise ValueError("base exponent must be positive")
     if x == 0:
         return ZERO
     vec = [0] * (d * (x - 1) + 1)
@@ -76,10 +83,9 @@ def q_power_minus_one_exponents(m: int, power: int = 1) -> Counter[int]:
 def q_int_exponents(t: int, b: int = 1) -> Counter[int]:
     """Exponent map of [t]_{q^b} = (q^{bt} - 1)/(q^b - 1): Phi_d for every
     d | bt with d not dividing b."""
+    check_base(b)
     if t < 1:
         raise ValueError("q-integer argument must be positive")
-    if b < 1:
-        raise ValueError("base exponent must be positive")
     return Counter({d: 1 for d in _divisors(b * t) if b % d})
 
 
@@ -261,14 +267,13 @@ def q_int(x: int, d: int = 1) -> RatFunc:
 
 
 # bounded: the test suite in one process reaches 233 keys, lemma2 to n = 12
-# 225, the cross34 grid to n = 3, w = 3, y = 2 144
-@lru_cache(maxsize=512)
+# 225, the cross34 grid to n = 3, w = 3, y = 2 144; typed, as q_int_poly
+@lru_cache(maxsize=512, typed=True)
 def power_sum_T(n: int, m: int, w: int, d: int = 1) -> RatFunc:
     """T_{n,m}(w | q^d) = sum_{i=0..w} q^{dni} [i]_{q^d}^m, always a polynomial."""
+    check_base(d)
     if min(n, m, w) < 0:
         raise ValueError("power sum indices must be non-negative")
-    if d < 1:
-        raise ValueError("base exponent must be positive")
     acc = ZERO
     for i in range(w + 1):
         acc = acc + (q_int_poly(i, d) ** m).shift(d * n * i)

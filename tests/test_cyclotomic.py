@@ -33,9 +33,9 @@ def bases_of(w):
 
 
 def expanded_master_den(n, bases):
-    out = ONE
+    """(1-q)^{3n} prod over the bases of [2]_{q^b} ... [n+1]_{q^b}."""
+    out = (ONE - Poly.q_power(1)) ** (3 * n)
     for b in bases:
-        out = out * (ONE - Poly.q_power(b)) ** n
         for t in range(2, n + 2):
             out = out * q_int_poly(t, b)
     return out

@@ -15,7 +15,7 @@ from math import comb, factorial
 
 import pytest
 
-from qcarlitz.carlitz import beta_h, beta_poly
+from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
                                  _check, _Packed, _packed_nums, _slot_bound, _thm1_num,
                                  _thm3_num, _thm4_num, cross34_check, grid_params,
@@ -234,6 +234,37 @@ def test_cross_theorem_agreement():
         assert r.labels[0] == "thm3:123" and r.labels[6] == "thm4:123"
 
 
+def classical_sum(n, A, bases):
+    """sum over a+k+l+m = n of n!/(a! k! l! m!) A^a b1^k B_k b2^l B_l b3^m B_m:
+    the q -> 1 limit of the triple q-Volkenborn integral behind every S3 value."""
+    b1, b2, b3 = bases
+    B = [bernoulli_classical(i) for i in range(n + 1)]
+    total = Fraction(0)
+    for a in range(n + 1):
+        for k, l, m in lattice(n - a):
+            coeff = factorial(n) // (factorial(a) * factorial(k) * factorial(l) * factorial(m))
+            total += coeff * A ** a * b1 ** k * B[k] * b2 ** l * B[l] * b3 ** m * B[m]
+    return total
+
+
+def test_values_at_q_one_are_classical_bernoulli_sums():
+    # the classical shadow of each value, on the criterion-6 and criterion-7
+    # samples: it shares only bernoulli_classical with the library, so it sees
+    # an error that all six permutations share (a wrong base, binomial or
+    # overall factor), which the six-way verdict cannot; an error that
+    # vanishes at q = 1 (a wrong q-shift or (q - 1) factor) it cannot see
+    for p in sample_grid(grid_params(range(5), 3, 2), 500):
+        bases = sigma_data(p, ALL_PERMUTATIONS[0])[0]
+        want = classical_sum(p.n, p.w_product * sum(p.y), bases)
+        assert all(v.evaluate(1) == want for v in thm1_check(p).values), p
+    for p in sample_grid(grid_params((1, 2, 3), 3, 2, vary_y3=False), 300):
+        W = p.w_product
+        A = W * (p.y[0] + p.y[1])
+        bases = sigma_data(p, ALL_PERMUTATIONS[0])[0]
+        want = classical_sum(p.n, A + W, bases) - classical_sum(p.n, A, bases)
+        assert all(v.evaluate(1) == want for v in cross34_check(p).values), p
+
+
 def series_exp(bracket, order):
     """Coefficient list of e^{bracket*t} in t, up to the given order."""
     out = [RF_ONE]
@@ -377,14 +408,28 @@ def _beta_struct_num(deg, h, d, e):
 
 
 @lru_cache(maxsize=None)
-def _slot_cofactor(n, b, deg, h):
-    """Master slot (1-q^b)^n [2]..[n+1] divided by the structural denominator
-    of a beta factor with degree deg and order h in base q^b."""
-    out = (ONE - Poly.q_power(b)) ** (n - deg)
+def _slot_q_integers(n, b, deg, h):
+    """[2]..[n+1] in base q^b over the q-integers [h]..[h+deg] of the
+    structural denominator of a beta factor with degree deg and order h."""
+    out = ONE
     for t in range(2, n + 2):
         if not h <= t <= h + deg:
             out = out * q_int_poly(t, b)
     return out
+
+
+def _slot_cofactor(n, b, deg, h):
+    """Master slot (1-q)^n [2]..[n+1] times [b]_q^deg, divided by the
+    structural denominator (1-q^b)^deg [h]..[h+deg] of a beta factor in base
+    q^b: (1-q^b)^deg = (1-q)^deg [b]_q^deg leaves (1-q)^{n-deg}."""
+    return (ONE - Poly.q_power(1)) ** (n - deg) * _slot_q_integers(n, b, deg, h)
+
+
+def _uncancelled_slot_cofactor(n, b, deg, h):
+    """The same slot before prod_b [b]_q^n is cancelled from D: the master
+    slot (1-q^b)^n [2]..[n+1] over the structural denominator, times [b]_q^deg."""
+    return ((ONE - Poly.q_power(b)) ** (n - deg) * q_int_poly(b) ** deg
+            * _slot_q_integers(n, b, deg, h))
 
 
 @lru_cache(maxsize=None)
@@ -397,11 +442,10 @@ def _shifted_beta_sum(deg, h, d, e0, step, count):
 
 
 @lru_cache(maxsize=None)
-def _thm1_fixed(n, b1, b2, b3, k, l, m):
-    out = _slot_cofactor(n, b1, k, l + m + 1)
-    out = out * _slot_cofactor(n, b2, l, m + 1)
-    out = out * _slot_cofactor(n, b3, m, 1)
-    return out * q_int_poly(b1) ** k * q_int_poly(b2) ** l * q_int_poly(b3) ** m
+def _thm1_fixed(n, b1, b2, b3, k, l, m, cofactor=_slot_cofactor):
+    out = cofactor(n, b1, k, l + m + 1)
+    out = out * cofactor(n, b2, l, m + 1)
+    return out * cofactor(n, b3, m, 1)
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +457,7 @@ def _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, part):
     out = _slot_cofactor(n, b1, k, h1)
     out = out * _slot_cofactor(n, b2, l, h2)
     out = out * _slot_cofactor(n, b3, 0, 1)
-    out = out * q_int_poly(b1) ** k * q_int_poly(b2) ** l * q_int_poly(b3) ** (m + 1)
+    out = out * q_int_poly(b3) ** (m + 1)
     return out * power_sum_T(tdeg, m, w3s - 1, b3).num
 
 
@@ -426,7 +470,7 @@ def _thm4_fixed(n, b1, b2, b3, k, part):
     out = _slot_cofactor(n, b1, k, n - k + 1)
     out = out * _slot_cofactor(n, b2, inner_deg, inner_h)
     out = out * _slot_cofactor(n, b3, 0, 1)
-    return out * q_int_poly(b1) ** k * q_int_poly(b2) ** inner_deg * q_int_poly(b3)
+    return out * q_int_poly(b3)
 
 
 def _coeffs(poly):
@@ -454,14 +498,14 @@ def _term(factors):
     return out
 
 
-def literal_thm1(n, W, y, bases, _w3s):
+def literal_thm1(n, W, y, bases, _w3s, cofactor=_slot_cofactor):
     b1, b2, b3 = bases
     acc = []
     for k, l, m in lattice(n):
         t = _term([_beta_struct_num(k, l + m + 1, b1, W * y[0]),
                    _beta_struct_num(l, m + 1, b2, W * y[1]),
                    _beta_struct_num(m, 1, b3, W * y[2]),
-                   _thm1_fixed(n, b1, b2, b3, k, l, m)])
+                   _thm1_fixed(n, b1, b2, b3, k, l, m, cofactor)])
         _add_shifted(acc, t, multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]))
     return acc
 
@@ -532,6 +576,19 @@ def test_packed_thm1_numerators_match_literal_sums():
         _check_packed(p, [(_thm1_num, literal_thm1)])
 
 
+def test_cancelled_factor_is_prod_b_bracket_to_the_n():
+    # D keeps none of prod_b [b]_q^n: over the CLI's thm1 grid, the numerator
+    # with each slot over (1-q^b)^n, each times its own [b]_q^deg, is that
+    # factor times the numerator the checkers build
+    for p in grid_params(range(4), 2, 1):
+        for sigma in ALL_PERMUTATIONS:
+            bases, w3s = sigma_data(p, sigma)
+            args = (p.n, p.w_product, p.y, bases, w3s)
+            factor = _term([q_int_poly(b) ** p.n for b in bases])
+            want = _trimmed(literal_thm1(*args, cofactor=_uncancelled_slot_cofactor))
+            assert _trimmed(_conv(factor, literal_thm1(*args))) == want, (p, sigma.label)
+
+
 def test_packed_cross34_numerators_match_literal_sums():
     # the benchmark's cross34 grid, below n = 3
     for p in grid_params((1, 2), 3, 2, vary_y3=False):
@@ -550,13 +607,13 @@ def test_slot_values_and_norms_match_literal_polynomials():
                     lit = _slot_cofactor(n, b, deg, h) * _shifted_beta_sum(deg, h, b, e,
                                                                           step, count)
                     assert lit, (n, b, deg, h, e, step, count)
-                    bound = _slot_bound(n, deg, h, count)
+                    bound = _slot_bound(n, b, deg, h, count)
                     assert _Packed(n, 64).slot(b, deg, h, e, step, count) == lit.pack(64)
                     assert lit.l1_norm() <= bound
                     tight += lit.l1_norm() == bound
     # 2 (1 - q) at n = 1, deg = 0, h = 2 meets the bound, so it cannot shrink
-    assert _slot_bound(1, 0, 2, 1) == (_slot_cofactor(1, 1, 0, 2)
-                                       * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 4
+    assert _slot_bound(1, 1, 0, 2, 1) == (_slot_cofactor(1, 1, 0, 2)
+                                          * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 4
     assert tight
     with pytest.raises(ValueError, match="exceeds the master slot"):
         _Packed(2, 8).slot(1, 2, 2, 0)
@@ -564,7 +621,7 @@ def test_slot_values_and_norms_match_literal_polynomials():
 
 # sha256 of the canonical values of two large-n reports, recorded before the
 # packed pipeline.  At the thm1 point the reduced numerator has 64-bit
-# coefficients; the checkers pack it at 88 bits, so its reduction fits the
+# coefficients; the checkers pack it at 96 bits, so its reduction fits the
 # width.  A reduction that outgrows its width is pinned in test_cyclotomic.py
 # (test_packed_reduction_certifies_a_quotient_that_outgrows_the_width).
 LARGE_N_GOLDENS = [

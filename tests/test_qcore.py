@@ -18,6 +18,16 @@ def test_q_int_poly_values():
         q_int_poly(2, 0)
 
 
+def test_non_int_base_is_refused_at_the_entry():
+    # after the int base is cached too: a float equal to it is still refused
+    q_int_poly(3, 2)
+    power_sum_T(1, 1, 2, 2)
+    for call in (lambda: q_int_poly(3, 2.0), lambda: q_int(3, 2.0),
+                 lambda: power_sum_T(1, 1, 2, 2.0), lambda: q_int_poly(3, Fraction(2))):
+        with pytest.raises(ValueError, match="positive int, got"):
+            call()
+
+
 def test_q_int_limits():
     # [x]_q -> x as q -> 1
     for x in range(6):
