@@ -9,16 +9,18 @@ permutation-invariant multiset.  Every beta factor of the theorems in base
 q^b and degree deg has denominator dividing
 (1-q^b)^deg [2]_{q^b} ... [n+1]_{q^b}, and every theorem multiplies it by
 [b]_q^deg, so with (1-q^b) = (1-q) [b]_q the product has denominator
-dividing (1-q)^n [2]_{q^b} ... [n+1]_{q^b}, and every term has one such
-factor per base.  So each permutation value is assembled as a plain
-polynomial numerator against the same
+dividing (1-q)^deg [2]_{q^b} ... [n+1]_{q^b}.  A term has one such factor
+per base, and the degrees of its beta factors sum to at most n.  So each
+permutation value is assembled as a plain polynomial numerator against
+the same
 
-    D = (1-q)^{3n} * prod over bases b of [2]_{q^b} * ... * [n+1]_{q^b}.
+    D = (1-q)^n * prod over bases b of [2]_{q^b} * ... * [n+1]_{q^b}.
 
-Six-way equality is then literal numerator equality.  Over the larger
-common denominator prod_b (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b} every
-numerator would carry the factor prod_b [b]_q^n, which depends on the
-multiset of bases alone and which the reducer would only divide back out.
+Six-way equality is then literal numerator equality.  Over a larger
+common denominator every numerator would carry a factor that depends on n
+and the multiset of bases alone, and which the reducer would only divide
+back out: (1-q)^{2n} over (1-q)^{3n} prod_b [2]_{q^b} ... [n+1]_{q^b}, and
+(1-q)^{2n} prod_b [b]_q^n over prod_b (1-q^b)^n [2]_{q^b} ... [n+1]_{q^b}.
 
 D is never expanded.  Every factor of it is a product of cyclotomic
 polynomials, since q^m - 1 = prod_{d | m} Phi_d, so D is carried as the
@@ -38,13 +40,15 @@ built from closed forms of its factors at X = 2^B:
 The only polynomials are the small power sums T_{t,m}(w|q^b), which
 `power_sum_T` caches across checks and which are packed at B.
 
-Each beta factor is taken together with its bracket [b]_q^deg and its
-slot of D, the base-b part (1-q)^n [2]_{q^b} ... [n+1]_{q^b}, and that
-product is a polynomial:
+Each beta factor is taken together with its bracket [b]_q^deg and with
+(1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b}, and that product is a
+polynomial with no (1-q) left in it:
 
-    sum_j (-1)^j C(deg, j) (j+h) q^{je} (1-q)^{n-deg} P_b / [h+j]_{q^b},
+    sum_j (-1)^j C(deg, j) (j+h) q^{je} P_b / [h+j]_{q^b}.
 
-P_b = [2]_{q^b} ... [n+1]_{q^b}.  Theorem 4's inner sum over i < w3 of
+A term whose beta factors have total degree below n takes the powers of
+(1-q) that they lack against D's (1-q)^n as one more factor; a Theorem 1
+term lacks none, since k + l + m = n.  Theorem 4's inner sum over i < w3 of
 q^{h step i} beta(q^{e + step i}) only multiplies term j by
 [w3]_{q^{(h+j) step}}.  The factor of the first slot depends on k alone and
 that of the second on (l, m), so the lattice sum is nested: each
@@ -55,13 +59,14 @@ All permutations (twelve for cross34) share one width B, the least multiple
 of 8 bits holding a bound on every numerator coefficient plus a sign bit,
 so equal integers are equal numerators.  The bound is the same nested sum
 over L1 bounds of the factors (`_Norms`): [b]_q^k and T have non-negative
-coefficients, so their norms are their values at q = 1, (q - 1) counts 2,
-and a slot value has the closed-form bound `_slot_bound`.  That bound
-ignores the cancellation in the alternating beta sum and in the products
-of (1 - q) and the q-integers: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs
-at 48, 96 and 160 bits at n = 4, 8 and 12, where the slots' actual norms
-would give 40, 80 and 128, and the numerators' coefficients need 24, 64
-and 104.  The numerators have degree 278, 892 and 1842 there.
+coefficients, so their norms are their values at q = 1, (q - 1) counts 2
+and (1 - q)^k counts 2^k, and a slot value has the closed-form bound
+2^deg (n+1)! count (`_slot_bound`).  That bound ignores the cancellation
+in the alternating beta sum: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at
+40, 80, 136 and 192 bits at n = 4, 8, 12 and 16, where the slots' actual
+norms would give 32, 64 and 104 (n <= 12), and the numerators'
+coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
+876, 1818 and 3096 there.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -163,13 +168,13 @@ class IdentityReport:
 # thm1 grid to n = 4, w = 3, y = 2 50
 @lru_cache(maxsize=256)
 def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
-    """D = (1-q)^{3n} prod over the base multiset of [2]_{q^b} ... [n+1]_{q^b}
+    """D = (1-q)^n prod over the base multiset of [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
 
-    (1-q)^{3n} = (-1)^n Phi_1^{3n}, and each [t]_{q^b} is a product of
-    distinct Phi_d (`q_int_exponents`).
+    (1-q)^n = (-1)^n Phi_1^n, and each [t]_{q^b} is a product of distinct
+    Phi_d (`q_int_exponents`).
     """
-    exps = q_power_minus_one_exponents(1, 3 * n)
+    exps = q_power_minus_one_exponents(1, n)
     for b in bases:
         for t in range(2, n + 2):
             exps.update(q_int_exponents(t, b))
@@ -226,6 +231,10 @@ class _Packed:
     def times_q_minus_1(self, x: int) -> int:
         return (x << self.bits) - x
 
+    def one_minus_q(self, k: int) -> int:
+        """(1-q)^k."""
+        return (1 - (1 << self.bits)) ** k
+
     def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
         """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches.
 
@@ -237,7 +246,7 @@ class _Packed:
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
         """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) [b]_q^deg
-        times the master slot (1-q)^n [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
+        times (1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
         key = (b, deg, h, e, step, count)
         value = self._slots.get(key)
         if value is None:
@@ -247,7 +256,7 @@ class _Packed:
     def _slot(self, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
         # beta^{(h)}_{deg} is sum_j (-1)^j C(deg, j) (j+h) q^{je} / [h+j]
         # over (1-q^b)^deg = (1-q)^deg [b]_q^deg; in the slot, [h+j] divides
-        # [1] [2] ... [n+1]
+        # [1] [2] ... [n+1] and (1-q)^deg [b]_q^deg cancels
         n = self.n
         if h < 1 or h + deg > n + 1:
             raise ValueError("beta factor denominator exceeds the master slot")
@@ -261,7 +270,7 @@ class _Packed:
                 term *= _q_int_at(count, self.bits * t * step)
             term = self.shift(term, j * e)
             acc = acc - term if j & 1 else acc + term
-        return acc * (1 - (1 << self.bits)) ** (n - deg)
+        return acc
 
 
 @lru_cache(maxsize=256)
@@ -272,22 +281,15 @@ def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     return (full, full) + tuple(full // _q_int_at(t, bits * b) for t in range(2, n + 2))
 
 
-def _slot_bound(n: int, b: int, deg: int, h: int, count: int) -> int:
-    """Closed-form bound on the L1 norm of `_Packed.slot`.
+def _slot_bound(n: int, deg: int, count: int) -> int:
+    """Closed-form bound on the L1 norm of `_Packed.slot`, in every base.
 
-    Term j is C(deg, j) (h+j) [count]_{q^{(h+j) step}} (1-q)^{n-deg} times
-    the q-integers [t]_{q^b} of P_b / [h+j].  Each factor (1-q) counts 2,
-    each [t]_{q^b} counts t and (h+j) P_b / [h+j] counts (n+1)!, so the
-    terms sum to at most 2^n (n+1)! count.  In base q, (1-q) [t]_q = 1 - q^t
-    counts 2, not 2t, so there each (1-q) pairs with one of the largest t.
+    Term j is C(deg, j) (h+j) [count]_{q^{(h+j) step}} times the q-integers
+    [t]_{q^b} of P_b / [h+j], all with non-negative coefficients, so its
+    norm is its value at q = 1, C(deg, j) (n+1)! count, and the terms sum
+    to 2^deg (n+1)! count.
     """
-    if b > 1:
-        return (1 << n) * factorial(n + 1) * count
-    total = 0
-    for j in range(deg + 1):
-        ts = [t for t in range(2, n + 2) if t != h + j]
-        total += comb(deg, j) * (h + j) * prod(ts[:max(len(ts) - (n - deg), 0)])
-    return (1 << (n - deg)) * total * count
+    return (1 << deg) * factorial(n + 1) * count
 
 
 class _Norms:
@@ -305,12 +307,15 @@ class _Norms:
     def times_q_minus_1(self, x: int) -> int:
         return 2 * x
 
+    def one_minus_q(self, k: int) -> int:
+        return 1 << k
+
     def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
         # non-negative coefficients: the value at q = 1
         return sum(i ** m for i in range(w + 1))
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        return _slot_bound(self.n, b, deg, h, count)
+        return _slot_bound(self.n, deg, count)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +353,12 @@ def _thm1_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
 
 def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
               w3s: int) -> int:
-    # part1 + (q - 1) part2; n C(n-1, k) = (n-k) C(n, k) puts part1 under C(n, k)
+    # part1 + (q - 1) part2; n C(n-1, k) = (n-k) C(n, k) puts part1 under C(n, k).
+    # The beta factors of a term have degree k + l = n - m - (tdeg - 1), so
+    # its tail carries the (1-q)^{m + tdeg - 1} they lack against D's (1-q)^n.
     b1, b2, b3 = bases
-    tails = [[ev.bracket(b3, m) * ev.tsum(tdeg, m, w3s - 1, b3) for m in range(ev.n + 1)]
+    tails = [[ev.bracket(b3, m) * ev.tsum(tdeg, m, w3s - 1, b3) * ev.one_minus_q(m + tdeg - 1)
+              for m in range(ev.n + 1)]
              for tdeg in (1, 2)]
 
     def inner(j: int) -> int:
@@ -365,13 +373,15 @@ def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
 
 def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
               w3s: int) -> int:
+    # the beta factors of the degree j - 1 part have degree n - 1, so it
+    # carries the one (1-q) they lack against D's (1-q)^n
     b1, b2, b3 = bases
     e0 = W * y[1]
 
     def inner(j: int) -> int:
         out = ev.times_q_minus_1(ev.slot(b2, j, 1, e0, b3, w3s))
         if j:
-            out += j * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s), e0)
+            out += j * ev.one_minus_q(1) * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s), e0)
         return out
 
     outer = _outer(ev, b1, W * y[0], inner)

@@ -33,8 +33,8 @@ def bases_of(w):
 
 
 def expanded_master_den(n, bases):
-    """(1-q)^{3n} prod over the bases of [2]_{q^b} ... [n+1]_{q^b}."""
-    out = (ONE - Poly.q_power(1)) ** (3 * n)
+    """(1-q)^n prod over the bases of [2]_{q^b} ... [n+1]_{q^b}."""
+    out = (ONE - Poly.q_power(1)) ** n
     for b in bases:
         for t in range(2, n + 2):
             out = out * q_int_poly(t, b)

@@ -15,6 +15,7 @@ from math import comb, factorial
 
 import pytest
 
+from qcarlitz import qcore
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
                                  _check, _Packed, _packed_nums, _slot_bound, _thm1_num,
@@ -22,7 +23,7 @@ from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permu
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm3_check, thm4_check)
 from qcarlitz.polyq import ONE, ZERO, Poly
-from qcarlitz.qcore import power_sum_T, q_int, q_int_poly
+from qcarlitz.qcore import packed_divide_out, power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 QM1 = RatFunc(Poly([-1, 1]))
@@ -419,17 +420,42 @@ def _slot_q_integers(n, b, deg, h):
 
 
 def _slot_cofactor(n, b, deg, h):
-    """Master slot (1-q)^n [2]..[n+1] times [b]_q^deg, divided by the
-    structural denominator (1-q^b)^deg [h]..[h+deg] of a beta factor in base
-    q^b: (1-q^b)^deg = (1-q)^deg [b]_q^deg leaves (1-q)^{n-deg}."""
-    return (ONE - Poly.q_power(1)) ** (n - deg) * _slot_q_integers(n, b, deg, h)
+    """(1-q)^deg [2]..[n+1] times [b]_q^deg, divided by the structural
+    denominator (1-q^b)^deg [h]..[h+deg] of a beta factor in base q^b:
+    (1-q^b)^deg = (1-q)^deg [b]_q^deg leaves the q-integers alone."""
+    return _slot_q_integers(n, b, deg, h)
+
+
+def _one_minus_q(k):
+    return (ONE - Poly.q_power(1)) ** k
+
+
+def _one_minus_q_slot_cofactor(n, b, deg, h):
+    """The slot over (1-q)^{3n} prod_b [2]..[n+1], D before (1-q)^{2n} was
+    cancelled from it: (1-q)^n [2]..[n+1] times [b]_q^deg over the
+    structural denominator leaves (1-q)^{n-deg}."""
+    return _one_minus_q(n - deg) * _slot_q_integers(n, b, deg, h)
 
 
 def _uncancelled_slot_cofactor(n, b, deg, h):
-    """The same slot before prod_b [b]_q^n is cancelled from D: the master
-    slot (1-q^b)^n [2]..[n+1] over the structural denominator, times [b]_q^deg."""
+    """The slot over prod_b (1-q^b)^n [2]..[n+1], D before prod_b [b]_q^n
+    was cancelled from it as well: the master slot (1-q^b)^n [2]..[n+1]
+    over the structural denominator, times [b]_q^deg."""
     return ((ONE - Poly.q_power(b)) ** (n - deg) * q_int_poly(b) ** deg
             * _slot_q_integers(n, b, deg, h))
+
+
+# A slot convention: the cofactor of each beta factor's structural numerator,
+# and whether a term takes the (1-q)^{n-deg} that its beta factors, of total
+# degree deg, lack against D's (1-q)^n.  The checkers build CURRENT; the
+# other two put (1-q)^{n-deg} in each slot.
+CURRENT = (_slot_cofactor, True)
+OVER_ONE_MINUS_Q_3N = (_one_minus_q_slot_cofactor, False)
+UNCANCELLED = (_uncancelled_slot_cofactor, False)
+
+
+def _lacked(n, deg, convention):
+    return _one_minus_q(n - deg) if convention[1] else ONE
 
 
 @lru_cache(maxsize=None)
@@ -442,34 +468,40 @@ def _shifted_beta_sum(deg, h, d, e0, step, count):
 
 
 @lru_cache(maxsize=None)
-def _thm1_fixed(n, b1, b2, b3, k, l, m, cofactor=_slot_cofactor):
+def _thm1_fixed(n, b1, b2, b3, k, l, m, convention=CURRENT):
+    cofactor = convention[0]
     out = cofactor(n, b1, k, l + m + 1)
     out = out * cofactor(n, b2, l, m + 1)
-    return out * cofactor(n, b3, m, 1)
+    out = out * cofactor(n, b3, m, 1)
+    return out * _lacked(n, k + l + m, convention)
 
 
 @lru_cache(maxsize=None)
-def _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, part):
+def _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, part, convention=CURRENT):
     if part == 1:
         h1, h2, tdeg = l + m + 2, m + 2, 2
     else:
         h1, h2, tdeg = l + m + 1, m + 1, 1
-    out = _slot_cofactor(n, b1, k, h1)
-    out = out * _slot_cofactor(n, b2, l, h2)
-    out = out * _slot_cofactor(n, b3, 0, 1)
+    cofactor = convention[0]
+    out = cofactor(n, b1, k, h1)
+    out = out * cofactor(n, b2, l, h2)
+    out = out * cofactor(n, b3, 0, 1)
     out = out * q_int_poly(b3) ** (m + 1)
+    out = out * _lacked(n, k + l, convention)
     return out * power_sum_T(tdeg, m, w3s - 1, b3).num
 
 
 @lru_cache(maxsize=None)
-def _thm4_fixed(n, b1, b2, b3, k, part):
+def _thm4_fixed(n, b1, b2, b3, k, part, convention=CURRENT):
     if part == 1:
         inner_deg, inner_h = n - 1 - k, 2
     else:
         inner_deg, inner_h = n - k, 1
-    out = _slot_cofactor(n, b1, k, n - k + 1)
-    out = out * _slot_cofactor(n, b2, inner_deg, inner_h)
-    out = out * _slot_cofactor(n, b3, 0, 1)
+    cofactor = convention[0]
+    out = cofactor(n, b1, k, n - k + 1)
+    out = out * cofactor(n, b2, inner_deg, inner_h)
+    out = out * cofactor(n, b3, 0, 1)
+    out = out * _lacked(n, k + inner_deg, convention)
     return out * q_int_poly(b3)
 
 
@@ -498,48 +530,48 @@ def _term(factors):
     return out
 
 
-def literal_thm1(n, W, y, bases, _w3s, cofactor=_slot_cofactor):
+def literal_thm1(n, W, y, bases, _w3s, convention=CURRENT):
     b1, b2, b3 = bases
     acc = []
     for k, l, m in lattice(n):
         t = _term([_beta_struct_num(k, l + m + 1, b1, W * y[0]),
                    _beta_struct_num(l, m + 1, b2, W * y[1]),
                    _beta_struct_num(m, 1, b3, W * y[2]),
-                   _thm1_fixed(n, b1, b2, b3, k, l, m, cofactor)])
+                   _thm1_fixed(n, b1, b2, b3, k, l, m, convention)])
         _add_shifted(acc, t, multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]))
     return acc
 
 
-def literal_thm3(n, W, y, bases, w3s):
+def literal_thm3(n, W, y, bases, w3s, convention=CURRENT):
     b1, b2, b3 = bases
     part1, part2 = [], []
     for k, l, m in lattice(n - 1):
         t = _term([_beta_struct_num(k, l + m + 2, b1, W * y[0]),
                    _beta_struct_num(l, m + 2, b2, W * y[1]),
-                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 1)])
+                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 1, convention)])
         _add_shifted(part1, t, n * multinomial(n - 1, k, l, m),
                      W * ((l + m + 1) * y[0] + (m + 1) * y[1]))
     for k, l, m in lattice(n):
         t = _term([_beta_struct_num(k, l + m + 1, b1, W * y[0]),
                    _beta_struct_num(l, m + 1, b2, W * y[1]),
-                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 2)])
+                   _thm3_fixed(n, b1, b2, b3, w3s, k, l, m, 2, convention)])
         _add_shifted(part2, t, multinomial(n, k, l, m), W * ((l + m) * y[0] + m * y[1]))
     _add_shifted(part1, _conv([-1, 1], part2), 1, 0)
     return part1
 
 
-def literal_thm4(n, W, y, bases, w3s):
+def literal_thm4(n, W, y, bases, w3s, convention=CURRENT):
     b1, b2, b3 = bases
     part1, part2 = [], []
     for k in range(n):
         t = _term([_beta_struct_num(k, n - k + 1, b1, W * y[0]),
                    _shifted_beta_sum(n - 1 - k, 2, b2, W * y[1], b3, w3s),
-                   _thm4_fixed(n, b1, b2, b3, k, 1)])
+                   _thm4_fixed(n, b1, b2, b3, k, 1, convention)])
         _add_shifted(part1, t, n * comb(n - 1, k), W * ((n - k) * y[0] + y[1]))
     for k in range(n + 1):
         t = _term([_beta_struct_num(k, n - k + 1, b1, W * y[0]),
                    _shifted_beta_sum(n - k, 1, b2, W * y[1], b3, w3s),
-                   _thm4_fixed(n, b1, b2, b3, k, 2)])
+                   _thm4_fixed(n, b1, b2, b3, k, 2, convention)])
         _add_shifted(part2, t, comb(n, k), W * (n - k) * y[0])
     _add_shifted(part1, _conv([-1, 1], part2), 1, 0)
     return part1
@@ -576,17 +608,43 @@ def test_packed_thm1_numerators_match_literal_sums():
         _check_packed(p, [(_thm1_num, literal_thm1)])
 
 
-def test_cancelled_factor_is_prod_b_bracket_to_the_n():
-    # D keeps none of prod_b [b]_q^n: over the CLI's thm1 grid, the numerator
-    # with each slot over (1-q^b)^n, each times its own [b]_q^deg, is that
-    # factor times the numerator the checkers build
-    for p in grid_params(range(4), 2, 1):
+def _cancelled_factor_holds(p, literal_fns, convention, factor):
+    """Over the given convention, each permutation's literal numerator is
+    factor(bases), a coefficient list, times the numerator the checkers build."""
+    for literal_fn in literal_fns:
         for sigma in ALL_PERMUTATIONS:
             bases, w3s = sigma_data(p, sigma)
             args = (p.n, p.w_product, p.y, bases, w3s)
-            factor = _term([q_int_poly(b) ** p.n for b in bases])
-            want = _trimmed(literal_thm1(*args, cofactor=_uncancelled_slot_cofactor))
-            assert _trimmed(_conv(factor, literal_thm1(*args))) == want, (p, sigma.label)
+            want = _trimmed(literal_fn(*args, convention=convention))
+            got = _trimmed(_conv(factor(bases), literal_fn(*args)))
+            assert got == want, (p, literal_fn.__name__, sigma.label)
+
+
+def test_cancelled_factor_is_prod_b_bracket_to_the_n():
+    # D keeps none of (1-q)^{2n} prod_b [b]_q^n: over the CLI's thm1 grid, the
+    # numerator with each slot over (1-q^b)^n, each times its own [b]_q^deg,
+    # is that factor times the numerator the checkers build, and the
+    # numerator with each slot over (1-q)^n is (1-q)^{2n} times it
+    for p in grid_params(range(4), 2, 1):
+        one_minus_q_2n = _coeffs(_one_minus_q(2 * p.n))
+
+        def with_brackets(bases):
+            return _conv(one_minus_q_2n, _term([q_int_poly(b) ** p.n for b in bases]))
+
+        _cancelled_factor_holds(p, [literal_thm1], UNCANCELLED, with_brackets)
+        _cancelled_factor_holds(p, [literal_thm1], OVER_ONE_MINUS_Q_3N,
+                                lambda bases: one_minus_q_2n)
+
+
+def test_cancelled_factor_of_thm3_and_thm4_is_one_minus_q_to_the_2n():
+    # a thm3 or thm4 term whose beta factors have degree below n takes the
+    # (1-q) powers they lack on its tail or inner sum, not in its slots;
+    # over the cross34 grid below n = 3 the numerator with each slot over
+    # (1-q)^n is still (1-q)^{2n} times the one the checkers build
+    for p in grid_params((1, 2), 3, 2, vary_y3=False):
+        one_minus_q_2n = _coeffs(_one_minus_q(2 * p.n))
+        _cancelled_factor_holds(p, [literal_thm3, literal_thm4], OVER_ONE_MINUS_Q_3N,
+                                lambda bases: one_minus_q_2n)
 
 
 def test_packed_cross34_numerators_match_literal_sums():
@@ -607,21 +665,47 @@ def test_slot_values_and_norms_match_literal_polynomials():
                     lit = _slot_cofactor(n, b, deg, h) * _shifted_beta_sum(deg, h, b, e,
                                                                           step, count)
                     assert lit, (n, b, deg, h, e, step, count)
-                    bound = _slot_bound(n, b, deg, h, count)
+                    bound = _slot_bound(n, deg, count)
                     assert _Packed(n, 64).slot(b, deg, h, e, step, count) == lit.pack(64)
                     assert lit.l1_norm() <= bound
                     tight += lit.l1_norm() == bound
-    # 2 (1 - q) at n = 1, deg = 0, h = 2 meets the bound, so it cannot shrink
-    assert _slot_bound(1, 1, 0, 2, 1) == (_slot_cofactor(1, 1, 0, 2)
-                                          * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 4
+    # the slot 2 at n = 1, deg = 0, h = 2 meets the bound, so it cannot shrink
+    assert _slot_bound(1, 0, 1) == (_slot_cofactor(1, 1, 0, 2)
+                                    * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 2
     assert tight
     with pytest.raises(ValueError, match="exceeds the master slot"):
         _Packed(2, 8).slot(1, 2, 2, 0)
 
 
+def test_reduction_that_outgrows_the_width_reruns_at_twice_it(monkeypatch):
+    # at this criterion-6 point the six thm1 numerators pack at 24 bits, but
+    # the reduced numerator does not fit them: the certificate fails, the
+    # reduction runs again at 48 bits, and the values are still those of the
+    # literal numerator over the expanded D
+    p = IdentityParams(3, (2, 3, 3), (2, 2, 2))
+    widths = []
+
+    def divide_out(value, bits, *args):
+        widths.append(bits)
+        return packed_divide_out(value, bits, *args)
+
+    monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
+    r = thm1_check(p)
+    assert r.verdict
+    assert widths[0] == 24 and set(widths) == {24, 48}
+    for sigma in ALL_PERMUTATIONS:
+        bases, w3s = sigma_data(p, sigma)
+        den = _one_minus_q(p.n)
+        for b in bases:
+            for t in range(2, p.n + 2):
+                den = den * q_int_poly(t, b)
+        num = Poly(_trimmed(literal_thm1(p.n, p.w_product, p.y, bases, w3s)))
+        assert value_of(r, sigma) == RatFunc(num, den), sigma.label
+
+
 # sha256 of the canonical values of two large-n reports, recorded before the
 # packed pipeline.  At the thm1 point the reduced numerator has 64-bit
-# coefficients; the checkers pack it at 96 bits, so its reduction fits the
+# coefficients; the checkers pack it at 80 bits, so its reduction fits the
 # width.  A reduction that outgrows its width is pinned in test_cyclotomic.py
 # (test_packed_reduction_certifies_a_quotient_that_outgrows_the_width).
 LARGE_N_GOLDENS = [
