@@ -34,8 +34,7 @@ homomorphism Z[q] -> Z, so each permutation's numerator is one integer,
 built from closed forms of its factors at X = 2^B:
 
     [t]_{q^b}      = (X^{bt} - 1) // (X^b - 1),
-    (1 - q)^k      = (1 - X)^k,
-    q^s            = a shift by B*s bits, and (q - 1) x = (x << B) - x.
+    q^s            = a shift by B*s bits, and a - b is integer subtraction.
 
 The only polynomials are the small power sums T_{t,m}(w|q^b), which
 `power_sum_T` caches across checks and which are packed at B.
@@ -46,27 +45,31 @@ polynomial with no (1-q) left in it:
 
     sum_j (-1)^j C(deg, j) (j+h) q^{je} P_b / [h+j]_{q^b}.
 
-A term whose beta factors have total degree below n takes the powers of
-(1-q) that they lack against D's (1-q)^n as one more factor; a Theorem 1
-term lacks none, since k + l + m = n.  Theorem 4's inner sum over i < w3 of
-q^{h step i} beta(q^{e + step i}) only multiplies term j by
-[w3]_{q^{(h+j) step}}.  The factor of the first slot depends on k alone and
-that of the second on (l, m), so the lattice sum is nested: each
-permutation makes O(n) full-width products, and O(n^2) products of two
-one-slot factors.
+A Theorem 1 term has beta factors of degree k + l + m = n, so it lacks no
+(1-q) against D's (1-q)^n.  Theorems 3 and 4 read P1 + (q - 1) P2, whose
+terms carry (1-q)^n (P2; a Theorem 3 tail as (1 - q^{b3})^m) and, under
+n C(n-1, k) = j C(n, k), (1-q)^{n-1} (P1, which takes the one it lacks as
+-(q - 1)).  So both build (q - 1)(part1(j) - j part2(j - 1)) for each outer
+index j = n - k, part1 from P2 and part2 from P1, times P_{b3} [b3]_q.
+Theorem 4's inner sum over i < w3 of q^{h step i} beta(q^{e + step i})
+only multiplies term j by [w3]_{q^{(h+j) step}}.  The factor of the first
+slot depends on k alone and that of the second on (l, m), so the lattice
+sum is nested: each permutation makes O(n) full-width products, and O(n^2)
+products of two one-slot factors.
 
 All permutations (twelve for cross34) share one width B, the least multiple
 of 8 bits holding a bound on every numerator coefficient plus a sign bit,
 so equal integers are equal numerators.  The bound is the same nested sum
-over L1 bounds of the factors (`_Norms`): [b]_q^k and T have non-negative
-coefficients, so their norms are their values at q = 1, (q - 1) counts 2
-and (1 - q)^k counts 2^k, and a slot value has the closed-form bound
-2^deg (n+1)! count (`_slot_bound`).  That bound ignores the cancellation
-in the alternating beta sum: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at
-40, 80, 136 and 192 bits at n = 4, 8, 12 and 16, where the slots' actual
-norms would give 32, 64 and 104 (n <= 12), and the numerators'
-coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
-876, 1818 and 3096 there.
+over L1 bounds of the factors (`_Norms`): [b]_q and T have non-negative
+coefficients, so their norms are their values at q = 1, a - b counts as
+a + b, so (q - 1) counts 2 and (1 - q^{b3})^m counts 2^m, and a slot
+value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).  That
+bound ignores the cancellation in the alternating beta sum: at
+w = (3, 3, 2), y = (1, 1, 0) thm1 packs at 40, 80, 136 and 192 bits at
+n = 4, 8, 12 and 16, where the slots' actual norms would give 32, 64 and
+104 (n <= 12), and the numerators' coefficients need 24, 48, 80 and 120.
+The numerators have degree 270, 876, 1818 and 3096 there; cross34 packs
+at 40, 64 and 88 bits at n = 4, 6 and 8.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -202,9 +205,9 @@ def _sorted_bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
 #
 # The numerator builders below take an evaluator: `_Packed` gives each
 # factor's value at q = 2^bits, `_Norms` a bound on its L1 norm.  The
-# builders combine factors with + and * and non-negative integer
-# coefficients only, so run on `_Norms` they bound the numerator they
-# assemble on `_Packed`.
+# builders combine factors with +, - and * and non-negative integer
+# coefficients, where `_Norms` reads - (`sub`) as +, so run on `_Norms`
+# they bound the numerator they assemble on `_Packed`.
 
 
 def _q_int_at(t: int, s: int) -> int:
@@ -220,28 +223,22 @@ class _Packed:
         self.bits = bits
         self._slots: dict[tuple[int, ...], int] = {}
 
-    def bracket(self, b: int, k: int) -> int:
-        """[b]_q^k."""
-        return _q_int_at(b, self.bits) ** k
+    def bracket(self, b: int) -> int:
+        """[b]_q."""
+        return _q_int_at(b, self.bits)
 
     def shift(self, x: int, s: int) -> int:
         """x q^s."""
         return x << self.bits * s
 
-    def times_q_minus_1(self, x: int) -> int:
-        return (x << self.bits) - x
-
-    def one_minus_q(self, k: int) -> int:
-        """(1-q)^k."""
-        return (1 - (1 << self.bits)) ** k
+    def sub(self, a: int, b: int) -> int:
+        """a - b."""
+        return a - b
 
     def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
-        """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches.
-
-        Its coefficients fit the width, since the bound behind bits holds
-        ||T||_1 times the bounds of the other factors of a term, and every
-        one of those bounds is at least 1.
-        """
+        """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches; its
+        coefficients fit the width, as the bound behind bits holds ||T||_1
+        times the bounds, each at least 1, of the other factors of a term."""
         return power_sum_T(tdeg, m, w, b).num.pack(self.bits)
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
@@ -298,17 +295,15 @@ class _Norms:
     def __init__(self, n: int) -> None:
         self.n = n
 
-    def bracket(self, b: int, k: int) -> int:
-        return b ** k
+    def bracket(self, b: int) -> int:
+        return b
 
     def shift(self, x: int, s: int) -> int:
         return x
 
-    def times_q_minus_1(self, x: int) -> int:
-        return 2 * x
-
-    def one_minus_q(self, k: int) -> int:
-        return 1 << k
+    def sub(self, a: int, b: int) -> int:
+        # ||a - b||_1 <= ||a||_1 + ||b||_1
+        return a + b
 
     def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
         # non-negative coefficients: the value at q = 1
@@ -351,41 +346,43 @@ def _thm1_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     return _outer(ev, b1, W * y[0], lambda j: _inner(ev, b2, W * y[1], j, 1, tail))
 
 
-def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
-              w3s: int) -> int:
-    # part1 + (q - 1) part2; n C(n-1, k) = (n-k) C(n, k) puts part1 under C(n, k).
-    # The beta factors of a term have degree k + l = n - m - (tdeg - 1), so
-    # its tail carries the (1-q)^{m + tdeg - 1} they lack against D's (1-q)^n.
-    b1, b2, b3 = bases
-    tails = [[ev.bracket(b3, m) * ev.tsum(tdeg, m, w3s - 1, b3) * ev.one_minus_q(m + tdeg - 1)
-              for m in range(ev.n + 1)]
-             for tdeg in (1, 2)]
+def _parts_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+               part1, part2) -> int:
+    """`_outer` with inner sum (q - 1)(part1(j) - j part2(j - 1)), times
+    P_{b3} [b3]_q: the one shape of Theorems 3 and 4 over D, part1 the inner
+    sum of their part P2 and part2 that of P1 (module docstring)."""
+    b3 = bases[2]
 
     def inner(j: int) -> int:
-        out = ev.times_q_minus_1(_inner(ev, b2, W * y[1], j, 1, tails[0]))
+        x = part1(j)
         if j:
-            out += j * _inner(ev, b2, W * y[1], j - 1, 2, tails[1])
-        return out
+            x = ev.sub(x, j * part2(j - 1))
+        return ev.sub(ev.shift(x, 1), x)
 
-    outer = _outer(ev, b1, W * y[0], inner)
-    return outer * ev.slot(b3, 0, 1, 0) * ev.bracket(b3, 1)
+    return _outer(ev, bases[0], W * y[0], inner) * ev.slot(b3, 0, 1, 0) * ev.bracket(b3)
+
+
+def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+              w3s: int) -> int:
+    # the tail of m takes [b3]_q^m and the (1-q)^m that the beta factors of
+    # its term lack, together (1 - q^{b3})^m
+    _, b2, b3 = bases
+    e2 = W * y[1]
+    one_minus_qb = ev.sub(1, ev.shift(1, b3))
+    tails = [[one_minus_qb ** m * ev.tsum(tdeg, m, w3s - 1, b3) for m in range(ev.n + 1)]
+             for tdeg in (1, 2)]
+    return _parts_num(ev, W, y, bases,
+                      lambda j: _inner(ev, b2, e2, j, 1, tails[0]),
+                      lambda j: _inner(ev, b2, e2, j, 2, tails[1]))
 
 
 def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
               w3s: int) -> int:
-    # the beta factors of the degree j - 1 part have degree n - 1, so it
-    # carries the one (1-q) they lack against D's (1-q)^n
-    b1, b2, b3 = bases
+    _, b2, b3 = bases
     e0 = W * y[1]
-
-    def inner(j: int) -> int:
-        out = ev.times_q_minus_1(ev.slot(b2, j, 1, e0, b3, w3s))
-        if j:
-            out += j * ev.one_minus_q(1) * ev.shift(ev.slot(b2, j - 1, 2, e0, b3, w3s), e0)
-        return out
-
-    outer = _outer(ev, b1, W * y[0], inner)
-    return outer * ev.slot(b3, 0, 1, 0) * ev.bracket(b3, 1)
+    return _parts_num(ev, W, y, bases,
+                      lambda j: ev.slot(b2, j, 1, e0, b3, w3s),
+                      lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), e0))
 
 
 def _packed_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:

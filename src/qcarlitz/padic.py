@@ -209,20 +209,24 @@ class VolkenbornJob:
     f: IntegrandSpec
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p == 2:
+        if self.p < 3 or self.p % 2 == 0:
+            raise ValueError("p must be an odd prime")
+        if self.N < 1:
+            raise ValueError("level N must be positive")
+        # the budget first: it refuses every p above STEP_BUDGET, so the
+        # trial division below runs at most sqrt(STEP_BUDGET) steps
+        check_step_budget(self.p, self.N)
+        if not _is_prime(self.p):
             raise ValueError("p must be an odd prime")
         object.__setattr__(self, "q0", Fraction(self.q0))
         if self.q0.denominator % self.p == 0:
             raise ValueError("q0 must be a p-adic integer")
         if self.q0 != 1 and _frac_val(self.q0 - 1, self.p) < 1:
             raise ValueError("q0 must be 1 (mod p)")
-        if self.N < 1:
-            raise ValueError("level N must be positive")
         if self.K <= self.N:
             raise ValueError(
                 f"precision underflow: K={self.K} leaves no certified digits; "
                 f"need K >= {self.N + 1}")
-        check_step_budget(self.p, self.N)
         # reports print residues mod p^K, of up to floor(K log10 p) + 1
         # digits (p^K is never a power of 10); 0, or a Python before
         # 3.10.7 without the limit, means no limit

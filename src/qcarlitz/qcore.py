@@ -266,7 +266,7 @@ def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 
 
-# bounded: the test suite in one process reaches 233 keys, lemma2 to n = 12
+# bounded: the test suite in one process reaches 232 keys, lemma2 to n = 12
 # 225, the cross34 grid to n = 3, w = 3, y = 2 144; typed, as q_int_poly
 @lru_cache(maxsize=512, typed=True)
 def power_sum_T(n: int, m: int, w: int, d: int = 1) -> RatFunc:

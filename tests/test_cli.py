@@ -151,6 +151,11 @@ def test_verify_padic_refuses_runaway_levels(capsys):
     code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "101",
                          "--q0", "102", "--N", "3", "--K", "10")
     assert code == 2 and out == "" and "budget" in err
+    # a prime over the budget is refused before its primality test, which
+    # would take about 1.5e9 trial divisions
+    code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "2305843009213693951",
+                         "--q0", "1", "--N", "1", "--K", "3")
+    assert code == 2 and out == "" and "budget" in err
     assert time.monotonic() - t0 < 1
 
 

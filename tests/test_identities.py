@@ -18,7 +18,7 @@ import pytest
 from qcarlitz import qcore
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _check, _Packed, _packed_nums, _slot_bound, _thm1_num,
+                                 _check, _Norms, _Packed, _packed_nums, _slot_bound, _thm1_num,
                                  _thm3_num, _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm3_check, thm4_check)
@@ -593,6 +593,10 @@ def _check_packed(p, pairs):
             literal.append(_trimmed(literal_fn(p.n, p.w_product, p.y, bases, w3s)))
     nums, bits = _packed_nums(p.n, built)
     assert bits % 8 == 0
+    for (num_fn, *args), want in zip(built, literal):
+        # the builder run on _Norms bounds the L1 norm of what it builds,
+        # which the width rests on
+        assert sum(map(abs, want)) <= num_fn(_Norms(p.n), *args), p
     for value, want in zip(nums, literal):
         # every coefficient fits the shared width, so the integer is the polynomial
         assert all(abs(c) < 2 ** (bits - 1) for c in want), p
@@ -601,6 +605,14 @@ def _check_packed(p, pairs):
             acc = (acc << bits) + c
         assert value == acc, p
         assert _coeffs(Poly.unpack(value, bits)) == want, p
+
+
+def test_evaluators_define_the_same_operations():
+    # a builder runs on both evaluators, so neither may lack an operation
+    def operations(cls):
+        return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
+
+    assert operations(_Packed) == operations(_Norms)
 
 
 def test_packed_thm1_numerators_match_literal_sums():

@@ -356,6 +356,9 @@ def test_runaway_summation_is_refused_up_front():
     job = VolkenbornJob(101, 102, 3, 10, IntegrandSpec(0, 0))
     with pytest.raises(ValueError, match="budget"):
         witt_check(1, 2, 2, 0, job)
+    # a prime too large for the budget is refused before its primality test
+    with pytest.raises(ValueError, match="budget"):
+        VolkenbornJob(2305843009213693951, 1, 1, 3, IntegrandSpec(0, 0))
     assert time.monotonic() - t0 < 1
 
 
