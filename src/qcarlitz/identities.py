@@ -63,13 +63,18 @@ so equal integers are equal numerators.  The bound is the same nested sum
 over L1 bounds of the factors (`_Norms`): [b]_q and T have non-negative
 coefficients, so their norms are their values at q = 1, a - b counts as
 a + b, so (q - 1) counts 2 and (1 - q^{b3})^m counts 2^m, and a slot
-value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).  That
-bound ignores the cancellation in the alternating beta sum: at
-w = (3, 3, 2), y = (1, 1, 0) thm1 packs at 40, 80, 136 and 192 bits at
-n = 4, 8, 12 and 16, where the slots' actual norms would give 32, 64 and
-104 (n <= 12), and the numerators' coefficients need 24, 48, 80 and 120.
-The numerators have degree 270, 876, 1818 and 3096 there; cross34 packs
-at 40, 64 and 88 bits at n = 4, 6 and 8.
+value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).  Of a
+numerator's arguments `_Norms` so reads only n, b3 and w3s (a slot's bound
+ignores its base and shift, a shift is the identity, [b]_q is only taken
+of b3 and T only of w3s - 1), so the bound is computed once per norm key
+(builder, n, b3, w3s) and cached across checks (`_norm_bound`), not run
+again for every permutation.  The slot bound ignores the cancellation in
+the alternating beta sum: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at
+40, 80, 136 and 192 bits at n = 4, 8, 12 and 16, where the slots' actual
+norms would give 32, 64 and 104 (n <= 12), and the numerators'
+coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
+876, 1818 and 3096 there; cross34 packs at 40, 64 and 88 bits at n = 4, 6
+and 8.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -81,17 +86,15 @@ reruns the reduction at twice the width.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, balanced_bits
-from .qcore import (over_cyclotomic_packed, power_sum_T, q_int_exponents,
-                    q_power_minus_one_exponents)
+from .qcore import _divisors, over_cyclotomic_packed, power_sum_T
 from .ratfunc import RatFunc
 
 @dataclass(frozen=True, order=True)
@@ -174,13 +177,21 @@ def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[in
     """D = (1-q)^n prod over the base multiset of [2]_{q^b} ... [n+1]_{q^b}
     as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
 
-    (1-q)^n = (-1)^n Phi_1^n, and each [t]_{q^b} is a product of distinct
-    Phi_d (`q_int_exponents`).
+    (1-q)^n = (-1)^n Phi_1^n, and [t]_{q^b} is the product of the Phi_d with
+    d | bt and d not dividing b (`q_int_exponents`), so
+
+        e_d = n [d = 1] + sum_b #{t in 2..n+1 : d | bt, d not dividing b}.
+
+    With g = gcd(d, b) and s = d / g, d | bt exactly when s | t, and d does
+    not divide b exactly when s > 1: so each base gives the d = g s with g | b,
+    s in 2..n+1 and gcd(s, b / g) = 1, each (n+1) // s times.
     """
-    exps = q_power_minus_one_exponents(1, n)
+    exps = {1: n} if n else {}
     for b in bases:
-        for t in range(2, n + 2):
-            exps.update(q_int_exponents(t, b))
+        for g in _divisors(b):
+            for s in range(2, n + 2):
+                if gcd(s, b // g) == 1:
+                    exps[g * s] = exps.get(g * s, 0) + (n + 1) // s
     return tuple(sorted(exps.items()))
 
 
@@ -222,6 +233,7 @@ class _Packed:
         self.n = n
         self.bits = bits
         self._slots: dict[tuple[int, ...], int] = {}
+        self._tsums: dict[tuple[int, ...], int] = {}
 
     def bracket(self, b: int) -> int:
         """[b]_q."""
@@ -239,7 +251,11 @@ class _Packed:
         """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches; its
         coefficients fit the width, as the bound behind bits holds ||T||_1
         times the bounds, each at least 1, of the other factors of a term."""
-        return power_sum_T(tdeg, m, w, b).num.pack(self.bits)
+        key = (tdeg, m, w, b)
+        value = self._tsums.get(key)
+        if value is None:
+            value = self._tsums[key] = power_sum_T(tdeg, m, w, b).num.pack(self.bits)
+        return value
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
         """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) [b]_q^deg
@@ -270,6 +286,8 @@ class _Packed:
         return acc
 
 
+# bounded: the test suite in one process reaches 67 (n, b, bits) keys, the
+# thm1 grid to n = 4, w = 3, y = 2 30
 @lru_cache(maxsize=256)
 def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     """P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1, P_b = [2]_{q^b} ... [n+1]_{q^b}
@@ -385,17 +403,34 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
                       lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), e0))
 
 
+# bounded: the test suite in one process reaches 204 (num_fn, n, b3, w3s)
+# keys, the thm1 grid to n = 4, w = 3, y = 2 90, the cross34 grid to n = 3,
+# w = 3, y = 2 108
+@lru_cache(maxsize=512)
+def _norm_bound(num_fn, n: int, b3: int, w3s: int) -> int:
+    """num_fn run on `_Norms(n)`: its bound on the L1 norm of the numerator.
+
+    `_Norms` reads nothing else of a numerator's arguments (module
+    docstring), so the weight product W, the shifts y and the bases other
+    than b3 are passed as zeros.
+    """
+    return num_fn(_Norms(n), 0, (0, 0, 0), (0, 0, b3), w3s)
+
+
 def _packed_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
     """Each numerator (num_fn, W, y, bases, w3s) at q = 2^bits, for one width
     bits that holds every coefficient of every numerator, so equal values
     are equal numerators.
 
-    The bases determine w3s, so permutations with equal bases (w with a
-    repeated weight) have equal numerators, assembled once.
+    The width comes from each builder's L1 bound, which reads only the norm
+    key (num_fn, n, b3, w3s) and so is computed once per key
+    (`_norm_bound`), not once per permutation or per check.  The bases
+    determine w3s, so permutations with equal bases (w with a repeated
+    weight) have equal numerators, assembled once.
     """
-    norms = _Norms(n)
     distinct = dict.fromkeys(nums)
-    bits = balanced_bits(max(fn(norms, *args) for fn, *args in distinct))
+    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
+                             for fn, _, _, bases, w3s in distinct))
     ev = _Packed(n, bits)
     for num in distinct:
         distinct[num] = num[0](ev, *num[1:])

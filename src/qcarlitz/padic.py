@@ -46,7 +46,17 @@ STEP_BUDGET = 10**7
 
 
 def check_step_budget(p: int, levels: int) -> None:
-    """Raise ValueError when p^levels summation steps exceed STEP_BUDGET."""
+    """Raise ValueError when p^levels summation steps exceed STEP_BUDGET.
+
+    p < 2 is refused first: the powers of 0 and 1 never pass the budget, so
+    the loop below would run all levels.
+    """
+    if p < 2:
+        raise ValueError(f"summation base p must be at least 2, got {p}")
+    if levels >= 1 and p > STEP_BUDGET:
+        raise ValueError(
+            f"p = {p} alone exceeds the budget of {STEP_BUDGET} summation "
+            f"steps; lower p")
     steps = 1
     for _ in range(levels):
         steps *= p
@@ -56,14 +66,49 @@ def check_step_budget(p: int, levels: int) -> None:
                 f"{STEP_BUDGET} steps; lower N")
 
 
+# Miller-Rabin with the first 12 primes as bases: the least composite that
+# passes all twelve is 318665857834031151167461 = 399165290221 * 798330580441,
+# so the test is exact below it
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+# below it, trial division takes at most 100 steps and beats twelve modular
+# powers: the p of every benchmarked and default request is below it
+_TRIAL_LIMIT = 10**4
+
+
 def _is_prime(p: int) -> bool:
+    """Primality in O(log p) multiplications: trial division for a small p,
+    deterministic Miller-Rabin up to _MILLER_RABIN_LIMIT, a larger p refused."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p < _TRIAL_LIMIT:
+        d = 2
+        while d * d <= p:
+            if p % d == 0:
+                return False
+            d += 1
+        return True
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"cannot decide whether p = {p} is prime: the test is exact "
+            f"below {_MILLER_RABIN_LIMIT}")
+    # p - 1 = 2^s d with d odd; p > 37, so p % a == 0 means a composite p
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
             return False
-        d += 1
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -213,8 +258,8 @@ class VolkenbornJob:
             raise ValueError("p must be an odd prime")
         if self.N < 1:
             raise ValueError("level N must be positive")
-        # the budget first: it refuses every p above STEP_BUDGET, so the
-        # trial division below runs at most sqrt(STEP_BUDGET) steps
+        # the budget first, so a p above STEP_BUDGET is refused by the
+        # message that names it, before any primality test
         check_step_budget(self.p, self.N)
         if not _is_prime(self.p):
             raise ValueError("p must be an odd prime")

@@ -123,10 +123,18 @@ def cyclotomic_value(d: int, bits: int) -> int:
     return up // down
 
 
+# bounded: the test suite in one process reaches 89 keys, a carlitz-cross
+# pass to n = 40 83; every key is also one of cyclotomic_poly's
+@lru_cache(maxsize=512)
+def _cyclotomic_l1(d: int) -> int:
+    """||Phi_d||_1."""
+    return cyclotomic_poly(d).l1_norm()
+
+
 def _norm_product(exps: Mapping[int, int]) -> int:
     # prod ||Phi_d||_1^{e_d}: it bounds every coefficient of prod Phi_d^{e_d}
     # and, times ||f||_inf, every coefficient of f prod Phi_d^{e_d}
-    return prod(cyclotomic_poly(d).l1_norm() ** e for d, e in exps.items())
+    return prod(_cyclotomic_l1(d) ** e for d, e in exps.items())
 
 
 def _packed_product(exps: Mapping[int, int], bits: int) -> int:

@@ -151,11 +151,16 @@ def test_verify_padic_refuses_runaway_levels(capsys):
     code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "101",
                          "--q0", "102", "--N", "3", "--K", "10")
     assert code == 2 and out == "" and "budget" in err
-    # a prime over the budget is refused before its primality test, which
-    # would take about 1.5e9 trial divisions
+    # a prime over the budget is refused before its primality test, by a
+    # message that names p: N = 1 cannot be lowered
     code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "2305843009213693951",
                          "--q0", "1", "--N", "1", "--K", "3")
-    assert code == 2 and out == "" and "budget" in err
+    assert code == 2 and out == "" and "p = 2305843009213693951 alone exceeds the budget" in err
+    assert "lower N" not in err
+    # p = 1 never passes the budget at any N; it is refused at once
+    code, out, err = run(capsys, "verify", "--suite", "padic", "--p", "1",
+                         "--q0", "1", "--N", "1000000000000", "--K", "1000000000001")
+    assert code == 2 and out == "" and "p must be an odd prime" in err
     assert time.monotonic() - t0 < 1
 
 

@@ -79,6 +79,19 @@ def test_exponent_map_multiplies_back_to_master_den(n):
         assert rebuilt == expanded_master_den(n, bases), (n, bases)
 
 
+def test_exponent_map_counts_the_q_integer_maps():
+    # the map is counted from plain ints; it is the sum of the maps of
+    # (1-q)^n and of every [t]_{q^b}, for every base multiset with w <= 4
+    for n in range(11):
+        for w in combinations_with_replacement(range(1, 5), 3):
+            bases = bases_of(w)
+            want = Counter({1: n})
+            for b in bases:
+                for t in range(2, n + 2):
+                    want += q_int_exponents(t, b)
+            assert dict(_master_den_exponents(n, bases)) == +want, (n, bases)
+
+
 def test_q_number_exponent_maps_multiply_back():
     for b in range(1, 5):
         for t in range(1, 9):

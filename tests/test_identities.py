@@ -16,9 +16,11 @@ from math import comb, factorial
 import pytest
 
 from qcarlitz import qcore
+from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _check, _Norms, _Packed, _packed_nums, _slot_bound, _thm1_num,
+                                 _check, _norm_bound, _Norms, _Packed, _packed_nums,
+                                 _slot_bound, _thm1_num,
                                  _thm3_num, _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm3_check, thm4_check)
@@ -613,6 +615,22 @@ def test_evaluators_define_the_same_operations():
         return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
 
     assert operations(_Packed) == operations(_Norms)
+
+
+def test_cached_width_bound_equals_a_fresh_norms_run():
+    # _Norms reads only n, b3 and w3s of a numerator's arguments, so the
+    # bound cached per (builder, n, b3, w3s), run with zeros for the rest,
+    # equals a run with all of them, for every numerator of the CLI's grids
+    for identity, (least_n, _, reads_y3, parts) in CHECKS.items():
+        grid = _SUITE_DEFAULTS[identity]
+        for p in grid_params(range(least_n, grid["n_max"] + 1), grid["w_max"],
+                             grid["y_max"], vary_y3=reads_y3):
+            for _, num_fn in parts:
+                for sigma in ALL_PERMUTATIONS:
+                    bases, w3s = sigma_data(p, sigma)
+                    fresh = num_fn(_Norms(p.n), p.w_product, p.y, bases, w3s)
+                    assert _norm_bound(num_fn, p.n, bases[2], w3s) == fresh, (
+                        identity, p, sigma.label)
 
 
 def test_packed_thm1_numerators_match_literal_sums():

@@ -88,6 +88,36 @@ def test_padicint_basics():
         PadicInt(3, 2, 1).reduce(3)
 
 
+def _trial_division_is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    # below 10^4 by trial division itself, above it by Miller-Rabin
+    assert all(padic._is_prime(p) == _trial_division_is_prime(p) for p in range(10**5))
+
+
+def test_primality_of_a_large_p_is_fast_and_bounded():
+    t0 = time.monotonic()
+    PadicInt(2**61 - 1, 3, 1)
+    PadicInt(999999999989, 3, 1)
+    assert time.monotonic() - t0 < 0.1
+    # 3825123056546413051 passes Miller-Rabin to the first 11 prime bases
+    for composite in (2**61 + 1, 3825123056546413051):
+        with pytest.raises(ValueError, match="not prime"):
+            PadicInt(composite, 3, 1)
+    # the least composite that passes all 12 bases is refused, not called prime
+    with pytest.raises(ValueError, match="p = 318665857834031151167461 is prime"):
+        PadicInt(318665857834031151167461, 3, 1)
+
+
 def test_arith_and_division():
     assert PadicInt(3, 4, 1) / PadicInt(3, 4, 5) == PadicInt(3, 4, 65)
     d = PadicInt(3, 4, 3) / PadicInt(3, 4, 3)
@@ -356,9 +386,19 @@ def test_runaway_summation_is_refused_up_front():
     job = VolkenbornJob(101, 102, 3, 10, IntegrandSpec(0, 0))
     with pytest.raises(ValueError, match="budget"):
         witt_check(1, 2, 2, 0, job)
-    # a prime too large for the budget is refused before its primality test
-    with pytest.raises(ValueError, match="budget"):
-        VolkenbornJob(2305843009213693951, 1, 1, 3, IntegrandSpec(0, 0))
+    # a prime too large for the budget is refused before its primality test,
+    # by a message that names p, since N = 1 cannot be lowered
+    for request in (lambda: check_step_budget(2305843009213693951, 1),
+                    lambda: VolkenbornJob(2305843009213693951, 1, 1, 3, IntegrandSpec(0, 0))):
+        with pytest.raises(ValueError, match="p = 2305843009213693951 alone exceeds the budget") \
+                as refused:
+            request()
+        assert "lower N" not in str(refused.value)
+    # a base below 2 never passes the budget, so it is refused before the
+    # loop over the levels
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"at least 2, got {p}"):
+            check_step_budget(p, 10**12)
     assert time.monotonic() - t0 < 1
 
 
