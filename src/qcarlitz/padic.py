@@ -71,28 +71,21 @@ def check_step_budget(p: int, levels: int) -> None:
 # so the test is exact below it
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MILLER_RABIN_LIMIT = 318665857834031151167461
-# below it, trial division takes at most 100 steps and beats twelve modular
-# powers: the p of every benchmarked and default request is below it
-_TRIAL_LIMIT = 10**4
 
 
 def _is_prime(p: int) -> bool:
-    """Primality in O(log p) multiplications: trial division for a small p,
-    deterministic Miller-Rabin up to _MILLER_RABIN_LIMIT, a larger p refused."""
+    """Primality in O(log p) multiplications: deterministic Miller-Rabin up
+    to _MILLER_RABIN_LIMIT, a larger p refused."""
     if p < 2:
         return False
-    if p < _TRIAL_LIMIT:
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                return False
-            d += 1
+    if p in _MILLER_RABIN_BASES:
         return True
     if p >= _MILLER_RABIN_LIMIT:
         raise ValueError(
             f"cannot decide whether p = {p} is prime: the test is exact "
             f"below {_MILLER_RABIN_LIMIT}")
-    # p - 1 = 2^s d with d odd; p > 37, so p % a == 0 means a composite p
+    # p - 1 = 2^s d with d odd; p is no base, so p % a == 0 means a composite
+    # p, which settles every p < 41
     d, s = p - 1, 0
     while not d & 1:
         d >>= 1

@@ -100,7 +100,6 @@ def _trial_division_is_prime(p):
 
 
 def test_is_prime_agrees_with_trial_division():
-    # below 10^4 by trial division itself, above it by Miller-Rabin
     assert all(padic._is_prime(p) == _trial_division_is_prime(p) for p in range(10**5))
 
 
