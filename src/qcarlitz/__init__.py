@@ -14,8 +14,8 @@ from .identities import (ALL_PERMUTATIONS, IdentityParams, IdentityReport,
                          Permutation3, cross34_check, grid_params,
                          lemma2_coeff_check, sample_grid, thm1_check,
                          thm3_check, thm4_check)
-from .padic import (IntegrandSpec, PadicInt, PadicReport, VolkenbornJob,
-                    padic_log, verify_eq2_qexp, verify_eq3, volkenborn_approx,
+from .padic import (IntegrandSpec, PadicInt, VolkenbornJob, padic_log,
+                    verify_eq2_qexp, verify_eq3, volkenborn_approx,
                     volkenborn_scaled, witt_check)
 from .polyq import Poly
 from .qcore import power_sum_T, q_int, q_int_poly
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_PERMUTATIONS", "BetaTable", "IdentityParams", "IdentityReport",
-    "IntegrandSpec", "PadicInt", "PadicReport", "Permutation3", "Poly",
-    "RatFunc", "VolkenbornJob", "bernoulli_classical",
+    "IntegrandSpec", "PadicInt", "Permutation3", "Poly", "RatFunc",
+    "VolkenbornJob", "bernoulli_classical",
     "bernoulli_poly_classical", "beta_h", "beta_hk", "beta_number",
     "beta_number_recurrence", "beta_poly", "beta_poly_expansion",
     "cross34_check", "grid_params", "lemma2_coeff_check", "padic_log",

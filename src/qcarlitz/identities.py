@@ -154,16 +154,20 @@ ALL_PERMUTATIONS = tuple(Permutation3(p) for p in permutations((1, 2, 3)))
 class IdentityReport:
     """Outcome of one identity check at one parameter point.
 
-    values[i] is the canonical RatFunc for labels[i]; verdict is true iff
-    all values are identical; witness names the first differing pair.
+    values[i] is the value for labels[i]: a canonical RatFunc for the
+    checks in Q(q), a rendered residue for the p-adic ones.  verdict is
+    true iff all values agree (literally in Q(q), inside the stated window
+    p-adically); witness names the first differing pair.  detail holds a
+    p-adic check's precisions and is None otherwise.
     """
 
     identity: str
     params: dict[str, object]
     labels: tuple[str, ...]
-    values: tuple[RatFunc, ...]
+    values: tuple[RatFunc | str, ...]
     verdict: bool
     witness: tuple[str, str] | None = None
+    detail: dict[str, object] | None = None
 
 
 # ---------------------------------------------------------------------------

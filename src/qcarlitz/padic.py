@@ -22,7 +22,9 @@ above is an arithmetic guarantee about the finite-level value itself.
 Agreement with the N -> infinity limit is a separate, empirical matter:
 for the f(x) = q^{cx} [x+s]^m family the observed discrepancy valuation
 grows like N, so the check functions compare at the convergence window
-min(certified, N + scale) and report the observed valuation.
+min(certified, N + scale), set in _scaled_report alone, and report the
+observed valuation in an IdentityReport's detail.  _versus_exact alone
+scales an exact rational side by p^scale.
 
 Some limit values (for example the quadratic moment at p = 3, q0 = 4)
 have negative valuation, hence are not p-adic integers.  volkenborn_approx
@@ -37,6 +39,7 @@ from fractions import Fraction
 from math import comb, log10
 
 from .carlitz import beta_hk
+from .identities import IdentityReport
 from .ratfunc import rf_eval_rational
 
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
@@ -362,41 +365,44 @@ def volkenborn_approx(job: VolkenbornJob) -> PadicInt:
     return y
 
 
-@dataclass(frozen=True)
-class PadicReport:
-    """Outcome of one finite-level p-adic check; values are rendered residues."""
-
-    identity: str
-    params: dict[str, object]
-    labels: tuple[str, ...]
-    values: tuple[str, ...]
-    verdict: bool
-    witness: tuple[str, str] | None
-    detail: dict[str, object]
-
-
 def _scaled_report(identity: str, params: dict[str, object], p: int,
                    lhs: int, rhs: int, out_prec: int, e: int,
-                   window: int) -> PadicReport:
+                   N: int) -> IdentityReport:
     """Compare two p^e-scaled residues at out_prec digits inside the
-    convergence window; record the observed discrepancy valuation."""
+    convergence window min(out_prec, N + e); record the observed
+    discrepancy valuation."""
+    window = min(out_prec, N + e)
     diff = (lhs - rhs) % p ** out_prec
     seen = out_prec if diff == 0 else _int_val(diff, p)
     verdict = seen >= window
     tag = f" / p^{e}" if e else ""
     values = (f"{lhs} mod {p}^{out_prec}{tag}", f"{rhs} mod {p}^{out_prec}{tag}")
-    return PadicReport(
+    return IdentityReport(
         identity, params, ("lhs", "rhs"), values, verdict,
         None if verdict else ("lhs", "rhs"),
         {"output_precision": out_prec, "scale": e,
          "compare_precision": window, "discrepancy_valuation": seen})
 
 
+def _versus_exact(identity: str, params: dict[str, object], N: int,
+                  lhs: PadicInt, e: int, exact: Fraction) -> IdentityReport:
+    """Compare the level-N value lhs / p^e with an exact rational, scaled
+    by p^e mod p^{lhs.K}.  An exact value deeper in 1/p than p^e first
+    realigns both sides to its scale."""
+    p, y = lhs.p, lhs.residue
+    ve = 0 if exact == 0 else _frac_val(exact, p)
+    if -ve > e:
+        y = y * p ** (-ve - e) % lhs.modulus
+        e = -ve
+    return _scaled_report(identity, params, p, y, _rat_mod(exact * p ** e, p, lhs.K),
+                          lhs.K, e, N)
+
+
 def _align(e_target: int, e: int, y: PadicInt) -> int:
     return y.residue * y.p ** (e_target - e) % y.modulus
 
 
-def verify_eq3(job: VolkenbornJob, n_shift: int) -> PadicReport:
+def verify_eq3(job: VolkenbornJob, n_shift: int) -> IdentityReport:
     """Shift identity for f = [x]^m at level N:
 
         q^n I(f_n) - I(f) = sum_{l<n} (m [l]^{m-1} q^{2l} + (q-1) [l]^m q^l)
@@ -416,24 +422,20 @@ def verify_eq3(job: VolkenbornJob, n_shift: int) -> PadicReport:
     e_n, i_fn = volkenborn_scaled(
         VolkenbornJob(p, q0, N, K, IntegrandSpec(0, m, n_shift)))
     e = max(e_f, e_n)
-    out = K - N
-    mo = p ** out
-    qn = _rat_mod(q0 ** n_shift, p, out)
-    lhs = (qn * _align(e, e_n, i_fn) - _align(e, e_f, i_f)) % mo
+    qn = _rat_mod(q0 ** n_shift, p, i_f.K)
+    lhs = PadicInt(p, i_f.K, qn * _align(e, e_n, i_fn) - _align(e, e_f, i_f))
     rhs = Fraction(0)
     for l in range(n_shift):
         br = (1 - q0 ** l) / (1 - q0) if q0 != 1 else Fraction(l)
         if m:
             rhs += m * br ** (m - 1) * q0 ** (2 * l)
         rhs += (q0 - 1) * br ** m * q0 ** l
-    rhs_scaled = _rat_mod(rhs * p ** e, p, out)
-    window = min(out, N + e)
-    return _scaled_report(
+    return _versus_exact(
         "eq3", {"p": p, "q0": str(q0), "N": N, "K": K, "m": m, "shift": n_shift},
-        p, lhs, rhs_scaled, out, e, window)
+        N, lhs, e, rhs)
 
 
-def verify_eq2_qexp(job: VolkenbornJob) -> PadicReport:
+def verify_eq2_qexp(job: VolkenbornJob) -> IdentityReport:
     """Shift identity specialized to f(x) = q^x, the one integrand whose
     derivative genuinely produces log q:
 
@@ -455,13 +457,12 @@ def verify_eq2_qexp(job: VolkenbornJob) -> PadicReport:
     qm1 = PadicInt.from_rational(q0 - 1, p, K)
     rhs = (qm1 / log_q) * log_q + qm1
     out = min(lhs.K, rhs.K)
-    window = min(out, N)
     return _scaled_report(
         "eq2-qexp", {"p": p, "q0": str(q0), "N": N, "K": K},
-        p, lhs.reduce(out).residue, rhs.reduce(out).residue, out, 0, window)
+        p, lhs.reduce(out).residue, rhs.reduce(out).residue, out, 0, N)
 
 
-def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicReport:
+def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> IdentityReport:
     """k-fold finite Volkenborn sum of q^{sum (h-l) y_l} [x+y_1+..+y_k]^n
     against the closed-form beta_hk value at q0.  job.f is ignored; k = 2
     divides by [p^N]^2, so the certified precision drops to K - 2N.
@@ -478,15 +479,7 @@ def witt_check(n: int, h: int, k: int, x: int, job: VolkenbornJob) -> PadicRepor
     exact = rf_eval_rational(beta_hk(n, h, k, 1, x), q0)
     # the first k of q^{(h-1) y1} q^{y1} and q^{(h-2) y2} q^{y2}
     e, y = _scaled_level(p, q0, N, K, (h, h - 1)[:k], n, x)
-    out = y.K
-    ve = 0 if exact == 0 else _frac_val(exact, p)
-    if -ve > e:
-        # exact side is deeper in 1/p than the engine scale; align both
-        y = PadicInt(p, out, y.residue * p ** (-ve - e))
-        e = -ve
-    rhs = _rat_mod(exact * p ** e, p, out)
-    window = min(out, N + e)
-    return _scaled_report(
+    return _versus_exact(
         "witt", {"p": p, "q0": str(q0), "N": N, "K": K,
                  "n": n, "h": h, "k": k, "x": x},
-        p, y.residue, rhs, out, e, window)
+        N, y, e, exact)

@@ -56,9 +56,6 @@ def _divisors(m: int) -> list[int]:
     return small + [m // d for d in reversed(small) if d * d != m]
 
 
-# bounded: the test suite in one process reaches 210 (every d <= 210), a
-# carlitz-cross pass to n = 60 123
-@lru_cache(maxsize=512)
 def cyclotomic_poly(d: int) -> Poly:
     """Phi_d, the monic integer polynomial whose roots are the primitive
     d-th roots of unity, unpacked from Phi_d(2^bits).  Those roots lie on
@@ -124,7 +121,7 @@ def cyclotomic_value(d: int, bits: int) -> int:
 
 
 # bounded: the test suite in one process reaches 89 keys, a carlitz-cross
-# pass to n = 40 83; every key is also one of cyclotomic_poly's
+# pass to n = 40 83
 @lru_cache(maxsize=512)
 def _cyclotomic_l1(d: int) -> int:
     """||Phi_d||_1."""

@@ -116,6 +116,20 @@ def test_verify_padic_reports_precisions(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_padic_at_q0_one_skips_the_q_exp_row(capsys):
+    # q0 = 1 is the classical Volkenborn integral; log q = 0 leaves the
+    # eq2-qexp row out, and every witt and eq3 row still runs
+    code, out, _ = run(capsys, "verify", "--suite", "padic", "--q0", "1",
+                       "--N", "2", "--K", "6", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    names = [r["identity"] for r in report["results"]]
+    assert len(names) == 19 and "eq2-qexp" not in names
+    assert set(names) == {"witt", "eq3"}
+    assert all(r["verdict"] for r in report["results"])
+    assert report["summary"] == {"failed": 0, "passed": 19, "total": 19}
+
+
 def test_verify_json_roundtrips_byte_identically(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--suite", "lemma2", "--n-max", "3",

@@ -371,6 +371,21 @@ def test_witt_report_detail():
     assert all(v.endswith("/ p^1") for v in r.values)
 
 
+def test_exact_side_deeper_in_one_over_p_realigns_both_sides():
+    # exact = 1/3^3 against the level value 34 / 3^1: both sides move to
+    # scale 3, the level residue times 3^2 and the exact side 1
+    r = padic._versus_exact("witt", {}, 3, PadicInt(3, 7, 34), 1, F(1, 27))
+    assert r.detail == {"output_precision": 7, "scale": 3,
+                        "compare_precision": 6, "discrepancy_valuation": 0}
+    assert r.values == ("306 mod 3^7 / p^3", "1 mod 3^7 / p^3")
+    assert not r.verdict and r.witness == ("lhs", "rhs")
+    # an exact side no deeper than p^e keeps the scale
+    r = padic._versus_exact("witt", {}, 3, PadicInt(3, 7, 307), 3, F(1, 27))
+    assert r.detail == {"output_precision": 7, "scale": 3,
+                        "compare_precision": 6, "discrepancy_valuation": 2}
+    assert r.values == ("307 mod 3^7 / p^3", "1 mod 3^7 / p^3")
+
+
 def test_runaway_summation_is_refused_up_front():
     t0 = time.monotonic()
     check_step_budget(5, 8)
