@@ -373,6 +373,15 @@ def _resolve_jobs(flag: int | None) -> int:
     return jobs
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of --q0: a rational number.  A zero denominator is a
+    usage error (exit 2), as a malformed number is, not a traceback."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcarlitz",
@@ -401,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--sample", type=int, default=None,
                     help="deterministic cap on grid points")
     pv.add_argument("--p", type=int, default=3, help="odd prime")
-    pv.add_argument("--q0", type=Fraction, default=Fraction(4),
+    pv.add_argument("--q0", type=_rational, default=Fraction(4),
                     help="rational q value, 1 mod p")
     pv.add_argument("--N", type=int, default=3, help="summation level p^N")
     pv.add_argument("--K", type=int, default=10, help="working precision digits")

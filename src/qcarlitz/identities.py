@@ -29,9 +29,10 @@ numerator comes from dividing out each Phi_d as often as it divides (at
 most e_d times), not from a gcd against D: once per report when the
 values agree, once per differing numerator when they do not.
 
-The numerators are assembled packed.  Evaluation at q = 2^B is a ring
-homomorphism Z[q] -> Z, so each permutation's numerator is one integer,
-built from closed forms of its factors at X = 2^B:
+The numerators of Theorems 3 and 4 are assembled packed (those of Theorem
+1 are realized from a formal certificate, below).  Evaluation at q = 2^B is
+a ring homomorphism Z[q] -> Z, so each permutation's numerator is one
+integer, built from closed forms of its factors at X = 2^B:
 
     [t]_{q^b}      = (X^{bt} - 1) // (X^b - 1),
     q^s            = a shift by B*s bits, and a - b is integer subtraction.
@@ -75,6 +76,23 @@ norms would give 32, 64 and 104 (n <= 12), and the numerators'
 coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
 876, 1818 and 3096 there; cross34 packs at 40, 64 and 88 bits at n = 4, 6
 and 8.
+
+Theorem 1 is decided once per n, formally, and realized over D at each
+point.  `_thm1_num` runs once on `_Formal`, whose bases are the free labels
+A, B, C, whose Y_i = q^{W y_i} are formal variables, and whose symbol
+cof_L[t] stands for P_b / [t]_{q^b}.  The builder never looks inside a
+label, so relabeling that one run gives the six permutations' forms
+(`_thm1_forms`, cached per n).  Sending A, B, C to the bases w2 w3, w1 w3,
+w1 w2, each Y_i to q^{W y_i} and each symbol to its value turns a
+permutation's form into its numerator at (w, y), so six equal forms are
+six equal numerators at every w and y.  A point then realizes one form at
+q = 2^B, at the width B above, which gives the integer the packed
+assembly would.  The common form has n + 1 terms,
+
+    sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1],
+
+Theorem 1's triple q-Volkenborn integral times D.  Where the forms differ,
+each distinct one is realized, and the integers are compared as usual.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -174,7 +192,7 @@ class IdentityReport:
 # the master denominator
 
 
-# bounded: the test suite in one process reaches 71 (n, bases) keys, the
+# bounded: the test suite in one process reaches 221 (n, bases) keys, the
 # thm1 grid to n = 4, w = 3, y = 2 50
 @lru_cache(maxsize=256)
 def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
@@ -290,7 +308,7 @@ class _Packed:
         return acc
 
 
-# bounded: the test suite in one process reaches 67 (n, b, bits) keys, the
+# bounded: the test suite in one process reaches 72 (n, b, bits) keys, the
 # thm1 grid to n = 4, w = 3, y = 2 30
 @lru_cache(maxsize=256)
 def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
@@ -407,7 +425,7 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
                       lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), e0))
 
 
-# bounded: the test suite in one process reaches 204 (num_fn, n, b3, w3s)
+# bounded: the test suite in one process reaches 206 (num_fn, n, b3, w3s)
 # keys, the thm1 grid to n = 4, w = 3, y = 2 90, the cross34 grid to n = 3,
 # w = 3, y = 2 108
 @lru_cache(maxsize=512)
@@ -433,12 +451,128 @@ def _packed_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
     weight) have equal numerators, assembled once.
     """
     distinct = dict.fromkeys(nums)
-    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
-                             for fn, _, _, bases, w3s in distinct))
+    bits = _width(n, distinct)
     ev = _Packed(n, bits)
     for num in distinct:
         distinct[num] = num[0](ev, *num[1:])
     return [distinct[num] for num in nums], bits
+
+
+def _width(n: int, nums) -> int:
+    """The one width of numerators (num_fn, W, y, bases, w3s) of degree n."""
+    return balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
+                             for fn, _, _, bases, w3s in nums))
+
+
+# ---------------------------------------------------------------------------
+# Theorem 1 for every w and y: one formal certificate per n (module
+# docstring), realized at each point over D
+
+# the labels of the bases w2 w3, w1 w3, w1 w2
+_LABELS = "ABC"
+
+# An exponent vector (a1, a2, a3, d) of Y1^a1 Y2^a2 Y3^a3 q^d is packed in
+# one int, d + sum_i a_i 2^{32 i}, so the builders' int arithmetic on
+# exponents (W * y[i] with W = 1, e * k, and sums of them) is vector
+# arithmetic: Theorem 1's exponents are non-negative, and far below 2^32.
+_EXP_BITS = 32
+_Y_UNITS = tuple(1 << _EXP_BITS * i for i in (1, 2, 3))
+
+
+class _Form(dict):
+    """A formal value {(cofactor key, packed exponent vector): coefficient},
+    the cofactor key the sorted (label, t) pairs of its symbols cof_L[t]."""
+
+    def __add__(self, other: _Form) -> _Form:
+        out = _Form(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) + c
+        return _Form({key: c for key, c in out.items() if c})
+
+    def __radd__(self, other: int) -> _Form:
+        # sum() starts from 0
+        return self if other == 0 else NotImplemented
+
+    def __mul__(self, other: _Form | int) -> _Form:
+        if isinstance(other, int):
+            return _Form({key: other * c for key, c in self.items()} if other else {})
+        out: dict = {}
+        for (ka, ea), ca in self.items():
+            for (kb, eb), cb in other.items():
+                key = (tuple(sorted(ka + kb)), ea + eb)
+                out[key] = out.get(key, 0) + ca * cb
+        return _Form({key: c for key, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+
+class _Formal:
+    """The term factors of one degree n as formal values (`_Form`)."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def shift(self, x: _Form, s: int) -> _Form:
+        """x times the monomial of the packed exponent vector s."""
+        return _Form({(key, e + s): c for (key, e), c in x.items()})
+
+    def slot(self, label: str, deg: int, h: int, e: int) -> _Form:
+        """sum_i (-1)^i C(deg, i) (h+i) Y^{i e} cof_label[h+i]: `_Packed.slot`
+        with the cofactors P_b / [h+i]_{q^b} kept as symbols."""
+        return _Form({(((label, h + i),), i * e): (-1) ** i * comb(deg, i) * (h + i)
+                      for i in range(deg + 1)})
+
+
+def _frozen(form: dict) -> tuple:
+    return tuple(sorted(form.items()))
+
+
+# bounded: one key per degree n; the test suite in one process reaches 17
+# keys (n = 0..16), the thm1 grid to n = 4 5
+@lru_cache(maxsize=64)
+def _thm1_forms(n: int) -> tuple[tuple, ...]:
+    """Theorem 1's formal numerator of degree n for each permutation, in
+    `ALL_PERMUTATIONS` order, as sorted term tuples: one `_thm1_num` run on
+    labels A, B, C in slots 1, 2, 3, relabeled for the others."""
+    form = _thm1_num(_Formal(n), 1, _Y_UNITS, tuple(_LABELS), 0)
+    forms = []
+    for sigma in ALL_PERMUTATIONS:
+        relabel = dict(zip(_LABELS, sigma.arrange(_LABELS)))
+        forms.append(_frozen({(tuple(sorted((relabel[label], t) for label, t in key)), e): c
+                              for (key, e), c in form.items()}))
+    return tuple(forms)
+
+
+def _realize(form: tuple, n: int, W: int, y: tuple[int, int, int],
+             bases: tuple[int, int, int], bits: int) -> int:
+    """The form at q = 2^bits, with A, B, C in the bases given, Y_i = q^{W y_i}
+    and cof_L[t] read from `_cofactors`."""
+    cofs = {label: _cofactors(n, b, bits) for label, b in zip(_LABELS, bases)}
+    mask = (1 << _EXP_BITS) - 1
+    acc = 0
+    for (key, e), c in form:
+        s = (e & mask) + W * sum(yi * (e >> _EXP_BITS * i & mask)
+                                 for i, yi in enumerate(y, 1))
+        acc += c * prod(cofs[label][t] for label, t in key) << bits * s
+    return acc
+
+
+def _formal_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
+    """`_packed_nums` for Theorem 1's six permutations in `ALL_PERMUTATIONS`
+    order: each distinct form of n realized at the width `_packed_nums`
+    picks, so the integers are the same.  The first permutation is the
+    identity, so its bases are those of the labels A, B, C.
+
+    When the certificate holds this is one numerator for all six; when it
+    fails, each distinct form is realized and the report names a witness.
+    """
+    bits = _width(n, nums)
+    _, W, y, bases, _ = nums[0]
+    forms = _thm1_forms(n)
+    distinct = dict.fromkeys(forms)
+    for form in distinct:
+        distinct[form] = _realize(form, n, W, y, bases, bits)
+    return [distinct[form] for form in forms], bits
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +631,8 @@ def _check(identity: str, params: IdentityParams) -> IdentityReport:
             bases, w3s = _sigma_bases(params.w, sigma)
             labels.append(prefix + sigma.label)
             nums.append((num_fn, W, params.y, bases, w3s))
-    return _report_from_nums(identity, params, tuple(labels),
-                             *_packed_nums(params.n, nums))
+    assemble = _formal_nums if identity == "thm1" else _packed_nums
+    return _report_from_nums(identity, params, tuple(labels), *assemble(params.n, nums))
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:

@@ -116,6 +116,16 @@ def test_verify_padic_reports_precisions(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_refuses_a_zero_denominator_q0_as_usage(capsys):
+    # a usage error exits 2; exit 1 would claim a counterexample
+    for q0 in ("1/0", "4/0", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "padic", "--q0", q0])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"not a rational number: '{q0}'" in err and "Traceback" not in err
+
+
 def test_verify_padic_at_q0_one_skips_the_q_exp_row(capsys):
     # q0 = 1 is the classical Volkenborn integral; log q = 0 leaves the
     # eq2-qexp row out, and every witt and eq3 row still runs

@@ -15,12 +15,13 @@ from math import comb, factorial
 
 import pytest
 
-from qcarlitz import qcore
+from qcarlitz import identities, qcore
 from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _check, _norm_bound, _Norms, _Packed, _packed_nums,
-                                 _slot_bound, _thm1_num,
+                                 _check, _Formal, _frozen, _LABELS, _norm_bound, _Norms,
+                                 _Packed, _packed_nums, _realize, _slot_bound, _thm1_forms,
+                                 _thm1_num, _Y_UNITS,
                                  _thm3_num, _thm4_num, cross34_check, grid_params,
                                  lemma2_coeff_check, sample_grid, thm1_check,
                                  thm3_check, thm4_check)
@@ -733,16 +734,20 @@ def test_reduction_that_outgrows_the_width_reruns_at_twice_it(monkeypatch):
         assert value_of(r, sigma) == RatFunc(num, den), sigma.label
 
 
-# sha256 of the canonical values of two large-n reports, recorded before the
-# packed pipeline.  At the thm1 point the reduced numerator has 64-bit
-# coefficients; the checkers pack it at 80 bits, so its reduction fits the
-# width.  A reduction that outgrows its width is pinned in test_cyclotomic.py
+# sha256 of the canonical values of large-n reports: the first two recorded
+# before the packed pipeline, the last from the packed thm1 numerators,
+# before Theorem 1 was realized from its formal certificate.  At the n = 8
+# point the reduced numerator has 64-bit coefficients; the checkers pack it
+# at 80 bits, so its reduction fits the width.  A reduction that outgrows
+# its width is pinned in test_cyclotomic.py
 # (test_packed_reduction_certifies_a_quotient_that_outgrows_the_width).
 LARGE_N_GOLDENS = [
     (thm1_check, IdentityParams(8, (3, 3, 2), (1, 1, 0)),
      "efd01736d8808c3731ab5c9152df8ef59dd371bd764e78f95cff04f2694f84a9"),
     (cross34_check, IdentityParams(6, (3, 2, 3), (1, 1, 0)),
      "3b8b2d5796ae5845d1167a3a9147d0c8ec6a4ee07ea7a2f7e36a63d3880a5e23"),
+    (thm1_check, IdentityParams(16, (3, 3, 2), (1, 1, 0)),
+     "6d3c8f847c497b437a65068723623a8d99bf82a16f0de97ed74274692dba76a9"),
 ]
 
 
@@ -753,3 +758,83 @@ def test_large_n_reports_match_golden(check, params, digest):
               for v in r.values]
     blob = json.dumps([r.identity, list(r.labels), values, r.verdict], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Theorem 1's formal certificate
+#
+# thm1_check realizes the forms of `_thm1_forms` at each point instead of
+# running the packed builder there.  That is sound only if the relabeled
+# forms are the formal runs they stand for, and if a form realized at a point
+# is the packed numerator; the integral below checks what they all equal.
+
+
+def test_relabeled_forms_equal_six_direct_formal_runs():
+    for n in range(9):
+        direct = [_frozen(_thm1_num(_Formal(n), 1, _Y_UNITS, sigma.arrange(_LABELS), 0))
+                  for sigma in ALL_PERMUTATIONS]
+        assert list(_thm1_forms(n)) == direct, n
+
+
+def test_realized_forms_are_the_packed_numerators():
+    # every permutation's form, realized at each point of the criterion-6
+    # sample, is the numerator the packed builder makes there
+    for p in sample_grid(grid_params(range(5), 3, 2), 500):
+        nums = [(_thm1_num, p.w_product, p.y, *sigma_data(p, sigma))
+                for sigma in ALL_PERMUTATIONS]
+        packed, bits = _packed_nums(p.n, nums)
+        bases = nums[0][3]
+        for sigma, form, want in zip(ALL_PERMUTATIONS, _thm1_forms(p.n), packed):
+            assert _realize(form, p.n, p.w_product, p.y, bases, bits) == want, (p, sigma.label)
+
+
+def test_common_form_is_the_q_volkenborn_integral():
+    # I_n D = sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1], the
+    # triple q-Volkenborn integral over D, from comb alone: it sees an error
+    # that all six permutations share, such as a wrong q-shift in a slot, which
+    # neither the six-way verdict nor the q -> 1 oracle can see
+    for n in range(17):
+        want = _frozen({(tuple((label, j + 1) for label in _LABELS), j * sum(_Y_UNITS)):
+                        comb(n, j) * (-1) ** j * (j + 1) ** 3 for j in range(n + 1)})
+        assert set(_thm1_forms(n)) == {want}, n
+
+
+def _inner_without_term_1_2(ev, b2, e2, j, h, tail):
+    """`_inner` that drops its term (l, j) = (1, 2)."""
+    return sum(comb(j, l) * ev.shift(ev.slot(b2, l, j - l + h, e2) * tail[j - l],
+                                     e2 * (j - l + h - 1))
+               for l in range(j + 1) if (l, j) != (1, 2))
+
+
+def _thm1_num_slot2_in_b3(ev, W, y, bases, _w3s):
+    """`_thm1_num` that builds slot 2 in base b3."""
+    b1, _, b3 = bases
+    tail = [ev.slot(b3, m, 1, W * y[2]) for m in range(ev.n + 1)]
+    return identities._outer(ev, b1, W * y[0],
+                             lambda j: identities._inner(ev, b3, W * y[1], j, 1, tail))
+
+
+@pytest.fixture
+def fresh_certificates():
+    """Clears the caches a builder fault reaches, before and after the test."""
+    def clear():
+        _thm1_forms.cache_clear()
+        _norm_bound.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("name, fault, degrees", [
+    ("_inner", _inner_without_term_1_2, (2, 3, 4)),
+    ("_thm1_num", _thm1_num_slot2_in_b3, (1, 2, 3, 4)),
+])
+def test_a_builder_fault_fails_the_certificate(monkeypatch, fresh_certificates,
+                                               name, fault, degrees):
+    monkeypatch.setattr(identities, name, fault)
+    for n in degrees:
+        assert len(set(_thm1_forms(n))) > 1, n
+        r = thm1_check(IdentityParams(n, (1, 2, 3), (1, 0, 2)))
+        assert not r.verdict and r.witness is not None, n
+        assert r.witness[0] == "123" and len(set(r.values)) > 1, n
