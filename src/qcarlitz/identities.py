@@ -29,20 +29,10 @@ numerator comes from dividing out each Phi_d as often as it divides (at
 most e_d times), not from a gcd against D: once per report when the
 values agree, once per differing numerator when they do not.
 
-The numerators of Theorems 3 and 4 are assembled packed (those of Theorem
-1 are realized from a formal certificate, below).  Evaluation at q = 2^B is
-a ring homomorphism Z[q] -> Z, so each permutation's numerator is one
-integer, built from closed forms of its factors at X = 2^B:
-
-    [t]_{q^b}      = (X^{bt} - 1) // (X^b - 1),
-    q^s            = a shift by B*s bits, and a - b is integer subtraction.
-
-The only polynomials are the small power sums T_{t,m}(w|q^b), which
-`power_sum_T` caches across checks and which are packed at B.
-
-Each beta factor is taken together with its bracket [b]_q^deg and with
-(1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b}, and that product is a
-polynomial with no (1-q) left in it:
+Each theorem's numerator comes from one builder, which takes its
+arithmetic from an evaluator.  Each beta factor is taken together with its
+bracket [b]_q^deg and with (1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b},
+and that product, a slot, is a polynomial with no (1-q) left in it:
 
     sum_j (-1)^j C(deg, j) (j+h) q^{je} P_b / [h+j]_{q^b}.
 
@@ -50,26 +40,25 @@ A Theorem 1 term has beta factors of degree k + l + m = n, so it lacks no
 (1-q) against D's (1-q)^n.  Theorems 3 and 4 read P1 + (q - 1) P2, whose
 terms carry (1-q)^n (P2; a Theorem 3 tail as (1 - q^{b3})^m) and, under
 n C(n-1, k) = j C(n, k), (1-q)^{n-1} (P1, which takes the one it lacks as
--(q - 1)).  So both build (q - 1)(part1(j) - j part2(j - 1)) for each outer
-index j = n - k, part1 from P2 and part2 from P1, times P_{b3} [b3]_q.
+-(q - 1)).  So both build (q - 1) P_{b3} [b3]_q times the outer sum of
+part1(j) - j part2(j - 1) over j = n - k, part1 from P2 and part2 from P1.
 Theorem 4's inner sum over i < w3 of q^{h step i} beta(q^{e + step i})
-only multiplies term j by [w3]_{q^{(h+j) step}}.  The factor of the first
-slot depends on k alone and that of the second on (l, m), so the lattice
-sum is nested: each permutation makes O(n) full-width products, and O(n^2)
-products of two one-slot factors.
+only multiplies slot term j by [w3]_{q^{(h+j) step}}.  The factor of the
+first slot depends on k alone and that of the second on (l, m), so the
+lattice sum is nested.
 
 All permutations (twelve for cross34) share one width B, the least multiple
 of 8 bits holding a bound on every numerator coefficient plus a sign bit,
-so equal integers are equal numerators.  The bound is the same nested sum
-over L1 bounds of the factors (`_Norms`): [b]_q and T have non-negative
-coefficients, so their norms are their values at q = 1, a - b counts as
-a + b, so (q - 1) counts 2 and (1 - q^{b3})^m counts 2^m, and a slot
-value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).  Of a
-numerator's arguments `_Norms` so reads only n, b3 and w3s (a slot's bound
-ignores its base and shift, a shift is the identity, [b]_q is only taken
-of b3 and T only of w3s - 1), so the bound is computed once per norm key
-(builder, n, b3, w3s) and cached across checks (`_norm_bound`), not run
-again for every permutation.  The slot bound ignores the cancellation in
+so equal integers at q = 2^B are equal numerators.  The bound is the same
+nested sum over L1 bounds of the factors (`_Norms`): [b]_q and T have
+non-negative coefficients, so their norms are their values at q = 1, a - b
+counts as a + b, so (q - 1) counts 2 and (1 - q^{b3})^m counts 2^m, and a
+slot value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).
+Of a numerator's arguments `_Norms` so reads only n, b3 and w3s (a slot's
+bound ignores its base and shift, a shift is the identity, the closing
+factor reads only b3 and a tail only w3s - 1), so the bound is computed
+once per norm key (builder, n, b3, w3s) and cached across checks
+(`_norm_bound`), not run again for every permutation.  The slot bound ignores the cancellation in
 the alternating beta sum: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at
 40, 80, 136 and 192 bits at n = 4, 8, 12 and 16, where the slots' actual
 norms would give 32, 64 and 104 (n <= 12), and the numerators'
@@ -77,22 +66,35 @@ coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
 876, 1818 and 3096 there; cross34 packs at 40, 64 and 88 bits at n = 4, 6
 and 8.
 
-Theorem 1 is decided once per n, formally, and realized over D at each
-point.  `_thm1_num` runs once on `_Formal`, whose bases are the free labels
-A, B, C, whose Y_i = q^{W y_i} are formal variables, and whose symbol
-cof_L[t] stands for P_b / [t]_{q^b}.  The builder never looks inside a
-label, so relabeling that one run gives the six permutations' forms
-(`_thm1_forms`, cached per n).  Sending A, B, C to the bases w2 w3, w1 w3,
-w1 w2, each Y_i to q^{W y_i} and each symbol to its value turns a
-permutation's form into its numerator at (w, y), so six equal forms are
-six equal numerators at every w and y.  A point then realizes one form at
-q = 2^B, at the width B above, which gives the integer the packed
-assembly would.  The common form has n + 1 terms,
+Every theorem is decided once per n, formally, and realized over D at
+each point.  A builder runs once on `_Formal`, whose bases are the free
+labels A, B, C, whose Y_i = q^{W y_i} and Z = q^W are formal variables, and
+whose symbol cof_L[t] stands for P_b / [t]_{q^b}.  For Theorems 3 and 4
+write Q = q^{b3} and R[s] = [w3]_{Q^s}.  Since b3 w3 = W, two identities
+put their terms in the cofactor basis:
+
+    (1 - Q)^m T_{t,m}(w3 - 1 | Q) = sum_k C(m, k) (-1)^k R[t + k],
+    (q - 1) [b3]_q P_{b3} R[s] = (Z^s - 1) cof_{b3}[s]   for s <= n + 1.
+
+So a Theorem 3 tail and a Theorem 4 slot carry one symbol R per term, and
+the closing factor (q - 1) P_{b3} [b3]_q rewrites it (`_Formal.close`).  The
+builder never looks inside a label, so relabeling the one run gives the six
+permutations' forms (`_forms`, cached per builder and n).  Sending A, B, C
+to the bases w2 w3, w1 w3, w1 w2, Z to q^W, each Y_i to q^{W y_i} and each
+symbol to its value turns a permutation's form into its numerator at
+(w, y), so equal forms are equal numerators at every w and y.  A point
+then realizes each distinct form at q = 2^B, at the width B above: one
+integer when the forms agree.  Theorem 1's common form has n + 1 terms,
 
     sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1],
 
-Theorem 1's triple q-Volkenborn integral times D.  Where the forms differ,
-each distinct one is realized, and the integers are compared as usual.
+its triple q-Volkenborn integral times D, and the twelve forms of
+Theorems 3 and 4 are one form of 2(n + 1) terms,
+
+    sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2)^j (Z^{j+1} - 1) prod_b cof_b[j+1].
+
+Where the forms differ, each distinct one is realized, and the integers
+are compared as usual.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -234,13 +236,13 @@ def _sorted_bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# term factors, as values at q = 2^bits and as L1 bounds
+# term factors, as L1 bounds
 #
-# The numerator builders below take an evaluator: `_Packed` gives each
-# factor's value at q = 2^bits, `_Norms` a bound on its L1 norm.  The
+# The numerator builders below take an evaluator: `_Norms` gives a bound on
+# each factor's L1 norm, `_Formal` the factor as a formal value.  The
 # builders combine factors with +, - and * and non-negative integer
-# coefficients, where `_Norms` reads - (`sub`) as +, so run on `_Norms`
-# they bound the numerator they assemble on `_Packed`.
+# coefficients, where `_Norms` reads - (`sub`) as +, so run on `_Norms` they
+# bound the numerator whose form they build on `_Formal`.
 
 
 def _q_int_at(t: int, s: int) -> int:
@@ -248,67 +250,7 @@ def _q_int_at(t: int, s: int) -> int:
     return ((1 << s * t) - 1) // ((1 << s) - 1)
 
 
-class _Packed:
-    """The term factors of one degree n at q = 2^bits, memoized per instance."""
-
-    def __init__(self, n: int, bits: int) -> None:
-        self.n = n
-        self.bits = bits
-        self._slots: dict[tuple[int, ...], int] = {}
-        self._tsums: dict[tuple[int, ...], int] = {}
-
-    def bracket(self, b: int) -> int:
-        """[b]_q."""
-        return _q_int_at(b, self.bits)
-
-    def shift(self, x: int, s: int) -> int:
-        """x q^s."""
-        return x << self.bits * s
-
-    def sub(self, a: int, b: int) -> int:
-        """a - b."""
-        return a - b
-
-    def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
-        """T_{tdeg,m}(w | q^b), the small polynomial `power_sum_T` caches; its
-        coefficients fit the width, as the bound behind bits holds ||T||_1
-        times the bounds, each at least 1, of the other factors of a term."""
-        key = (tdeg, m, w, b)
-        value = self._tsums.get(key)
-        if value is None:
-            value = self._tsums[key] = power_sum_T(tdeg, m, w, b).num.pack(self.bits)
-        return value
-
-    def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) [b]_q^deg
-        times (1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
-        key = (b, deg, h, e, step, count)
-        value = self._slots.get(key)
-        if value is None:
-            value = self._slots[key] = self._slot(*key)
-        return value
-
-    def _slot(self, b: int, deg: int, h: int, e: int, step: int, count: int) -> int:
-        # beta^{(h)}_{deg} is sum_j (-1)^j C(deg, j) (j+h) q^{je} / [h+j]
-        # over (1-q^b)^deg = (1-q)^deg [b]_q^deg; in the slot, [h+j] divides
-        # [1] [2] ... [n+1] and (1-q)^deg [b]_q^deg cancels
-        n = self.n
-        if h < 1 or h + deg > n + 1:
-            raise ValueError("beta factor denominator exceeds the master slot")
-        cof = _cofactors(n, b, self.bits)
-        acc = 0
-        for j in range(deg + 1):
-            t = h + j
-            term = comb(deg, j) * t * cof[t]
-            if count > 1:
-                # the count shifts q^{(h+j) step i} sum to [count]_{q^{(h+j) step}}
-                term *= _q_int_at(count, self.bits * t * step)
-            term = self.shift(term, j * e)
-            acc = acc - term if j & 1 else acc + term
-        return acc
-
-
-# bounded: the test suite in one process reaches 72 (n, b, bits) keys, the
+# bounded: the test suite in one process reaches 75 (n, b, bits) keys, the
 # thm1 grid to n = 4, w = 3, y = 2 30
 @lru_cache(maxsize=256)
 def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
@@ -319,7 +261,7 @@ def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
 
 
 def _slot_bound(n: int, deg: int, count: int) -> int:
-    """Closed-form bound on the L1 norm of `_Packed.slot`, in every base.
+    """Closed-form bound on the L1 norm of a slot, in every base.
 
     Term j is C(deg, j) (h+j) [count]_{q^{(h+j) step}} times the q-integers
     [t]_{q^b} of P_b / [h+j], all with non-negative coefficients, so its
@@ -330,13 +272,10 @@ def _slot_bound(n: int, deg: int, count: int) -> int:
 
 
 class _Norms:
-    """L1 bounds of the factors `_Packed` evaluates."""
+    """L1 bounds of the term factors."""
 
     def __init__(self, n: int) -> None:
         self.n = n
-
-    def bracket(self, b: int) -> int:
-        return b
 
     def shift(self, x: int, s: int) -> int:
         return x
@@ -345,12 +284,17 @@ class _Norms:
         # ||a - b||_1 <= ||a||_1 + ||b||_1
         return a + b
 
-    def tsum(self, tdeg: int, m: int, w: int, b: int) -> int:
-        # non-negative coefficients: the value at q = 1
-        return sum(i ** m for i in range(w + 1))
+    def tail(self, tdeg: int, m: int, w: int, b: int) -> int:
+        # (1 - q^b)^m counts 2^m, and T has non-negative coefficients: its
+        # value at q = 1
+        return (1 << m) * sum(i ** m for i in range(w + 1))
 
     def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
         return _slot_bound(self.n, deg, count)
+
+    def close(self, x: int, b3: int, w3s: int) -> int:
+        # (q - 1) counts 2, P_{b3} is the slot of degree 0 and [b3]_q counts b3
+        return 2 * x * _slot_bound(self.n, 0, 1) * b3
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +302,7 @@ class _Norms:
 #
 # Each theorem's term is a product of one factor per slot, and the factor of
 # slot 1 depends only on k, so the lattice sum is nested: for each k one
-# full-width product of slot 1 with the inner sum over slots 2 and 3.
+# product of slot 1 with the inner sum over slots 2 and 3.
 
 
 # e_i = W y_i is both the argument exponent of slot i's beta factor and the
@@ -386,20 +330,16 @@ def _thm1_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     return _outer(ev, b1, W * y[0], lambda j: _inner(ev, b2, W * y[1], j, 1, tail))
 
 
-def _parts_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
+def _parts_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int], w3s: int,
                part1, part2) -> int:
-    """`_outer` with inner sum (q - 1)(part1(j) - j part2(j - 1)), times
-    P_{b3} [b3]_q: the one shape of Theorems 3 and 4 over D, part1 the inner
-    sum of their part P2 and part2 that of P1 (module docstring)."""
-    b3 = bases[2]
+    """(q - 1) P_{b3} [b3]_q times `_outer` with inner sum part1(j) - j part2(j - 1):
+    the one shape of Theorems 3 and 4 over D, part1 the inner sum of their
+    part P2 and part2 that of P1 (module docstring)."""
 
     def inner(j: int) -> int:
-        x = part1(j)
-        if j:
-            x = ev.sub(x, j * part2(j - 1))
-        return ev.sub(ev.shift(x, 1), x)
+        return ev.sub(part1(j), j * part2(j - 1)) if j else part1(j)
 
-    return _outer(ev, bases[0], W * y[0], inner) * ev.slot(b3, 0, 1, 0) * ev.bracket(b3)
+    return ev.close(_outer(ev, bases[0], W * y[0], inner), bases[2], w3s)
 
 
 def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
@@ -408,10 +348,8 @@ def _thm3_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     # its term lack, together (1 - q^{b3})^m
     _, b2, b3 = bases
     e2 = W * y[1]
-    one_minus_qb = ev.sub(1, ev.shift(1, b3))
-    tails = [[one_minus_qb ** m * ev.tsum(tdeg, m, w3s - 1, b3) for m in range(ev.n + 1)]
-             for tdeg in (1, 2)]
-    return _parts_num(ev, W, y, bases,
+    tails = [[ev.tail(tdeg, m, w3s - 1, b3) for m in range(ev.n + 1)] for tdeg in (1, 2)]
+    return _parts_num(ev, W, y, bases, w3s,
                       lambda j: _inner(ev, b2, e2, j, 1, tails[0]),
                       lambda j: _inner(ev, b2, e2, j, 2, tails[1]))
 
@@ -420,12 +358,12 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
               w3s: int) -> int:
     _, b2, b3 = bases
     e0 = W * y[1]
-    return _parts_num(ev, W, y, bases,
+    return _parts_num(ev, W, y, bases, w3s,
                       lambda j: ev.slot(b2, j, 1, e0, b3, w3s),
                       lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), e0))
 
 
-# bounded: the test suite in one process reaches 206 (num_fn, n, b3, w3s)
+# bounded: the test suite in one process reaches 246 (num_fn, n, b3, w3s)
 # keys, the thm1 grid to n = 4, w = 3, y = 2 90, the cross34 grid to n = 3,
 # w = 3, y = 2 108
 @lru_cache(maxsize=512)
@@ -439,49 +377,30 @@ def _norm_bound(num_fn, n: int, b3: int, w3s: int) -> int:
     return num_fn(_Norms(n), 0, (0, 0, 0), (0, 0, b3), w3s)
 
 
-def _packed_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
-    """Each numerator (num_fn, W, y, bases, w3s) at q = 2^bits, for one width
-    bits that holds every coefficient of every numerator, so equal values
-    are equal numerators.
-
-    The width comes from each builder's L1 bound, which reads only the norm
-    key (num_fn, n, b3, w3s) and so is computed once per key
-    (`_norm_bound`), not once per permutation or per check.  The bases
-    determine w3s, so permutations with equal bases (w with a repeated
-    weight) have equal numerators, assembled once.
-    """
-    distinct = dict.fromkeys(nums)
-    bits = _width(n, distinct)
-    ev = _Packed(n, bits)
-    for num in distinct:
-        distinct[num] = num[0](ev, *num[1:])
-    return [distinct[num] for num in nums], bits
-
-
-def _width(n: int, nums) -> int:
-    """The one width of numerators (num_fn, W, y, bases, w3s) of degree n."""
-    return balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
-                             for fn, _, _, bases, w3s in nums))
-
-
 # ---------------------------------------------------------------------------
-# Theorem 1 for every w and y: one formal certificate per n (module
-# docstring), realized at each point over D
+# every theorem for every w and y: one formal certificate per builder and n
+# (module docstring), realized at each point over D
 
 # the labels of the bases w2 w3, w1 w3, w1 w2
 _LABELS = "ABC"
 
-# An exponent vector (a1, a2, a3, d) of Y1^a1 Y2^a2 Y3^a3 q^d is packed in
-# one int, d + sum_i a_i 2^{32 i}, so the builders' int arithmetic on
-# exponents (W * y[i] with W = 1, e * k, and sums of them) is vector
-# arithmetic: Theorem 1's exponents are non-negative, and far below 2^32.
+# An exponent vector (d, a1, a2, a3, z) of q^d Y1^a1 Y2^a2 Y3^a3 Z^z is
+# packed in one int, d + sum_i a_i 2^{32 i} + z 2^{128}, so the builders' int
+# arithmetic on exponents (W * y[i] with W = 1, e * k, and sums of them) is
+# vector arithmetic: the exponents are non-negative, and far below 2^32.
 _EXP_BITS = 32
 _Y_UNITS = tuple(1 << _EXP_BITS * i for i in (1, 2, 3))
+_Z_UNIT = 1 << _EXP_BITS * 4
+
+# the w3 of a formal run: it only names the count of the symbols R, which
+# `_Formal.close` matches against the run's own
+_W3 = 0
 
 
 class _Form(dict):
     """A formal value {(cofactor key, packed exponent vector): coefficient},
-    the cofactor key the sorted (label, t) pairs of its symbols cof_L[t]."""
+    the cofactor key the sorted (label, t) pairs of its symbols cof_L[t] and
+    the ("R", L, w3, s) of a symbol R[s] = [w3]_{q^{L s}}."""
 
     def __add__(self, other: _Form) -> _Form:
         out = _Form(self)
@@ -516,62 +435,105 @@ class _Formal:
         """x times the monomial of the packed exponent vector s."""
         return _Form({(key, e + s): c for (key, e), c in x.items()})
 
-    def slot(self, label: str, deg: int, h: int, e: int) -> _Form:
-        """sum_i (-1)^i C(deg, i) (h+i) Y^{i e} cof_label[h+i]: `_Packed.slot`
+    def sub(self, a: _Form, b: _Form) -> _Form:
+        return a + b * -1
+
+    def tail(self, tdeg: int, m: int, w: int, b: str) -> _Form:
+        """(1 - Q)^m T_{tdeg,m}(w | Q), Q = q^b: sum_k C(m, k) (-1)^k R[tdeg + k],
+        R[s] = [w + 1]_{Q^s}."""
+        return _Form({((("R", b, w + 1, tdeg + k),), 0): (-1) ** k * comb(m, k)
+                      for k in range(m + 1)})
+
+    def slot(self, label: str, deg: int, h: int, e: int, step: str = "",
+             count: int = 1) -> _Form:
+        """sum_i (-1)^i C(deg, i) (h+i) Y^{i e} cof_label[h+i], each term times
+        R[h+i] = [count]_{q^{step (h+i)}} when the slot has a step: the slot
         with the cofactors P_b / [h+i]_{q^b} kept as symbols."""
-        return _Form({(((label, h + i),), i * e): (-1) ** i * comb(deg, i) * (h + i)
+        def key(t: int) -> tuple:
+            return ((label, t), ("R", step, count, t)) if step else ((label, t),)
+
+        return _Form({(key(h + i), i * e): (-1) ** i * comb(deg, i) * (h + i)
                       for i in range(deg + 1)})
+
+    def close(self, x: _Form, b3: str, w3s: int) -> _Form:
+        """x (q - 1) P_{b3} [b3]_q, each term's one symbol R[s] of base b3 and
+        count w3s rewritten as (Z^s - 1) cof_{b3}[s] (module docstring)."""
+        out: dict = {}
+        for (key, e), c in x.items():
+            rs = [sym for sym in key if sym[0] == "R"]
+            if len(rs) != 1 or rs[0][1:3] != (b3, w3s) or not 1 <= rs[0][3] <= self.n + 1:
+                raise ValueError(f"cannot close the term {key}: it needs one R[s] of "
+                                 f"base {b3} and count {w3s}, with 1 <= s <= {self.n + 1}")
+            s = rs[0][3]
+            cof = tuple(sorted([sym for sym in key if sym[0] != "R"] + [(b3, s)]))
+            for exp, sign in ((e + s * _Z_UNIT, c), (e, -c)):
+                out[cof, exp] = out.get((cof, exp), 0) + sign
+        return _Form({key: c for key, c in out.items() if c})
 
 
 def _frozen(form: dict) -> tuple:
     return tuple(sorted(form.items()))
 
 
-# bounded: one key per degree n; the test suite in one process reaches 17
-# keys (n = 0..16), the thm1 grid to n = 4 5
-@lru_cache(maxsize=64)
-def _thm1_forms(n: int) -> tuple[tuple, ...]:
-    """Theorem 1's formal numerator of degree n for each permutation, in
-    `ALL_PERMUTATIONS` order, as sorted term tuples: one `_thm1_num` run on
-    labels A, B, C in slots 1, 2, 3, relabeled for the others."""
-    form = _thm1_num(_Formal(n), 1, _Y_UNITS, tuple(_LABELS), 0)
-    forms = []
+# bounded: one key per builder and degree n; the test suite in one process
+# reaches 41 keys (thm1 at n = 0..16, thm3 and thm4 at n = 1..12), the
+# criterion-7 grid 6
+@lru_cache(maxsize=128)
+def _forms(num_fn, n: int) -> tuple[tuple, ...]:
+    """num_fn's formal numerator of degree n for each permutation, in
+    `ALL_PERMUTATIONS` order, as sorted term tuples: one run on labels A, B, C
+    in slots 1, 2, 3, relabeled for the others."""
+    form = num_fn(_Formal(n), 1, _Y_UNITS, tuple(_LABELS), _W3)
+    forms, seen = [], {}
     for sigma in ALL_PERMUTATIONS:
         relabel = dict(zip(_LABELS, sigma.arrange(_LABELS)))
-        forms.append(_frozen({(tuple(sorted((relabel[label], t) for label, t in key)), e): c
-                              for (key, e), c in form.items()}))
+        relabeled = _frozen({(tuple(sorted((relabel[label], t) for label, t in key)), e): c
+                             for (key, e), c in form.items()})
+        # equal forms are one object, so the cache holds each once
+        forms.append(seen.setdefault(relabeled, relabeled))
     return tuple(forms)
 
 
 def _realize(form: tuple, n: int, W: int, y: tuple[int, int, int],
              bases: tuple[int, int, int], bits: int) -> int:
-    """The form at q = 2^bits, with A, B, C in the bases given, Y_i = q^{W y_i}
-    and cof_L[t] read from `_cofactors`."""
+    """The form at q = 2^bits, with A, B, C in the bases given, Y_i = q^{W y_i},
+    Z = q^W and cof_L[t] read from `_cofactors`."""
     cofs = {label: _cofactors(n, b, bits) for label, b in zip(_LABELS, bases)}
     mask = (1 << _EXP_BITS) - 1
+    y1, y2, y3 = y
     acc = 0
+    last = value = None
     for (key, e), c in form:
-        s = (e & mask) + W * sum(yi * (e >> _EXP_BITS * i & mask)
-                                 for i, yi in enumerate(y, 1))
-        acc += c * prod(cofs[label][t] for label, t in key) << bits * s
+        if key != last:
+            # terms sharing a cofactor key are adjacent in the sorted form
+            last, value = key, prod(cofs[label][t] for label, t in key)
+        s = (e & mask) + W * (y1 * (e >> _EXP_BITS & mask) + y2 * (e >> 2 * _EXP_BITS & mask)
+                              + y3 * (e >> 3 * _EXP_BITS & mask) + (e >> 4 * _EXP_BITS))
+        acc += c * value << bits * s
     return acc
 
 
-def _formal_nums(n: int, nums: list[tuple]) -> tuple[list[int], int]:
-    """`_packed_nums` for Theorem 1's six permutations in `ALL_PERMUTATIONS`
-    order: each distinct form of n realized at the width `_packed_nums`
-    picks, so the integers are the same.  The first permutation is the
-    identity, so its bases are those of the labels A, B, C.
+def _formal_nums(params: IdentityParams, num_fns) -> tuple[list[int], int]:
+    """Each builder's numerator for each permutation, in `ALL_PERMUTATIONS`
+    order, at q = 2^bits: each distinct form of params.n realized at one
+    width bits that holds every coefficient of every numerator, so equal
+    values are equal numerators.
 
-    When the certificate holds this is one numerator for all six; when it
-    fails, each distinct form is realized and the report names a witness.
+    The width comes from each builder's L1 bound, which reads only the norm
+    key (num_fn, n, b3, w3s) and so is computed once per key
+    (`_norm_bound`), not once per permutation or per check.  When the
+    certificate holds this is one numerator for all; when it fails, each
+    distinct form is realized and the report names a witness.
     """
-    bits = _width(n, nums)
-    _, W, y, bases, _ = nums[0]
-    forms = _thm1_forms(n)
+    n = params.n
+    sigma_bases = [_sigma_bases(params.w, sigma) for sigma in ALL_PERMUTATIONS]
+    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
+                             for fn in num_fns for bases, w3s in sigma_bases))
+    forms = [form for fn in num_fns for form in _forms(fn, n)]
     distinct = dict.fromkeys(forms)
     for form in distinct:
-        distinct[form] = _realize(form, n, W, y, bases, bits)
+        # the first permutation is the identity: its bases are those of A, B, C
+        distinct[form] = _realize(form, n, params.w_product, params.y, sigma_bases[0][0], bits)
     return [distinct[form] for form in forms], bits
 
 
@@ -623,16 +585,9 @@ def _check(identity: str, params: IdentityParams) -> IdentityReport:
     least_n, refusal, _, parts = CHECKS[identity]
     if params.n < least_n:
         raise ValueError(refusal)
-    W = params.w_product
-    labels = []
-    nums = []
-    for prefix, num_fn in parts:
-        for sigma in ALL_PERMUTATIONS:
-            bases, w3s = _sigma_bases(params.w, sigma)
-            labels.append(prefix + sigma.label)
-            nums.append((num_fn, W, params.y, bases, w3s))
-    assemble = _formal_nums if identity == "thm1" else _packed_nums
-    return _report_from_nums(identity, params, tuple(labels), *assemble(params.n, nums))
+    labels = tuple(prefix + sigma.label for prefix, _ in parts for sigma in ALL_PERMUTATIONS)
+    return _report_from_nums(identity, params, labels,
+                             *_formal_nums(params, [num_fn for _, num_fn in parts]))
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:

@@ -19,13 +19,12 @@ from qcarlitz import identities, qcore
 from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _check, _Formal, _frozen, _LABELS, _norm_bound, _Norms,
-                                 _Packed, _packed_nums, _realize, _slot_bound, _thm1_forms,
-                                 _thm1_num, _Y_UNITS,
-                                 _thm3_num, _thm4_num, cross34_check, grid_params,
-                                 lemma2_coeff_check, sample_grid, thm1_check,
-                                 thm3_check, thm4_check)
-from qcarlitz.polyq import ONE, ZERO, Poly
+                                 _check, _cofactors, _Formal, _formal_nums, _forms, _frozen,
+                                 _LABELS, _norm_bound, _Norms, _q_int_at, _slot_bound,
+                                 _thm1_num, _thm3_num, _thm4_num, _W3, _Y_UNITS, _Z_UNIT,
+                                 cross34_check, grid_params, lemma2_coeff_check, sample_grid,
+                                 thm1_check, thm3_check, thm4_check)
+from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import packed_divide_out, power_sum_T, q_int, q_int_poly
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
@@ -388,13 +387,13 @@ def test_sampling_is_deterministic_and_ordered():
 # ---------------------------------------------------------------------------
 # packed numerators against literal coefficient-list sums
 #
-# The checkers evaluate each permutation's numerator at q = 2^bits from
-# closed forms of its factors, with the lattice sum nested by slot, and
-# compare integers.  The sums below are written out term by term on plain
-# coefficient lists (schoolbook products, shifted adds, an explicit (q - 1)
-# factor), from factor polynomials built here with Poly arithmetic, so they
-# share no code with the closed forms, the nesting, the width bound or the
-# unpacking.
+# The builders, run on the packed oracle `_Packed`, evaluate each
+# permutation's numerator at q = 2^bits from closed forms of its factors,
+# with the lattice sum nested by slot.  The sums below are written out term
+# by term on plain coefficient lists (schoolbook products, shifted adds, an
+# explicit (q - 1) factor), from factor polynomials built here with Poly
+# arithmetic, so they share no code with the closed forms, the nesting, the
+# width bound or the unpacking.
 
 
 @lru_cache(maxsize=None)
@@ -586,6 +585,66 @@ def _trimmed(vec):
     return vec
 
 
+class _Packed:
+    """The term factors of one degree n at q = 2^bits: the oracle the checkers'
+    realized forms are compared with.  Run on it, a builder assembles its
+    numerator as one integer from closed forms of the factors at X = 2^bits,
+
+        [t]_{q^b} = (X^{bt} - 1) // (X^b - 1),
+        q^s       = a shift by bits*s, and a - b is integer subtraction,
+
+    with T_{t,m}(w | q^b) from `power_sum_T`.  Evaluation at q = 2^bits is a
+    ring homomorphism Z[q] -> Z, so the integer is the numerator's value
+    there whatever the size of the intermediates."""
+
+    def __init__(self, n, bits):
+        self.n = n
+        self.bits = bits
+
+    def shift(self, x, s):
+        """x q^s."""
+        return x << self.bits * s
+
+    def sub(self, a, b):
+        return a - b
+
+    def tail(self, tdeg, m, w, b):
+        """(1 - q^b)^m T_{tdeg,m}(w | q^b)."""
+        return (1 - (1 << self.bits * b)) ** m * power_sum_T(tdeg, m, w, b).num.pack(self.bits)
+
+    def slot(self, b, deg, h, e, step=0, count=1):
+        """sum_{i<count} q^{h step i} beta^{(h)}_{deg, q^b}(q^{e + step i}) [b]_q^deg
+        times (1-q)^deg P_b, P_b = [2]_{q^b} ... [n+1]_{q^b}: a polynomial."""
+        # beta^{(h)}_{deg} is sum_j (-1)^j C(deg, j) (j+h) q^{je} / [h+j]
+        # over (1-q^b)^deg = (1-q)^deg [b]_q^deg; in the slot, [h+j] divides
+        # [1] [2] ... [n+1] and (1-q)^deg [b]_q^deg cancels
+        if h < 1 or h + deg > self.n + 1:
+            raise ValueError("beta factor denominator exceeds the master slot")
+        cof = _cofactors(self.n, b, self.bits)
+        acc = 0
+        for j in range(deg + 1):
+            t = h + j
+            term = comb(deg, j) * t * cof[t]
+            if count > 1:
+                # the count shifts q^{(h+j) step i} sum to [count]_{q^{(h+j) step}}
+                term *= _q_int_at(count, self.bits * t * step)
+            term = self.shift(term, j * e)
+            acc = acc - term if j & 1 else acc + term
+        return acc
+
+    def close(self, x, b3, w3s):
+        """x (q - 1) P_{b3} [b3]_q."""
+        return self.sub(self.shift(x, 1), x) * self.slot(b3, 0, 1, 0) * _q_int_at(b3, self.bits)
+
+
+def _packed_nums(n, nums):
+    """Each numerator (num_fn, W, y, bases, w3s) built on `_Packed`, at the one
+    width of the checkers: the least that holds every bound `_Norms` gives."""
+    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s) for fn, _, _, bases, w3s in nums))
+    ev = _Packed(n, bits)
+    return [num_fn(ev, *args) for num_fn, *args in nums], bits
+
+
 def _check_packed(p, pairs):
     """pairs: (packed builder, literal builder) per theorem, six permutations each."""
     built, literal = [], []
@@ -615,7 +674,8 @@ def test_evaluators_define_the_same_operations():
     def operations(cls):
         return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
 
-    assert operations(_Packed) == operations(_Norms)
+    assert operations(_Packed) == operations(_Norms) == operations(_Formal) == {
+        "shift", "sub", "tail", "slot", "close"}
 
 
 def test_cached_width_bound_equals_a_fresh_norms_run():
@@ -735,11 +795,12 @@ def test_reduction_that_outgrows_the_width_reruns_at_twice_it(monkeypatch):
 
 
 # sha256 of the canonical values of large-n reports: the first two recorded
-# before the packed pipeline, the last from the packed thm1 numerators,
-# before Theorem 1 was realized from its formal certificate.  At the n = 8
-# point the reduced numerator has 64-bit coefficients; the checkers pack it
-# at 80 bits, so its reduction fits the width.  A reduction that outgrows
-# its width is pinned in test_cyclotomic.py
+# before the packed pipeline, the third from the packed thm1 numerators,
+# before Theorem 1 was realized from its formal certificate, and the fourth
+# from the packed cross34 numerators, before Theorems 3 and 4 were.  At the
+# n = 8 point the reduced numerator has 64-bit coefficients; the checkers
+# pack it at 80 bits, so its reduction fits the width.  A reduction that
+# outgrows its width is pinned in test_cyclotomic.py
 # (test_packed_reduction_certifies_a_quotient_that_outgrows_the_width).
 LARGE_N_GOLDENS = [
     (thm1_check, IdentityParams(8, (3, 3, 2), (1, 1, 0)),
@@ -748,6 +809,8 @@ LARGE_N_GOLDENS = [
      "3b8b2d5796ae5845d1167a3a9147d0c8ec6a4ee07ea7a2f7e36a63d3880a5e23"),
     (thm1_check, IdentityParams(16, (3, 3, 2), (1, 1, 0)),
      "6d3c8f847c497b437a65068723623a8d99bf82a16f0de97ed74274692dba76a9"),
+    (cross34_check, IdentityParams(12, (3, 3, 2), (1, 1, 0)),
+     "8b3eb02fd96ecd54f4e51406c02aa07e900f412dbb8032731d708e4972c33fad"),
 ]
 
 
@@ -761,42 +824,84 @@ def test_large_n_reports_match_golden(check, params, digest):
 
 
 # ---------------------------------------------------------------------------
-# Theorem 1's formal certificate
+# the formal certificates
 #
-# thm1_check realizes the forms of `_thm1_forms` at each point instead of
-# running the packed builder there.  That is sound only if the relabeled
-# forms are the formal runs they stand for, and if a form realized at a point
-# is the packed numerator; the integral below checks what they all equal.
+# Every checker realizes the forms of `_forms` at each point instead of
+# building its numerators there.  That is sound only if the relabeled forms
+# are the formal runs they stand for, and if a form realized at a point is
+# the packed numerator; the integrals below check what they all equal.
+
+# each builder with the least n of its checks
+BUILDERS = ((_thm1_num, 0), (_thm3_num, 1), (_thm4_num, 1))
+
+
+def _check_forms(identity, n):
+    """The forms of every expression of the check, in report label order."""
+    return [form for _, num_fn in CHECKS[identity][3] for form in _forms(num_fn, n)]
 
 
 def test_relabeled_forms_equal_six_direct_formal_runs():
-    for n in range(9):
-        direct = [_frozen(_thm1_num(_Formal(n), 1, _Y_UNITS, sigma.arrange(_LABELS), 0))
-                  for sigma in ALL_PERMUTATIONS]
-        assert list(_thm1_forms(n)) == direct, n
+    for num_fn, least_n in BUILDERS:
+        for n in range(least_n, 9):
+            direct = [_frozen(num_fn(_Formal(n), 1, _Y_UNITS, sigma.arrange(_LABELS), _W3))
+                      for sigma in ALL_PERMUTATIONS]
+            assert list(_forms(num_fn, n)) == direct, (num_fn.__name__, n)
 
 
 def test_realized_forms_are_the_packed_numerators():
     # every permutation's form, realized at each point of the criterion-6
-    # sample, is the numerator the packed builder makes there
-    for p in sample_grid(grid_params(range(5), 3, 2), 500):
-        nums = [(_thm1_num, p.w_product, p.y, *sigma_data(p, sigma))
-                for sigma in ALL_PERMUTATIONS]
-        packed, bits = _packed_nums(p.n, nums)
-        bases = nums[0][3]
-        for sigma, form, want in zip(ALL_PERMUTATIONS, _thm1_forms(p.n), packed):
-            assert _realize(form, p.n, p.w_product, p.y, bases, bits) == want, (p, sigma.label)
+    # sample (thm1), and of the cross34 grid to n = 4 (thm3 and thm4; it
+    # holds the criterion-7 sample and the CLI's thm3 and thm4 grids), is
+    # the numerator the packed builder makes there, at the same width
+    for identity, points in [("thm1", sample_grid(grid_params(range(5), 3, 2), 500)),
+                             ("cross34", grid_params(range(1, 5), 3, 2, vary_y3=False))]:
+        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
+        for p in points:
+            nums = [(num_fn, p.w_product, p.y, *sigma_data(p, sigma))
+                    for num_fn in num_fns for sigma in ALL_PERMUTATIONS]
+            assert _formal_nums(p, num_fns) == _packed_nums(p.n, nums), p
+
+
+def _integral_form(n, z):
+    """sum_j C(n, j) (-1)^j (j+1)^3 Y^j ((Z^{j+1} - 1) if z) prod_b cof_b[j+1],
+    Y = Y1 Y2 Y3 for Theorem 1 (z false), Y = Y1 Y2 for Theorems 3 and 4:
+    the q-Volkenborn integral I_n(A) D, and (q^W I_n(A + W) - I_n(A)) D with
+    A = W (y1 + y2), from comb alone."""
+    y = sum(_Y_UNITS) if not z else _Y_UNITS[0] + _Y_UNITS[1]
+    form = {}
+    for j in range(n + 1):
+        key = tuple((label, j + 1) for label in _LABELS)
+        c = comb(n, j) * (-1) ** j * (j + 1) ** 3
+        for zs, sign in ([(j + 1, 1), (0, -1)] if z else [(0, 1)]):
+            form[key, j * y + zs * _Z_UNIT] = sign * c
+    return _frozen(form)
 
 
 def test_common_form_is_the_q_volkenborn_integral():
-    # I_n D = sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1], the
-    # triple q-Volkenborn integral over D, from comb alone: it sees an error
-    # that all six permutations share, such as a wrong q-shift in a slot, which
-    # neither the six-way verdict nor the q -> 1 oracle can see
+    # it sees an error that every permutation shares, such as a wrong q-shift
+    # in a slot, which neither the six-way verdict nor the q -> 1 oracle can
+    # see; the forms of Theorems 3 and 4 are one, the difference of two
+    # integrals, whatever w3
     for n in range(17):
-        want = _frozen({(tuple((label, j + 1) for label in _LABELS), j * sum(_Y_UNITS)):
-                        comb(n, j) * (-1) ** j * (j + 1) ** 3 for j in range(n + 1)})
-        assert set(_thm1_forms(n)) == {want}, n
+        assert set(_check_forms("thm1", n)) == {_integral_form(n, False)}, n
+    for n in range(1, 13):
+        assert set(_check_forms("cross34", n)) == {_integral_form(n, True)}, n
+
+
+def test_closing_needs_one_r_symbol_of_the_third_base():
+    # (q - 1) P_{b3} [b3]_q R[s] = (Z^s - 1) cof_{b3}[s] holds for R[s] of
+    # base b3 and count w3, where b3 w3 = W, and for s <= n + 1; a term that
+    # is not one such R times cofactors is refused, not rewritten
+    ev = _Formal(2)
+    y2 = _Y_UNITS[1]
+    assert ev.close(ev.slot("B", 1, 1, y2, "C", _W3), "C", _W3) == {
+        ((("B", 1), ("C", 1)), _Z_UNIT): 1, ((("B", 1), ("C", 1)), 0): -1,
+        ((("B", 2), ("C", 2)), y2 + 2 * _Z_UNIT): -2, ((("B", 2), ("C", 2)), y2): 2}
+    r = ev.slot("B", 1, 1, 0, "C", _W3)
+    for bad in [ev.slot("B", 1, 1, 0), r * r, ev.slot("B", 1, 1, 0, "A", _W3),
+                ev.slot("B", 1, 1, 0, "C", _W3 + 2), ev.tail(2, 2, _W3 - 1, "C")]:
+        with pytest.raises(ValueError, match="cannot close"):
+            ev.close(bad, "C", _W3)
 
 
 def _inner_without_term_1_2(ev, b2, e2, j, h, tail):
@@ -814,11 +919,28 @@ def _thm1_num_slot2_in_b3(ev, W, y, bases, _w3s):
                              lambda j: identities._inner(ev, b3, W * y[1], j, 1, tail))
 
 
+def _parts_num_j_plus_1(ev, W, y, bases, w3s, part1, part2):
+    """`_parts_num` that takes (j + 1) part2(j - 1) for j part2(j - 1)."""
+    def inner(j):
+        return ev.sub(part1(j), (j + 1) * part2(j - 1)) if j else part1(j)
+
+    return ev.close(identities._outer(ev, bases[0], W * y[0], inner), bases[2], w3s)
+
+
+def _thm4_num_part2_shifted_twice(ev, W, y, bases, w3s):
+    """`_thm4_num` that shifts its part2 by 2 e0 instead of e0."""
+    _, b2, b3 = bases
+    e0 = W * y[1]
+    return identities._parts_num(ev, W, y, bases, w3s,
+                                 lambda j: ev.slot(b2, j, 1, e0, b3, w3s),
+                                 lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), 2 * e0))
+
+
 @pytest.fixture
 def fresh_certificates():
     """Clears the caches a builder fault reaches, before and after the test."""
     def clear():
-        _thm1_forms.cache_clear()
+        _forms.cache_clear()
         _norm_bound.cache_clear()
 
     clear()
@@ -826,15 +948,44 @@ def fresh_certificates():
     clear()
 
 
+def _put_fault(monkeypatch, name, fault):
+    """fault in place of the builder or helper name, for every check that
+    reaches it: builders are called through `CHECKS`, helpers by name."""
+    original = getattr(identities, name)
+    monkeypatch.setattr(identities, name, fault)
+    for identity, (least_n, refusal, reads_y3, parts) in CHECKS.items():
+        parts = tuple((prefix, fault if fn is original else fn) for prefix, fn in parts)
+        monkeypatch.setitem(CHECKS, identity, (least_n, refusal, reads_y3, parts))
+
+
+# degrees: each check the fault reaches, with degrees at which its forms split
 @pytest.mark.parametrize("name, fault, degrees", [
-    ("_inner", _inner_without_term_1_2, (2, 3, 4)),
-    ("_thm1_num", _thm1_num_slot2_in_b3, (1, 2, 3, 4)),
+    ("_inner", _inner_without_term_1_2, {"thm1": (2, 3, 4), "thm3": (2, 3, 4)}),
+    ("_thm1_num", _thm1_num_slot2_in_b3, {"thm1": (1, 2, 3, 4)}),
+    ("_parts_num", _parts_num_j_plus_1, {"thm3": (2, 3, 4), "thm4": (2, 3, 4),
+                                         "cross34": (2, 3)}),
 ])
 def test_a_builder_fault_fails_the_certificate(monkeypatch, fresh_certificates,
                                                name, fault, degrees):
-    monkeypatch.setattr(identities, name, fault)
-    for n in degrees:
-        assert len(set(_thm1_forms(n))) > 1, n
-        r = thm1_check(IdentityParams(n, (1, 2, 3), (1, 0, 2)))
-        assert not r.verdict and r.witness is not None, n
-        assert r.witness[0] == "123" and len(set(r.values)) > 1, n
+    _put_fault(monkeypatch, name, fault)
+    for identity, ns in degrees.items():
+        for n in ns:
+            assert len(set(_check_forms(identity, n))) > 1, (identity, n)
+            r = _check(identity, IdentityParams(n, (1, 2, 3), (1, 0, 2)))
+            assert not r.verdict and r.witness is not None, (identity, n)
+            assert r.witness[0] == r.labels[0] and len(set(r.values)) > 1, (identity, n)
+
+
+def test_a_fault_every_thm4_permutation_shares_fails_cross34_and_the_integral(
+        monkeypatch, fresh_certificates):
+    # shifting thm4's part2 by 2 e0 changes all six thm4 forms alike, so the
+    # six-way thm4 check cannot see it: only cross34, against Theorem 3, and
+    # the integral do
+    _put_fault(monkeypatch, "_thm4_num", _thm4_num_part2_shifted_twice)
+    for n in (1, 2, 3, 4):
+        assert len(set(_check_forms("thm4", n))) == 1, n
+        assert set(_check_forms("thm4", n)) != {_integral_form(n, True)}, n
+        p = IdentityParams(n, (1, 2, 3), (0, 1, 0))
+        assert thm4_check(p).verdict, n
+        r = cross34_check(p)
+        assert not r.verdict and r.witness == ("thm3:123", "thm4:123"), n
