@@ -15,12 +15,20 @@ each c_i + 2^{B-1} is written as one B/8-byte field, `int.from_bytes`
 reads all fields at once, and one subtraction removes the offsets.
 Unpacking adds the offsets back, cuts the bytes of `int.to_bytes` into
 fields and subtracts 2^{B-1} from each: balanced digits, so no carry loop.
+Up to B = 64 the fields come from, and go back to, one `array("q")` of
+int64 words: c_i + 2^{B-1} is the low B/8 bytes of c_i's word with bit 7
+of the top one flipped, and c_i fits when the word's higher bytes are
+that top byte's sign extension.  Strided byte slices move every field at
+once, so a call costs a few operations per byte of width, not per
+coefficient.  Wider fields are converted one at a time.
 `Poly.pack`/`Poly.unpack` expose the pair, and
 `balanced_bits` gives the least B for a coefficient bound.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Sequence
@@ -43,6 +51,15 @@ def _trim(vec: list[int]) -> list[int]:
     return vec
 
 
+# bit 7 of a byte flipped, and the byte that sign-extends it
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+# array("q") words are native int64s: little-endian fields need a swap on
+# a big-endian host
+_BIG_ENDIAN = sys.byteorder == "big"
+assert array("q").itemsize == 8
+
+
 def _balanced_bias(n: int, nbytes: int) -> int:
     # the offset 2^{8 nbytes - 1} in each of n digits, as one integer
     return int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * n, "little")
@@ -50,20 +67,54 @@ def _balanced_bias(n: int, nbytes: int) -> int:
 
 def _pack(vec: Sequence[int], bits: int) -> int:
     # sum vec[i] 2^{bits i}; every digit offset into [0, 2^bits) is one
-    # fixed-width byte field, and one subtraction takes the offsets back out
+    # fixed-width byte field, and one subtraction takes the offsets back out.
+    # Raises OverflowError when a coefficient does not fit.
     nbytes = bits >> 3
-    half = 1 << (bits - 1)
-    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in vec])
-    return int.from_bytes(raw, "little") - _balanced_bias(len(vec), nbytes)
+    if nbytes > 8:
+        half = 1 << (bits - 1)
+        raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in vec])
+        return int.from_bytes(raw, "little") - _balanced_bias(len(vec), nbytes)
+    # one int64 per coefficient; a coefficient fits when bytes nbytes..7
+    # of its word are the sign extension of byte nbytes - 1, and then its
+    # low nbytes bytes with bit 7 of the top one flipped are c + 2^{bits-1}
+    words = array("q", vec)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    raw = words.tobytes()
+    top = raw[nbytes - 1::8]
+    sign = top.translate(_SIGN)
+    for k in range(nbytes, 8):
+        if raw[k::8] != sign:
+            raise OverflowError(f"a coefficient does not fit {bits} bits")
+    buf = bytearray(len(vec) * nbytes)
+    for k in range(nbytes - 1):
+        buf[k::nbytes] = raw[k::8]
+    buf[nbytes - 1::nbytes] = top.translate(_FLIP)
+    return int.from_bytes(buf, "little") - _balanced_bias(len(vec), nbytes)
 
 
 def _unpack(value: int, bits: int, n: int) -> list[int]:
     # the n balanced base-2^bits digits of value, each in [-2^{bits-1}, 2^{bits-1})
     nbytes = bits >> 3
-    half = 1 << (bits - 1)
     data = (value + _balanced_bias(n, nbytes)).to_bytes(n * nbytes, "little")
-    return [int.from_bytes(data[i:i + nbytes], "little") - half
-            for i in range(0, n * nbytes, nbytes)]
+    if nbytes > 8:
+        half = 1 << (bits - 1)
+        return [int.from_bytes(data[i:i + nbytes], "little") - half
+                for i in range(0, n * nbytes, nbytes)]
+    # the inverse of _pack: flip the top byte of each field back, then
+    # sign-extend every field into an int64 word
+    top = data[nbytes - 1::nbytes].translate(_FLIP)
+    sign = top.translate(_SIGN)
+    buf = bytearray(8 * n)
+    for k in range(nbytes - 1):
+        buf[k::8] = data[k::nbytes]
+    buf[nbytes - 1::8] = top
+    for k in range(nbytes, 8):
+        buf[k::8] = sign
+    words = array("q", buf)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def balanced_bits(bound: int) -> int:
@@ -255,6 +306,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other: "Poly | int"):
+        if isinstance(other, int):
+            return Poly(_raw=tuple([c * other for c in self._c])) if other else ZERO
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -326,7 +379,10 @@ class Poly:
 
         Evaluation is a ring homomorphism, so sums and products of packed
         values are packed sums and products; `unpack` reads the polynomial
-        back as long as its coefficients stay in that range.
+        back as long as its coefficients stay in that range.  Up to 64 bits
+        the coefficients cross as one int64 word array; wider digits are
+        written one byte field each.  A coefficient outside the range is a
+        ValueError.
         """
         _check_bits(bits)
         try:
@@ -336,7 +392,9 @@ class Poly:
 
     @classmethod
     def unpack(cls, value: int, bits: int) -> "Poly":
-        """The polynomial whose balanced base-2**bits digits are value."""
+        """The polynomial whose balanced base-2**bits digits are value: up to
+        64 bits read back as one int64 word array, wider digits one byte
+        field each."""
         _check_bits(bits)
         # a nonzero top digit c_d makes |value| >= 2^{bits d - 2}: d + 1 digits fit
         return cls._make(_unpack(value, bits, abs(value).bit_length() // bits + 2))

@@ -166,8 +166,11 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int
     ||left||_1 prod ||Phi_d||_1^{c_d} + ||right||_1 prod ||Phi_d||_1^{c'_d}:
     that bounds every coefficient of the joined numerator, so its digits
     are exact and nothing needs certifying; a single term packs at the
-    width of its own L1 norm.  Products and sums only: no division, no gcd.
+    width of its own L1 norm, and no terms sum to (0, 8, Counter()).
+    Products and sums only: no division, no gcd.
     """
+    if not terms:
+        return 0, 8, Counter()
     if len(terms) == 1:
         num, exps = terms[0]
         bits = balanced_bits(num.l1_norm())
@@ -175,8 +178,18 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int
     mid = len(terms) // 2
     left, left_exps = _unpacked_sum(terms[:mid])
     right, right_exps = _unpacked_sum(terms[mid:])
-    lcm = left_exps | right_exps
-    left_cof, right_cof = lcm - left_exps, lcm - right_exps
+    # lcm = left | right, left_cof = lcm - left, right_cof = lcm - right,
+    # in one pass over the right map
+    lcm = Counter(left_exps)
+    left_cof: dict[int, int] = {}
+    right_cof = dict(left_exps)
+    for d, e in right_exps.items():
+        a = right_cof.pop(d, 0)
+        if e > a:
+            lcm[d] = e
+            left_cof[d] = e - a
+        elif e < a:
+            right_cof[d] = a - e
     bits = balanced_bits(left.l1_norm() * _norm_product(left_cof)
                          + right.l1_norm() * _norm_product(right_cof))
     return (left.pack(bits) * _packed_product(left_cof, bits)

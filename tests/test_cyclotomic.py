@@ -11,7 +11,7 @@ canonical form is the generic gcd reduction of RatFunc(num, D).
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,7 +23,7 @@ from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
                             cyclotomic_value, over_cyclotomic_packed, packed_divide_out,
                             q_int_exponents, q_int_poly, q_power_minus_one_exponents)
-from qcarlitz.ratfunc import RatFunc
+from qcarlitz.ratfunc import RF_ZERO, RatFunc
 
 W_TRIPLES = list(combinations_with_replacement(range(1, 4), 3))
 
@@ -272,6 +272,44 @@ def test_cyclotomic_sum_matches_generic_sum(terms):
     for d, e in exps.items():
         den = den * phi_oracle(d) ** e
     assert RatFunc(num, den) == want
+
+
+def reference_sum(terms):
+    """cyclotomic_sum's halving join, its maps combined by Counter | and -
+    and its cofactors built from phi_oracle."""
+    if len(terms) == 1:
+        num, exps = terms[0]
+        bits = balanced_bits(num.l1_norm())
+        return num.pack(bits), bits, exps
+    mid = len(terms) // 2
+    halves = [reference_sum(terms[:mid]), reference_sum(terms[mid:])]
+    lcm = halves[0][2] | halves[1][2]
+    nums = [(Poly.unpack(value, bits), lcm - exps) for value, bits, exps in halves]
+    norm = sum(num.l1_norm() * prod(phi_oracle(d).l1_norm() ** e for d, e in cof.items())
+               for num, cof in nums)
+    bits = balanced_bits(norm)
+    value = sum(num.pack(bits) * prod(phi_oracle(d).pack(bits) ** e for d, e in cof.items())
+                for num, cof in nums)
+    return value, bits, lcm
+
+
+@pytest.mark.parametrize("maps", [
+    [{6: 2}],                                          # a single term
+    [{1: 2}, {3: 1}],                                  # disjoint
+    [{1: 1, 2: 1}, {1: 3, 2: 2, 5: 1}],                # nested
+    [{1: 2, 3: 1}, {1: 1, 3: 2, 4: 1}, {2: 1}],        # overlapping
+    [{1: 3}, {}, {2: 1, 1: 1}, {6: 1, 3: 2}, {1: 2, 6: 2}],
+])
+def test_cyclotomic_sum_joins_maps_like_counter_union(maps):
+    terms = [(Poly([i + 1, -2, 0, 3 * i]), Counter(m)) for i, m in enumerate(maps)]
+    value, bits, lcm = cyclotomic_sum(terms)
+    assert isinstance(lcm, Counter)
+    assert (value, bits, lcm) == reference_sum(terms)
+
+
+def test_cyclotomic_sum_of_no_terms_is_zero():
+    assert cyclotomic_sum([]) == (0, 8, Counter())
+    assert over_cyclotomic_packed(*cyclotomic_sum([])) == (RF_ZERO, Counter())
 
 
 def test_over_cyclotomic_caps_and_scales():

@@ -171,16 +171,18 @@ def test_str():
 # ---------------------------------------------------------------------------
 # byte-wise packing: evaluation at q = 2**bits with balanced digits
 
-WIDTHS = (8, 16, 24, 64)
+# both sides of the 64-bit word that splits the packing kernel
+WIDTHS = (8, 16, 24, 40, 56, 64, 72, 128)
 
 
 @st.composite
 def packable(draw, bits=None, min_len=0):
-    """(coefficient list, bits) with every coefficient inside +-(2**(bits-1) - 1)."""
+    """(coefficient list, bits) with every coefficient in
+    [-2**(bits-1), 2**(bits-1)), both ends drawn on their own."""
     if bits is None:
         bits = draw(st.sampled_from(WIDTHS))
-    top = 2 ** (bits - 1) - 1
-    coef = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
+    lo, hi = -2 ** (bits - 1), 2 ** (bits - 1) - 1
+    coef = st.one_of(st.integers(lo, hi), st.sampled_from([lo, 0, hi]))
     return draw(st.lists(coef, min_size=min_len, max_size=40)), bits
 
 
@@ -191,6 +193,9 @@ def packable(draw, bits=None, min_len=0):
 @example(([-127], 8))
 @example(([0, 0, 5, -127], 8))
 @example(([2 ** 63 - 1, -(2 ** 63 - 1), 0, -(2 ** 63 - 1)], 64))
+@example(([-2 ** 63, 2 ** 63 - 1, 0, -2 ** 63], 64))
+@example(([-2 ** 39, 2 ** 39 - 1, -1], 40))
+@example(([2 ** 63, -2 ** 71, 2 ** 71 - 1], 72))
 def test_pack_round_trip(case):
     vec, bits = case
     p = Poly(vec)
@@ -237,6 +242,30 @@ def test_pack_refuses_what_it_cannot_represent():
         Poly.unpack(5, 0)
     assert Poly([-128, 3]).pack(8) == -128 + 3 * 256
     assert Poly([-3, 4]).l1_norm() == 7 and ZERO.l1_norm() == 0
+
+
+# one past each end of the balanced range at every width up to 72 bits,
+# past int64 at 64 bits and below, and an int64 that is too wide for 40 bits
+REFUSED = sorted({(bits, c) for bits in WIDTHS if bits <= 72
+                  for c in (2 ** (bits - 1), -2 ** (bits - 1) - 1)}
+                 | {(bits, c) for bits in WIDTHS if bits <= 64 for c in (2 ** 64, -2 ** 70)}
+                 | {(40, 2 ** 62), (40, -2 ** 50)})
+
+
+@pytest.mark.parametrize("bits,c", REFUSED)
+def test_pack_refuses_a_coefficient_past_the_width(bits, c):
+    lo, hi = -2 ** (bits - 1), 2 ** (bits - 1) - 1
+    # alone, as the top coefficient, and amid coefficients that fit
+    for vec in ([c], [hi, c], [0, lo, c] + [hi, lo] * 20):
+        with pytest.raises(ValueError, match="does not fit"):
+            Poly(vec).pack(bits)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, -7, 2 ** 64 + 3, -(2 ** 65)])
+@pytest.mark.parametrize("p", [ZERO, ONE, Poly([3, 0, -5]), Poly([-1, 2 ** 70])])
+def test_scalar_product_matches_schoolbook(p, k):
+    want = Poly(_school_mul(p.coefficients(), [k]))
+    assert p * k == want and k * p == want
 
 
 # ---------------------------------------------------------------------------
