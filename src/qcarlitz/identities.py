@@ -49,22 +49,18 @@ lattice sum is nested.
 
 All permutations (twelve for cross34) share one width B, the least multiple
 of 8 bits holding a bound on every numerator coefficient plus a sign bit,
-so equal integers at q = 2^B are equal numerators.  The bound is the same
-nested sum over L1 bounds of the factors (`_Norms`): [b]_q and T have
-non-negative coefficients, so their norms are their values at q = 1, a - b
-counts as a + b, so (q - 1) counts 2 and (1 - q^{b3})^m counts 2^m, and a
-slot value has the closed-form bound 2^deg (n+1)! count (`_slot_bound`).
-Of a numerator's arguments `_Norms` so reads only n, b3 and w3s (a slot's
-bound ignores its base and shift, a shift is the identity, the closing
-factor reads only b3 and a tail only w3s - 1), so the bound is computed
-once per norm key (builder, n, b3, w3s) and cached across checks
-(`_norm_bound`), not run again for every permutation.  The slot bound ignores the cancellation in
-the alternating beta sum: at w = (3, 3, 2), y = (1, 1, 0) thm1 packs at
-40, 80, 136 and 192 bits at n = 4, 8, 12 and 16, where the slots' actual
-norms would give 32, 64 and 104 (n <= 12), and the numerators'
-coefficients need 24, 48, 80 and 120.  The numerators have degree 270,
-876, 1818 and 3096 there; cross34 packs at 40, 64 and 88 bits at n = 4, 6
-and 8.
+so equal integers at q = 2^B are equal numerators.  The bound is read off
+the formal forms below.  A symbol cof_b[t] = P_b / [t]_{q^b} is the product
+of the [s]_{q^b} for 2 <= s <= n + 1, s != t, whose coefficients are
+non-negative, so its L1 norm is its value at q = 1, (n+1)!/t, in every
+base, and a monomial q^d Y^a Z^z only shifts a term.  So a realized form
+has L1 norm at most the sum over its terms of |c| prod_{(L, t)} (n+1)!/t
+(`_l1_bound`), and B holds the largest such sum over the check's distinct
+forms (`_width`): it depends on the check and n alone, not on w, y or the
+bases.  thm1 packs at 32, 72, 112 and 168 bits at n = 4, 8, 12 and 16
+(at w = (3, 3, 2), y = (1, 1, 0) its numerators, of degree 270, 876, 1818
+and 3096, need 24, 48, 80 and 120), and cross34 at 32, 48 and 72 bits at
+n = 4, 6 and 8.
 
 Every theorem is decided once per n, formally, and realized over D at
 each point.  A builder runs once on `_Formal`, whose bases are the free
@@ -129,7 +125,9 @@ class IdentityParams:
         # stored as tuples, so params hash and compare however the triples came
         object.__setattr__(self, "w", tuple(self.w))
         object.__setattr__(self, "y", tuple(self.y))
-        if not all(isinstance(v, int) for v in (self.n, *self.w, *self.y)):
+        # bool is an int subclass, but True is no degree, weight or shift
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.n, *self.w, *self.y)):
             raise ValueError("n, w and y must hold integers")
         if self.n < 0:
             raise ValueError("degree n must be non-negative")
@@ -194,7 +192,7 @@ class IdentityReport:
 # the master denominator
 
 
-# bounded: the test suite in one process reaches 221 (n, bases) keys, the
+# bounded: the test suite in one process reaches 222 (n, bases) keys, the
 # thm1 grid to n = 4, w = 3, y = 2 50
 @lru_cache(maxsize=256)
 def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
@@ -225,24 +223,14 @@ def _over_master(num: int, bits: int, n: int, bases: tuple[int, int, int]) -> Ra
                                   dict(_master_den_exponents(n, bases)))[0]
 
 
-def _sigma_bases(w: tuple[int, int, int],
-                 sigma: Permutation3) -> tuple[tuple[int, int, int], int]:
-    s1, s2, s3 = sigma.arrange(w)
-    return (s2 * s3, s1 * s3, s1 * s2), s3
-
-
-def _sorted_bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
-    return tuple(sorted((w[1] * w[2], w[0] * w[2], w[0] * w[1])))
+def _bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The bases w2 w3, w1 w3, w1 w2 of the labels A, B, C."""
+    w1, w2, w3 = w
+    return w2 * w3, w1 * w3, w1 * w2
 
 
 # ---------------------------------------------------------------------------
-# term factors, as L1 bounds
-#
-# The numerator builders below take an evaluator: `_Norms` gives a bound on
-# each factor's L1 norm, `_Formal` the factor as a formal value.  The
-# builders combine factors with +, - and * and non-negative integer
-# coefficients, where `_Norms` reads - (`sub`) as +, so run on `_Norms` they
-# bound the numerator whose form they build on `_Formal`.
+# the cofactors at q = 2^bits
 
 
 def _q_int_at(t: int, s: int) -> int:
@@ -250,8 +238,9 @@ def _q_int_at(t: int, s: int) -> int:
     return ((1 << s * t) - 1) // ((1 << s) - 1)
 
 
-# bounded: the test suite in one process reaches 75 (n, b, bits) keys, the
-# thm1 grid to n = 4, w = 3, y = 2 30
+# bounded: bits is the width of a check at n (`_width`); the test suite in
+# one process reaches 53 (n, b, bits) keys, the thm1 grid to n = 4, w = 3,
+# y = 2 30, the cross34 grid to n = 3, w = 3, y = 2 18
 @lru_cache(maxsize=256)
 def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     """P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1, P_b = [2]_{q^b} ... [n+1]_{q^b}
@@ -260,49 +249,14 @@ def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     return (full, full) + tuple(full // _q_int_at(t, bits * b) for t in range(2, n + 2))
 
 
-def _slot_bound(n: int, deg: int, count: int) -> int:
-    """Closed-form bound on the L1 norm of a slot, in every base.
-
-    Term j is C(deg, j) (h+j) [count]_{q^{(h+j) step}} times the q-integers
-    [t]_{q^b} of P_b / [h+j], all with non-negative coefficients, so its
-    norm is its value at q = 1, C(deg, j) (n+1)! count, and the terms sum
-    to 2^deg (n+1)! count.
-    """
-    return (1 << deg) * factorial(n + 1) * count
-
-
-class _Norms:
-    """L1 bounds of the term factors."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def shift(self, x: int, s: int) -> int:
-        return x
-
-    def sub(self, a: int, b: int) -> int:
-        # ||a - b||_1 <= ||a||_1 + ||b||_1
-        return a + b
-
-    def tail(self, tdeg: int, m: int, w: int, b: int) -> int:
-        # (1 - q^b)^m counts 2^m, and T has non-negative coefficients: its
-        # value at q = 1
-        return (1 << m) * sum(i ** m for i in range(w + 1))
-
-    def slot(self, b: int, deg: int, h: int, e: int, step: int = 0, count: int = 1) -> int:
-        return _slot_bound(self.n, deg, count)
-
-    def close(self, x: int, b3: int, w3s: int) -> int:
-        # (q - 1) counts 2, P_{b3} is the slot of degree 0 and [b3]_q counts b3
-        return 2 * x * _slot_bound(self.n, 0, 1) * b3
-
-
 # ---------------------------------------------------------------------------
 # per-permutation numerators against the master denominator
 #
-# Each theorem's term is a product of one factor per slot, and the factor of
-# slot 1 depends only on k, so the lattice sum is nested: for each k one
-# product of slot 1 with the inner sum over slots 2 and 3.
+# Each builder takes its term factors from an evaluator, `_Formal` below, and
+# combines them with +, - and * and integer coefficients.  Each theorem's
+# term is a product of one factor per slot, and the factor of slot 1 depends
+# only on k, so the lattice sum is nested: for each k one product of slot 1
+# with the inner sum over slots 2 and 3.
 
 
 # e_i = W y_i is both the argument exponent of slot i's beta factor and the
@@ -361,20 +315,6 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     return _parts_num(ev, W, y, bases, w3s,
                       lambda j: ev.slot(b2, j, 1, e0, b3, w3s),
                       lambda j: ev.shift(ev.slot(b2, j, 2, e0, b3, w3s), e0))
-
-
-# bounded: the test suite in one process reaches 246 (num_fn, n, b3, w3s)
-# keys, the thm1 grid to n = 4, w = 3, y = 2 90, the cross34 grid to n = 3,
-# w = 3, y = 2 108
-@lru_cache(maxsize=512)
-def _norm_bound(num_fn, n: int, b3: int, w3s: int) -> int:
-    """num_fn run on `_Norms(n)`: its bound on the L1 norm of the numerator.
-
-    `_Norms` reads nothing else of a numerator's arguments (module
-    docstring), so the weight product W, the shifts y and the bases other
-    than b3 are passed as zeros.
-    """
-    return num_fn(_Norms(n), 0, (0, 0, 0), (0, 0, b3), w3s)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +416,8 @@ def _frozen(form: dict) -> tuple:
 
 
 # bounded: one key per builder and degree n; the test suite in one process
-# reaches 41 keys (thm1 at n = 0..16, thm3 and thm4 at n = 1..12), the
-# criterion-7 grid 6
+# reaches 49 keys (thm1 at n = 0..16, thm3 and thm4 at n = 1..12, and the
+# faulty builders of the tests), the criterion-7 grid 6
 @lru_cache(maxsize=128)
 def _forms(num_fn, n: int) -> tuple[tuple, ...]:
     """num_fn's formal numerator of degree n for each permutation, in
@@ -513,27 +453,40 @@ def _realize(form: tuple, n: int, W: int, y: tuple[int, int, int],
     return acc
 
 
+def _l1_bound(form: tuple, n: int) -> int:
+    """A bound on the L1 norm of the form realized at any w and y: the sum
+    over its terms of |c| prod over its symbols cof_L[t] of (n+1)!/t
+    (module docstring)."""
+    full = factorial(n + 1)
+    return sum(abs(c) * prod(full // t for _, t in key) for (key, _), c in form)
+
+
+# bounded: one key per builder and degree n, as `_forms`; the test suite in
+# one process reaches 30 keys, the thm1 grid to n = 4, w = 3, y = 2 5, the
+# cross34 grid to n = 3, w = 3, y = 2 6
+@lru_cache(maxsize=128)
+def _width(num_fn, n: int) -> int:
+    """The least width that holds every coefficient of num_fn's numerators of
+    degree n, at every w and y: the largest `_l1_bound` of its forms."""
+    return balanced_bits(max(_l1_bound(form, n) for form in set(_forms(num_fn, n))))
+
+
 def _formal_nums(params: IdentityParams, num_fns) -> tuple[list[int], int]:
     """Each builder's numerator for each permutation, in `ALL_PERMUTATIONS`
     order, at q = 2^bits: each distinct form of params.n realized at one
     width bits that holds every coefficient of every numerator, so equal
     values are equal numerators.
 
-    The width comes from each builder's L1 bound, which reads only the norm
-    key (num_fn, n, b3, w3s) and so is computed once per key
-    (`_norm_bound`), not once per permutation or per check.  When the
-    certificate holds this is one numerator for all; when it fails, each
-    distinct form is realized and the report names a witness.
+    When the certificate holds this is one numerator for all; when it
+    fails, each distinct form is realized and the report names a witness.
     """
     n = params.n
-    sigma_bases = [_sigma_bases(params.w, sigma) for sigma in ALL_PERMUTATIONS]
-    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s)
-                             for fn in num_fns for bases, w3s in sigma_bases))
+    bits = max(_width(fn, n) for fn in num_fns)
     forms = [form for fn in num_fns for form in _forms(fn, n)]
     distinct = dict.fromkeys(forms)
+    bases = _bases(params.w)
     for form in distinct:
-        # the first permutation is the identity: its bases are those of A, B, C
-        distinct[form] = _realize(form, n, params.w_product, params.y, sigma_bases[0][0], bits)
+        distinct[form] = _realize(form, n, params.w_product, params.y, bases, bits)
     return [distinct[form] for form in forms], bits
 
 
@@ -548,7 +501,7 @@ def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, 
     The verdict compares integers.  Each distinct value is reduced once, so
     a failing report still carries exact values.
     """
-    bases = _sorted_bases(params.w)
+    bases = tuple(sorted(_bases(params.w)))
     reduced: dict[int, RatFunc] = {}
     witness: tuple[str, str] | None = None
     for j, num in enumerate(nums):

@@ -20,8 +20,8 @@ from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
                                  _check, _cofactors, _Formal, _formal_nums, _forms, _frozen,
-                                 _LABELS, _norm_bound, _Norms, _q_int_at, _slot_bound,
-                                 _thm1_num, _thm3_num, _thm4_num, _W3, _Y_UNITS, _Z_UNIT,
+                                 _l1_bound, _LABELS, _q_int_at, _thm1_num, _thm3_num, _thm4_num,
+                                 _W3, _Y_UNITS, _Z_UNIT,
                                  cross34_check, grid_params, lemma2_coeff_check, sample_grid,
                                  thm1_check, thm3_check, thm4_check)
 from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
@@ -166,10 +166,12 @@ def test_params_store_integer_triples():
     assert p == IdentityParams(2, (1, 2, 3), (1, 0, 0))
     assert hash(p) == hash(IdentityParams(2, (1, 2, 3), (1, 0, 0)))
     assert thm1_check(p).verdict
-    # a non-integer entry is refused here, not deep inside a check
+    # a non-integer entry is refused here, not deep inside a check; so is a
+    # bool, though bool is an int subclass
     for bad in [(2, (1.5, 2, 3)), (2, (1, 2, 3), (0, 1.0, 0)), (2.0, (1, 2, 3)),
-                (2, (1, 2, "3"))]:
-        with pytest.raises(ValueError):
+                (2, (1, 2, "3")), (True, (1, 2, 3)), (2, (1, True, 3)),
+                (2, (1, 2, 3), (False, 0, 0))]:
+        with pytest.raises(ValueError, match="must hold integers"):
             IdentityParams(*bad)
 
 
@@ -639,8 +641,10 @@ class _Packed:
 
 def _packed_nums(n, nums):
     """Each numerator (num_fn, W, y, bases, w3s) built on `_Packed`, at the one
-    width of the checkers: the least that holds every bound `_Norms` gives."""
-    bits = balanced_bits(max(_norm_bound(fn, n, bases[2], w3s) for fn, _, _, bases, w3s in nums))
+    width of the checkers: the least that holds the L1 bound of every form of
+    the builders."""
+    bits = balanced_bits(max(_l1_bound(form, n) for fn in {fn for fn, *_ in nums}
+                             for form in _forms(fn, n)))
     ev = _Packed(n, bits)
     return [num_fn(ev, *args) for num_fn, *args in nums], bits
 
@@ -655,10 +659,11 @@ def _check_packed(p, pairs):
             literal.append(_trimmed(literal_fn(p.n, p.w_product, p.y, bases, w3s)))
     nums, bits = _packed_nums(p.n, built)
     assert bits % 8 == 0
-    for (num_fn, *args), want in zip(built, literal):
-        # the builder run on _Norms bounds the L1 norm of what it builds,
-        # which the width rests on
-        assert sum(map(abs, want)) <= num_fn(_Norms(p.n), *args), p
+    forms = [form for num_fn, _ in pairs for form in _forms(num_fn, p.n)]
+    for form, want in zip(forms, literal):
+        # the L1 bound of the permutation's form bounds its literal
+        # numerator, which the width rests on
+        assert sum(map(abs, want)) <= _l1_bound(form, p.n), p
     for value, want in zip(nums, literal):
         # every coefficient fits the shared width, so the integer is the polynomial
         assert all(abs(c) < 2 ** (bits - 1) for c in want), p
@@ -674,24 +679,32 @@ def test_evaluators_define_the_same_operations():
     def operations(cls):
         return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
 
-    assert operations(_Packed) == operations(_Norms) == operations(_Formal) == {
+    assert operations(_Packed) == operations(_Formal) == {
         "shift", "sub", "tail", "slot", "close"}
 
 
-def test_cached_width_bound_equals_a_fresh_norms_run():
-    # _Norms reads only n, b3 and w3s of a numerator's arguments, so the
-    # bound cached per (builder, n, b3, w3s), run with zeros for the rest,
-    # equals a run with all of them, for every numerator of the CLI's grids
-    for identity, (least_n, _, reads_y3, parts) in CHECKS.items():
+def test_width_depends_on_the_check_and_n_alone():
+    # the width is read off the forms of the check's builders at n, so every
+    # point of a given n packs at one width: over the CLI's grids and the
+    # benchmark's thm1 and cross34 grids
+    grids = [("thm1", grid_params(range(5), 3, 2)),
+             ("cross34", grid_params((1, 2, 3), 3, 2, vary_y3=False))]
+    for identity, (least_n, _, reads_y3, _) in CHECKS.items():
         grid = _SUITE_DEFAULTS[identity]
-        for p in grid_params(range(least_n, grid["n_max"] + 1), grid["w_max"],
-                             grid["y_max"], vary_y3=reads_y3):
-            for _, num_fn in parts:
-                for sigma in ALL_PERMUTATIONS:
-                    bases, w3s = sigma_data(p, sigma)
-                    fresh = num_fn(_Norms(p.n), p.w_product, p.y, bases, w3s)
-                    assert _norm_bound(num_fn, p.n, bases[2], w3s) == fresh, (
-                        identity, p, sigma.label)
+        grids.append((identity, grid_params(range(least_n, grid["n_max"] + 1), grid["w_max"],
+                                            grid["y_max"], vary_y3=reads_y3)))
+    for identity, points in grids:
+        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
+        widths = {}
+        for p in points:
+            widths.setdefault(p.n, set()).add(_formal_nums(p, num_fns)[1])
+        assert all(len(bits) == 1 for bits in widths.values()), (identity, widths)
+    # the widths the module docstring states
+    for identity, ns, want in [("thm1", (4, 8, 12, 16), [32, 72, 112, 168]),
+                               ("cross34", (4, 6, 8), [32, 48, 72])]:
+        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
+        assert [_formal_nums(IdentityParams(n, (3, 3, 2), (1, 1, 0)), num_fns)[1]
+                for n in ns] == want, identity
 
 
 def test_packed_thm1_numerators_match_literal_sums():
@@ -744,10 +757,9 @@ def test_packed_cross34_numerators_match_literal_sums():
         _check_packed(p, [(_thm3_num, literal_thm3), (_thm4_num, literal_thm4)])
 
 
-def test_slot_values_and_norms_match_literal_polynomials():
-    # the closed-form slot value and the closed-form bound on its norm,
-    # against the slot cofactor times the beta numerator built with Poly
-    tight = 0
+def test_slot_values_match_literal_polynomials():
+    # the closed-form slot value against the slot cofactor times the beta
+    # numerator built with Poly
     for n in range(5):
         for deg in range(n + 1):
             for h in range(1, n + 2 - deg):
@@ -756,14 +768,7 @@ def test_slot_values_and_norms_match_literal_polynomials():
                     lit = _slot_cofactor(n, b, deg, h) * _shifted_beta_sum(deg, h, b, e,
                                                                           step, count)
                     assert lit, (n, b, deg, h, e, step, count)
-                    bound = _slot_bound(n, deg, count)
                     assert _Packed(n, 64).slot(b, deg, h, e, step, count) == lit.pack(64)
-                    assert lit.l1_norm() <= bound
-                    tight += lit.l1_norm() == bound
-    # the slot 2 at n = 1, deg = 0, h = 2 meets the bound, so it cannot shrink
-    assert _slot_bound(1, 0, 1) == (_slot_cofactor(1, 1, 0, 2)
-                                    * _beta_struct_num(0, 2, 1, 0)).l1_norm() == 2
-    assert tight
     with pytest.raises(ValueError, match="exceeds the master slot"):
         _Packed(2, 8).slot(1, 2, 2, 0)
 
@@ -941,7 +946,7 @@ def fresh_certificates():
     """Clears the caches a builder fault reaches, before and after the test."""
     def clear():
         _forms.cache_clear()
-        _norm_bound.cache_clear()
+        identities._width.cache_clear()
 
     clear()
     yield
