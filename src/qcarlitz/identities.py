@@ -27,7 +27,7 @@ polynomials, since q^m - 1 = prod_{d | m} Phi_d, so D is carried as the
 sign (-1)^n and an exponent map {d: e_d}.  The canonical RatFunc of a
 numerator comes from dividing out each Phi_d as often as it divides (at
 most e_d times), not from a gcd against D: once per report when the
-values agree, once per differing numerator when they do not.
+forms agree, once per distinct form when they do not.
 
 Each theorem's numerator comes from one builder, which takes its
 arithmetic from an evaluator.  Each beta factor is taken together with its
@@ -56,10 +56,10 @@ non-negative, so its L1 norm is its value at q = 1, (n+1)!/t, in every
 base, and a monomial q^d Y^a Z^z only shifts a term.  So a realized form
 has L1 norm at most the sum over its terms of |c| prod_{(L, t)} (n+1)!/t
 (`_l1_bound`), and B holds the largest such sum over the check's distinct
-forms (`_width`): it depends on the check and n alone, not on w, y or the
-bases.  thm1 packs at 32, 72, 112 and 168 bits at n = 4, 8, 12 and 16
-(at w = (3, 3, 2), y = (1, 1, 0) its numerators, of degree 270, 876, 1818
-and 3096, need 24, 48, 80 and 120), and cross34 at 32, 48 and 72 bits at
+forms: it depends on the check and n alone, not on w, y or the bases.
+thm1 packs at 32, 72, 112 and 168 bits at n = 4, 8, 12 and 16 (at
+w = (3, 3, 2), y = (1, 1, 0) its numerators, of degree 270, 876, 1818 and
+3096, need 24, 48, 80 and 120), and cross34 at 32, 48 and 72 bits at
 n = 4, 6 and 8.
 
 Every theorem is decided once per n, formally, and realized over D at
@@ -75,12 +75,17 @@ put their terms in the cofactor basis:
 So a Theorem 3 tail and a Theorem 4 slot carry one symbol R per term, and
 the closing factor (q - 1) P_{b3} [b3]_q rewrites it (`_Formal.close`).  The
 builder never looks inside a label, so relabeling the one run gives the six
-permutations' forms (`_forms`, cached per builder and n).  Sending A, B, C
-to the bases w2 w3, w1 w3, w1 w2, Z to q^W, each Y_i to q^{W y_i} and each
-symbol to its value turns a permutation's form into its numerator at
-(w, y), so equal forms are equal numerators at every w and y.  A point
-then realizes each distinct form at q = 2^B, at the width B above: one
-integer when the forms agree.  Theorem 1's common form has n + 1 terms,
+permutations' forms (`_forms`).  Sending A, B, C to the bases w2 w3, w1 w3,
+w1 w2, Z to q^W, each Y_i to q^{W y_i} and each symbol to its value turns a
+permutation's form into its numerator at (w, y), so equal forms are equal
+numerators at every w and y.
+
+A check's certificate (`_certificate`, cached per check and n) is the one
+unit of decision: the distinct forms of its builders, the index of each
+report label's form among them, and the width B above.  A point realizes
+each distinct form at q = 2^B, one integer when the forms agree, and reads
+its values and its witness through the index.  Theorem 1's common form has
+n + 1 terms,
 
     sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1],
 
@@ -90,7 +95,7 @@ Theorems 3 and 4 are one form of 2(n + 1) terms,
     sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2)^j (Z^{j+1} - 1) prod_b cof_b[j+1].
 
 Where the forms differ, each distinct one is realized, and the integers
-are compared as usual.
+are compared: forms that differ can still agree at a point.
 
 Each distinct numerator is reduced packed, by dividing Phi_d(2^B) out of
 the integer, and unpacked once: the library's one cyclotomic reducer
@@ -151,6 +156,10 @@ class Permutation3:
     images: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        # stored as a tuple, and bool refused, as in `IdentityParams`
+        object.__setattr__(self, "images", tuple(self.images))
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in self.images):
+            raise ValueError("images must hold integers")
         if sorted(self.images) != [1, 2, 3]:
             raise ValueError("images must be an ordering of {1,2,3}")
 
@@ -217,12 +226,6 @@ def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[in
     return tuple(sorted(exps.items()))
 
 
-def _over_master(num: int, bits: int, n: int, bases: tuple[int, int, int]) -> RatFunc:
-    """The canonical RatFunc of the numerator packed as num at width bits, over D."""
-    return over_cyclotomic_packed(-num if n % 2 else num, bits,
-                                  dict(_master_den_exponents(n, bases)))[0]
-
-
 def _bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
     """The bases w2 w3, w1 w3, w1 w2 of the labels A, B, C."""
     w1, w2, w3 = w
@@ -238,9 +241,9 @@ def _q_int_at(t: int, s: int) -> int:
     return ((1 << s * t) - 1) // ((1 << s) - 1)
 
 
-# bounded: bits is the width of a check at n (`_width`); the test suite in
-# one process reaches 53 (n, b, bits) keys, the thm1 grid to n = 4, w = 3,
-# y = 2 30, the cross34 grid to n = 3, w = 3, y = 2 18
+# bounded: bits is the width of a check at n (`_certificate`); the test
+# suite in one process reaches 38 (n, b, bits) keys, the thm1 grid to n = 4,
+# w = 3, y = 2 30, the cross34 grid to n = 3, w = 3, y = 2 18
 @lru_cache(maxsize=256)
 def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
     """P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1, P_b = [2]_{q^b} ... [n+1]_{q^b}
@@ -318,7 +321,7 @@ def _thm4_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
 
 
 # ---------------------------------------------------------------------------
-# every theorem for every w and y: one formal certificate per builder and n
+# every theorem for every w and y: one formal certificate per check and n
 # (module docstring), realized at each point over D
 
 # the labels of the bases w2 w3, w1 w3, w1 w2
@@ -415,23 +418,15 @@ def _frozen(form: dict) -> tuple:
     return tuple(sorted(form.items()))
 
 
-# bounded: one key per builder and degree n; the test suite in one process
-# reaches 49 keys (thm1 at n = 0..16, thm3 and thm4 at n = 1..12, and the
-# faulty builders of the tests), the criterion-7 grid 6
-@lru_cache(maxsize=128)
-def _forms(num_fn, n: int) -> tuple[tuple, ...]:
+def _forms(num_fn, n: int) -> list[tuple]:
     """num_fn's formal numerator of degree n for each permutation, in
     `ALL_PERMUTATIONS` order, as sorted term tuples: one run on labels A, B, C
     in slots 1, 2, 3, relabeled for the others."""
     form = num_fn(_Formal(n), 1, _Y_UNITS, tuple(_LABELS), _W3)
-    forms, seen = [], {}
-    for sigma in ALL_PERMUTATIONS:
-        relabel = dict(zip(_LABELS, sigma.arrange(_LABELS)))
-        relabeled = _frozen({(tuple(sorted((relabel[label], t) for label, t in key)), e): c
-                             for (key, e), c in form.items()})
-        # equal forms are one object, so the cache holds each once
-        forms.append(seen.setdefault(relabeled, relabeled))
-    return tuple(forms)
+    relabels = [dict(zip(_LABELS, sigma.arrange(_LABELS))) for sigma in ALL_PERMUTATIONS]
+    return [_frozen({(tuple(sorted((relabel[label], t) for label, t in key)), e): c
+                     for (key, e), c in form.items()})
+            for relabel in relabels]
 
 
 def _realize(form: tuple, n: int, W: int, y: tuple[int, int, int],
@@ -461,56 +456,8 @@ def _l1_bound(form: tuple, n: int) -> int:
     return sum(abs(c) * prod(full // t for _, t in key) for (key, _), c in form)
 
 
-# bounded: one key per builder and degree n, as `_forms`; the test suite in
-# one process reaches 30 keys, the thm1 grid to n = 4, w = 3, y = 2 5, the
-# cross34 grid to n = 3, w = 3, y = 2 6
-@lru_cache(maxsize=128)
-def _width(num_fn, n: int) -> int:
-    """The least width that holds every coefficient of num_fn's numerators of
-    degree n, at every w and y: the largest `_l1_bound` of its forms."""
-    return balanced_bits(max(_l1_bound(form, n) for form in set(_forms(num_fn, n))))
-
-
-def _formal_nums(params: IdentityParams, num_fns) -> tuple[list[int], int]:
-    """Each builder's numerator for each permutation, in `ALL_PERMUTATIONS`
-    order, at q = 2^bits: each distinct form of params.n realized at one
-    width bits that holds every coefficient of every numerator, so equal
-    values are equal numerators.
-
-    When the certificate holds this is one numerator for all; when it
-    fails, each distinct form is realized and the report names a witness.
-    """
-    n = params.n
-    bits = max(_width(fn, n) for fn in num_fns)
-    forms = [form for fn in num_fns for form in _forms(fn, n)]
-    distinct = dict.fromkeys(forms)
-    bases = _bases(params.w)
-    for form in distinct:
-        distinct[form] = _realize(form, n, params.w_product, params.y, bases, bits)
-    return [distinct[form] for form in forms], bits
-
-
 # ---------------------------------------------------------------------------
 # reports
-
-
-def _report_from_nums(identity: str, params: IdentityParams, labels: tuple[str, ...],
-                      nums: list[int], bits: int) -> IdentityReport:
-    """Verdict and canonical values for packed numerators over the master D.
-
-    The verdict compares integers.  Each distinct value is reduced once, so
-    a failing report still carries exact values.
-    """
-    bases = tuple(sorted(_bases(params.w)))
-    reduced: dict[int, RatFunc] = {}
-    witness: tuple[str, str] | None = None
-    for j, num in enumerate(nums):
-        if num not in reduced:
-            reduced[num] = _over_master(num, bits, params.n, bases)
-        if witness is None and num != nums[0]:
-            witness = (labels[0], labels[j])
-    return IdentityReport(identity, params.as_dict(), labels,
-                          tuple(reduced[num] for num in nums), witness is None, witness)
 
 
 def _pair_report(identity: str, params: dict[str, object], labels: tuple[str, str],
@@ -534,13 +481,40 @@ CHECKS = {
 }
 
 
+# bounded: one key per check and degree n; the test suite in one process
+# reaches 37 keys (faulty builders' certificates counted), the thm1 grid to
+# n = 4, w = 3, y = 2 5, the cross34 grid to n = 3, w = 3, y = 2 3
+@lru_cache(maxsize=128)
+def _certificate(identity: str, n: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
+    """The check decided at degree n, for every w and y: the distinct forms
+    of its builders, the index of each report label's form among them, and
+    the width that holds every coefficient of every numerator, the largest
+    `_l1_bound` of the forms."""
+    ids: dict[tuple, int] = {}
+    index = tuple(ids.setdefault(form, len(ids))
+                  for _, num_fn in CHECKS[identity][3] for form in _forms(num_fn, n))
+    return tuple(ids), index, balanced_bits(max(_l1_bound(form, n) for form in ids))
+
+
 def _check(identity: str, params: IdentityParams) -> IdentityReport:
+    """Each distinct form of the certificate realized at the point and
+    reduced over D once; the verdict compares the integers, so a failing
+    report still carries exact values."""
     least_n, refusal, _, parts = CHECKS[identity]
-    if params.n < least_n:
+    n = params.n
+    if n < least_n:
         raise ValueError(refusal)
+    forms, index, bits = _certificate(identity, n)
+    bases = _bases(params.w)
+    nums = [_realize(form, n, params.w_product, params.y, bases, bits) for form in forms]
+    # D = (-1)^n prod Phi_d^{e_d}
+    exps = dict(_master_den_exponents(n, tuple(sorted(bases))))
+    values = [over_cyclotomic_packed(-num if n % 2 else num, bits, exps)[0] for num in nums]
     labels = tuple(prefix + sigma.label for prefix, _ in parts for sigma in ALL_PERMUTATIONS)
-    return _report_from_nums(identity, params, labels,
-                             *_formal_nums(params, [num_fn for _, num_fn in parts]))
+    witness = next(((labels[0], label) for label, i in zip(labels, index)
+                    if nums[i] != nums[0]), None)
+    return IdentityReport(identity, params.as_dict(), labels,
+                          tuple(values[i] for i in index), witness is None, witness)
 
 
 def thm1_check(params: IdentityParams) -> IdentityReport:
@@ -617,6 +591,8 @@ def grid_params(n_values, w_max: int, y_max: int, vary_y3: bool = True) -> list[
 
 def sample_grid(grid: list[IdentityParams], limit: int) -> list[IdentityParams]:
     """Deterministic sample of at most limit points, returned in grid order."""
+    if limit < 0:
+        raise ValueError(f"sample limit must be non-negative, got {limit}")
     if limit >= len(grid):
         return list(grid)
     picks = Random(_SAMPLE_SEED).sample(range(len(grid)), limit)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz import carlitz, identities, qcore
-from qcarlitz.identities import IdentityParams, _master_den_exponents, _over_master
+from qcarlitz.identities import IdentityParams, _master_den_exponents
 from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
                             cyclotomic_value, over_cyclotomic_packed, packed_divide_out,
@@ -157,15 +157,11 @@ def numerators_over_master(draw):
 @given(numerators_over_master())
 @example((2, (1, 2, 2), Poly()))
 def test_reduction_matches_generic_gcd(case):
-    # every case through the reducer itself and through the identity
-    # checkers' entry, which carries D's sign
+    # D = (-1)^n prod Phi_d^{e_d}, so the numerator takes D's sign
     n, bases, num = case
     want = RatFunc(num, expanded_master_den(n, bases))
     exps = dict(_master_den_exponents(n, bases))
     got, _ = reduce_at_least_width(-num if n % 2 else num, exps)
-    assert (got.num, got.den) == (want.num, want.den)
-    bits = least_width(num)
-    got = _over_master(num.pack(bits), bits, n, bases)
     assert (got.num, got.den) == (want.num, want.den)
 
 

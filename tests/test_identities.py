@@ -11,7 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -19,13 +19,14 @@ from qcarlitz import identities, qcore
 from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _check, _cofactors, _Formal, _formal_nums, _forms, _frozen,
-                                 _l1_bound, _LABELS, _q_int_at, _thm1_num, _thm3_num, _thm4_num,
+                                 _bases, _certificate, _check, _Formal, _forms, _frozen,
+                                 _l1_bound, _LABELS, _realize, _thm1_num, _thm3_num, _thm4_num,
                                  _W3, _Y_UNITS, _Z_UNIT,
                                  cross34_check, grid_params, lemma2_coeff_check, sample_grid,
                                  thm1_check, thm3_check, thm4_check)
-from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
-from qcarlitz.qcore import packed_divide_out, power_sum_T, q_int, q_int_poly
+from qcarlitz.polyq import ONE, ZERO, Poly
+from qcarlitz.qcore import (over_cyclotomic_packed, packed_divide_out, power_sum_T, q_int,
+                            q_int_poly)
 from qcarlitz.ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 QM1 = RatFunc(Poly([-1, 1]))
@@ -187,6 +188,15 @@ def test_permutation_validation_and_arrange():
         Permutation3((1, 2, 2))
     with pytest.raises(ValueError):
         Permutation3((0, 1, 2))
+    # a list is stored as a tuple, so the permutation hashes and compares
+    # however its images came
+    listed = Permutation3([2, 3, 1])
+    assert listed.images == (2, 3, 1)
+    assert listed == s and hash(listed) == hash(s)
+    # a non-integer image is refused; so is a bool, though True == 1
+    for bad in [(True, 2, 3), (1.0, 2, 3), ("1", "2", "3")]:
+        with pytest.raises(ValueError, match="must hold integers"):
+            Permutation3(bad)
 
 
 def test_thm1_degree_zero_is_one():
@@ -384,6 +394,9 @@ def test_sampling_is_deterministic_and_ordered():
     assert all(p in seen for p in sample)
     full = sample_grid(grid, len(grid) + 1)
     assert full == grid and full is not grid
+    assert sample_grid(grid, 0) == []
+    with pytest.raises(ValueError, match="sample limit must be non-negative, got -1"):
+        sample_grid(grid, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +600,26 @@ def _trimmed(vec):
     return vec
 
 
+def _q_int_packed(t, s):
+    """[t]_X at X = 2^s, summed term by term: 1 + X + ... + X^{t-1}."""
+    return sum(1 << s * i for i in range(t))
+
+
+@lru_cache(maxsize=None)
+def _cofactor_packed(n, b, t, bits):
+    """P_b / [t]_{q^b} at q = 2^bits, P_b = [2]_{q^b} ... [n+1]_{q^b}: the
+    product of the other [s]_{q^b}, so nothing is divided."""
+    return prod(_q_int_packed(s, bits * b) for s in range(2, n + 2) if s != t)
+
+
 class _Packed:
     """The term factors of one degree n at q = 2^bits: the oracle the checkers'
     realized forms are compared with.  Run on it, a builder assembles its
     numerator as one integer from closed forms of the factors at X = 2^bits,
 
-        [t]_{q^b} = (X^{bt} - 1) // (X^b - 1),
-        q^s       = a shift by bits*s, and a - b is integer subtraction,
+        [t]_{q^b}       = 1 + X^b + ... + X^{b(t-1)},
+        P_b / [t]_{q^b} = the product of the [s]_{q^b}, 2 <= s <= n+1, s != t,
+        q^s             = a shift by bits*s, and a - b is integer subtraction,
 
     with T_{t,m}(w | q^b) from `power_sum_T`.  Evaluation at q = 2^bits is a
     ring homomorphism Z[q] -> Z, so the integer is the numerator's value
@@ -622,45 +648,40 @@ class _Packed:
         # [1] [2] ... [n+1] and (1-q)^deg [b]_q^deg cancels
         if h < 1 or h + deg > self.n + 1:
             raise ValueError("beta factor denominator exceeds the master slot")
-        cof = _cofactors(self.n, b, self.bits)
         acc = 0
         for j in range(deg + 1):
             t = h + j
-            term = comb(deg, j) * t * cof[t]
+            term = comb(deg, j) * t * _cofactor_packed(self.n, b, t, self.bits)
             if count > 1:
                 # the count shifts q^{(h+j) step i} sum to [count]_{q^{(h+j) step}}
-                term *= _q_int_at(count, self.bits * t * step)
+                term *= _q_int_packed(count, self.bits * t * step)
             term = self.shift(term, j * e)
             acc = acc - term if j & 1 else acc + term
         return acc
 
     def close(self, x, b3, w3s):
         """x (q - 1) P_{b3} [b3]_q."""
-        return self.sub(self.shift(x, 1), x) * self.slot(b3, 0, 1, 0) * _q_int_at(b3, self.bits)
+        return (self.sub(self.shift(x, 1), x) * self.slot(b3, 0, 1, 0)
+                * _q_int_packed(b3, self.bits))
 
 
-def _packed_nums(n, nums):
-    """Each numerator (num_fn, W, y, bases, w3s) built on `_Packed`, at the one
-    width of the checkers: the least that holds the L1 bound of every form of
-    the builders."""
-    bits = balanced_bits(max(_l1_bound(form, n) for fn in {fn for fn, *_ in nums}
-                             for form in _forms(fn, n)))
-    ev = _Packed(n, bits)
-    return [num_fn(ev, *args) for num_fn, *args in nums], bits
+def _packed_nums(identity, p):
+    """Each report label's numerator at p, built on `_Packed` at the width of
+    the check's certificate."""
+    bits = _certificate(identity, p.n)[2]
+    ev = _Packed(p.n, bits)
+    return [num_fn(ev, p.w_product, p.y, *sigma_data(p, sigma))
+            for _, num_fn in CHECKS[identity][3] for sigma in ALL_PERMUTATIONS], bits
 
 
-def _check_packed(p, pairs):
-    """pairs: (packed builder, literal builder) per theorem, six permutations each."""
-    built, literal = [], []
-    for num_fn, literal_fn in pairs:
-        for sigma in ALL_PERMUTATIONS:
-            bases, w3s = sigma_data(p, sigma)
-            built.append((num_fn, p.w_product, p.y, bases, w3s))
-            literal.append(_trimmed(literal_fn(p.n, p.w_product, p.y, bases, w3s)))
-    nums, bits = _packed_nums(p.n, built)
+def _check_packed(identity, p, literal_fns):
+    """literal_fns: the literal builder of each expression of the check, six
+    permutations each."""
+    literal = [_trimmed(literal_fn(p.n, p.w_product, p.y, *sigma_data(p, sigma)))
+               for literal_fn in literal_fns for sigma in ALL_PERMUTATIONS]
+    nums, bits = _packed_nums(identity, p)
     assert bits % 8 == 0
-    forms = [form for num_fn, _ in pairs for form in _forms(num_fn, p.n)]
-    for form, want in zip(forms, literal):
+    for form, want in zip(_check_forms(identity, p.n), literal):
         # the L1 bound of the permutation's form bounds its literal
         # numerator, which the width rests on
         assert sum(map(abs, want)) <= _l1_bound(form, p.n), p
@@ -683,10 +704,17 @@ def test_evaluators_define_the_same_operations():
         "shift", "sub", "tail", "slot", "close"}
 
 
-def test_width_depends_on_the_check_and_n_alone():
-    # the width is read off the forms of the check's builders at n, so every
-    # point of a given n packs at one width: over the CLI's grids and the
-    # benchmark's thm1 and cross34 grids
+def test_width_depends_on_the_check_and_n_alone(monkeypatch):
+    # the width is the certificate's, so every point of a given n reduces at
+    # one width: over the CLI's grids and the benchmark's thm1 and cross34
+    # grids
+    widths = set()
+
+    def reduce(value, bits, exps):
+        widths.add(bits)
+        return over_cyclotomic_packed(value, bits, exps)
+
+    monkeypatch.setattr(identities, "over_cyclotomic_packed", reduce)
     grids = [("thm1", grid_params(range(5), 3, 2)),
              ("cross34", grid_params((1, 2, 3), 3, 2, vary_y3=False))]
     for identity, (least_n, _, reads_y3, _) in CHECKS.items():
@@ -694,22 +722,19 @@ def test_width_depends_on_the_check_and_n_alone():
         grids.append((identity, grid_params(range(least_n, grid["n_max"] + 1), grid["w_max"],
                                             grid["y_max"], vary_y3=reads_y3)))
     for identity, points in grids:
-        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
-        widths = {}
         for p in points:
-            widths.setdefault(p.n, set()).add(_formal_nums(p, num_fns)[1])
-        assert all(len(bits) == 1 for bits in widths.values()), (identity, widths)
+            widths.clear()
+            _check(identity, p)
+            assert widths == {_certificate(identity, p.n)[2]}, (identity, p)
     # the widths the module docstring states
     for identity, ns, want in [("thm1", (4, 8, 12, 16), [32, 72, 112, 168]),
                                ("cross34", (4, 6, 8), [32, 48, 72])]:
-        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
-        assert [_formal_nums(IdentityParams(n, (3, 3, 2), (1, 1, 0)), num_fns)[1]
-                for n in ns] == want, identity
+        assert [_certificate(identity, n)[2] for n in ns] == want, identity
 
 
 def test_packed_thm1_numerators_match_literal_sums():
     for p in grid_params(range(4), 2, 1):
-        _check_packed(p, [(_thm1_num, literal_thm1)])
+        _check_packed("thm1", p, [literal_thm1])
 
 
 def _cancelled_factor_holds(p, literal_fns, convention, factor):
@@ -754,7 +779,7 @@ def test_cancelled_factor_of_thm3_and_thm4_is_one_minus_q_to_the_2n():
 def test_packed_cross34_numerators_match_literal_sums():
     # the benchmark's cross34 grid, below n = 3
     for p in grid_params((1, 2), 3, 2, vary_y3=False):
-        _check_packed(p, [(_thm3_num, literal_thm3), (_thm4_num, literal_thm4)])
+        _check_packed("cross34", p, [literal_thm3, literal_thm4])
 
 
 def test_slot_values_match_literal_polynomials():
@@ -831,8 +856,8 @@ def test_large_n_reports_match_golden(check, params, digest):
 # ---------------------------------------------------------------------------
 # the formal certificates
 #
-# Every checker realizes the forms of `_forms` at each point instead of
-# building its numerators there.  That is sound only if the relabeled forms
+# Every checker realizes the forms of its certificate at each point instead
+# of building its numerators there.  That is sound only if the relabeled forms
 # are the formal runs they stand for, and if a form realized at a point is
 # the packed numerator; the integrals below check what they all equal.
 
@@ -841,8 +866,9 @@ BUILDERS = ((_thm1_num, 0), (_thm3_num, 1), (_thm4_num, 1))
 
 
 def _check_forms(identity, n):
-    """The forms of every expression of the check, in report label order."""
-    return [form for _, num_fn in CHECKS[identity][3] for form in _forms(num_fn, n)]
+    """The forms of the check's certificate, in report label order."""
+    forms, index, _ = _certificate(identity, n)
+    return [forms[i] for i in index]
 
 
 def test_relabeled_forms_equal_six_direct_formal_runs():
@@ -860,11 +886,11 @@ def test_realized_forms_are_the_packed_numerators():
     # the numerator the packed builder makes there, at the same width
     for identity, points in [("thm1", sample_grid(grid_params(range(5), 3, 2), 500)),
                              ("cross34", grid_params(range(1, 5), 3, 2, vary_y3=False))]:
-        num_fns = [num_fn for _, num_fn in CHECKS[identity][3]]
         for p in points:
-            nums = [(num_fn, p.w_product, p.y, *sigma_data(p, sigma))
-                    for num_fn in num_fns for sigma in ALL_PERMUTATIONS]
-            assert _formal_nums(p, num_fns) == _packed_nums(p.n, nums), p
+            forms, index, bits = _certificate(identity, p.n)
+            realized = [_realize(forms[i], p.n, p.w_product, p.y, _bases(p.w), bits)
+                        for i in index]
+            assert (realized, bits) == _packed_nums(identity, p), p
 
 
 def _integral_form(n, z):
@@ -943,14 +969,10 @@ def _thm4_num_part2_shifted_twice(ev, W, y, bases, w3s):
 
 @pytest.fixture
 def fresh_certificates():
-    """Clears the caches a builder fault reaches, before and after the test."""
-    def clear():
-        _forms.cache_clear()
-        identities._width.cache_clear()
-
-    clear()
+    """Clears the cache a builder fault reaches, before and after the test."""
+    _certificate.cache_clear()
     yield
-    clear()
+    _certificate.cache_clear()
 
 
 def _put_fault(monkeypatch, name, fault):
@@ -994,3 +1016,33 @@ def test_a_fault_every_thm4_permutation_shares_fails_cross34_and_the_integral(
         assert thm4_check(p).verdict, n
         r = cross34_check(p)
         assert not r.verdict and r.witness == ("thm3:123", "thm4:123"), n
+
+
+def test_a_certificate_runs_each_builder_once_per_n(monkeypatch, request):
+    # the certificate is the one unit of decision: building it runs each of
+    # the check's builders once per n, and checking points at that n runs none
+    for identity in CHECKS:
+        _certificate(identity, 2)
+    request.getfixturevalue("fresh_certificates")
+    assert _certificate.cache_info().currsize == 0
+    calls = []
+
+    def counted(name, builder):
+        def count(ev, *args):
+            calls.append(name)
+            return builder(ev, *args)
+        return count
+
+    for name in ("_thm1_num", "_thm3_num", "_thm4_num"):
+        _put_fault(monkeypatch, name, counted(name, getattr(identities, name)))
+    builders = {"thm1": ["_thm1_num"], "thm3": ["_thm3_num"], "thm4": ["_thm4_num"],
+                "cross34": ["_thm3_num", "_thm4_num"]}
+    for n in (2, 3):
+        for identity, (_, _, reads_y3, _) in CHECKS.items():
+            calls.clear()
+            _certificate(identity, n)
+            assert calls == builders[identity], (identity, n)
+            calls.clear()
+            for p in sample_grid(grid_params((n,), 3, 2, vary_y3=reads_y3), 20):
+                assert _check(identity, p).verdict, p
+            assert calls == [], (identity, n)
