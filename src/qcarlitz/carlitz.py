@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .polyq import ONE, Poly
+from .polyq import ONE, Poly, check_rational
 from .qcore import (check_base, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
                     q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
@@ -62,6 +62,7 @@ def bernoulli_classical(n: int) -> Fraction:
 
 def bernoulli_poly_classical(n: int, x: Fraction | int) -> Fraction:
     """B_n(x) = sum_l C(n,l) B_l x^(n-l)."""
+    check_rational(x, "argument")
     x = Fraction(x)
     return sum((comb(n, l) * b * x ** (n - l) for l, b in enumerate(_bernoulli_numbers(n))),
                Fraction(0))
@@ -150,8 +151,7 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
 def _exponent(d: int, x: int | Fraction) -> int:
     # the exponent e = dx of z = q^{dx}, the only way the argument enters
     check_base(d)
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"argument must be an int or a Fraction, got {type(x).__name__}")
+    check_rational(x, "argument")
     if x < 0:
         raise ValueError("argument must be non-negative")
     e = d * x

@@ -24,10 +24,12 @@ back out: (1-q)^{2n} over (1-q)^{3n} prod_b [2]_{q^b} ... [n+1]_{q^b}, and
 
 D is never expanded.  Every factor of it is a product of cyclotomic
 polynomials, since q^m - 1 = prod_{d | m} Phi_d, so D is carried as the
-sign (-1)^n and an exponent map {d: e_d}.  The canonical RatFunc of a
-numerator comes from dividing out each Phi_d as often as it divides (at
-most e_d times), not from a gcd against D: once per report when the
-forms agree, once per distinct form when they do not.
+sign (-1)^n and an exponent map {d: e_d}: {1: n}, for (1-q)^n, plus the
+maps of the three P_b = [2]_{q^b} ... [n+1]_{q^b}, each cached with the
+cofactors of P_b (`_base_entry`).  The canonical RatFunc of a numerator
+comes from dividing out each Phi_d as often as it divides (at most e_d
+times), not from a gcd against D: once per report when the forms agree,
+once per distinct form when they do not.
 
 Each theorem's numerator comes from one builder, which takes its
 arithmetic from an evaluator.  Each beta factor is taken together with its
@@ -82,10 +84,10 @@ numerators at every w and y.
 
 A check's certificate (`_certificate`, cached per check and n) is the one
 unit of decision: the distinct forms of its builders, the index of each
-report label's form among them, and the width B above.  A point realizes
-each distinct form at q = 2^B, one integer when the forms agree, and reads
-its values and its witness through the index.  Theorem 1's common form has
-n + 1 terms,
+report label's form among them, the width B above, and the report labels.
+A point realizes each distinct form at q = 2^B, one integer when the forms
+agree, and reads its values and its witness through the index.  Theorem
+1's common form has n + 1 terms,
 
     sum_j C(n, j) (-1)^j (j+1)^3 (Y1 Y2 Y3)^j prod_b cof_b[j+1],
 
@@ -127,9 +129,11 @@ class IdentityParams:
     y: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self) -> None:
-        # stored as tuples, so params hash and compare however the triples came
-        object.__setattr__(self, "w", tuple(self.w))
-        object.__setattr__(self, "y", tuple(self.y))
+        # stored as tuples, so params hash and compare however the triples
+        # came; one that is not iterable is stored empty, to fail its length check
+        for name in ("w", "y"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(value) if hasattr(value, "__iter__") else ())
         # bool is an int subclass, but True is no degree, weight or shift
         if not all(isinstance(v, int) and not isinstance(v, bool)
                    for v in (self.n, *self.w, *self.y)):
@@ -198,32 +202,7 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# the master denominator
-
-
-# bounded: the test suite in one process reaches 222 (n, bases) keys, the
-# thm1 grid to n = 4, w = 3, y = 2 50
-@lru_cache(maxsize=256)
-def _master_den_exponents(n: int, bases: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
-    """D = (1-q)^n prod over the base multiset of [2]_{q^b} ... [n+1]_{q^b}
-    as sorted pairs (d, e_d) with D = (-1)^n prod Phi_d^{e_d}.
-
-    (1-q)^n = (-1)^n Phi_1^n, and [t]_{q^b} is the product of the Phi_d with
-    d | bt and d not dividing b (`q_int_exponents`), so
-
-        e_d = n [d = 1] + sum_b #{t in 2..n+1 : d | bt, d not dividing b}.
-
-    With g = gcd(d, b) and s = d / g, d | bt exactly when s | t, and d does
-    not divide b exactly when s > 1: so each base gives the d = g s with g | b,
-    s in 2..n+1 and gcd(s, b / g) = 1, each (n+1) // s times.
-    """
-    exps = {1: n} if n else {}
-    for b in bases:
-        for g in _divisors(b):
-            for s in range(2, n + 2):
-                if gcd(s, b // g) == 1:
-                    exps[g * s] = exps.get(g * s, 0) + (n + 1) // s
-    return tuple(sorted(exps.items()))
+# the master denominator, one base at a time
 
 
 def _bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -232,24 +211,27 @@ def _bases(w: tuple[int, int, int]) -> tuple[int, int, int]:
     return w2 * w3, w1 * w3, w1 * w2
 
 
-# ---------------------------------------------------------------------------
-# the cofactors at q = 2^bits
-
-
-def _q_int_at(t: int, s: int) -> int:
-    """[t]_{q^b} at q = 2^bits, for s = bits * b: (2^{st} - 1) // (2^s - 1)."""
-    return ((1 << s * t) - 1) // ((1 << s) - 1)
-
-
 # bounded: bits is the width of a check at n (`_certificate`); the test
-# suite in one process reaches 38 (n, b, bits) keys, the thm1 grid to n = 4,
-# w = 3, y = 2 30, the cross34 grid to n = 3, w = 3, y = 2 18
+# suite in one process reaches 125 (n, b, bits) keys, the thm1 grid to
+# n = 4, w = 3, y = 2 30, the cross34 grid to n = 3, w = 3, y = 2 18
 @lru_cache(maxsize=256)
-def _cofactors(n: int, b: int, bits: int) -> tuple[int, ...]:
-    """P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1, P_b = [2]_{q^b} ... [n+1]_{q^b}
-    (t = 0 unused); shared by every check of degree n at this width."""
-    full = prod(_q_int_at(t, bits * b) for t in range(2, n + 2))
-    return (full, full) + tuple(full // _q_int_at(t, bits * b) for t in range(2, n + 2))
+def _base_entry(n: int, b: int, bits: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """P_b = [2]_{q^b} ... [n+1]_{q^b} for one base b, shared by every check
+    of degree n at this width: P_b / [t]_{q^b} at q = 2^bits for t = 0..n+1
+    (t = 0 unused), and P_b's exponent map, pairs (d, e_d), P_b = prod Phi_d^{e_d}.
+
+    [t]_{q^b} is (2^{bits b t} - 1) // (2^{bits b} - 1) at q = 2^bits, and
+    the product of the Phi_d with d | bt and d not dividing b
+    (`q_int_exponents`).  With g = gcd(d, b) and s = d / g, d | bt exactly
+    when s | t, and d does not divide b exactly when s > 1: so e_d is
+    (n+1) // s for the d = g s with g | b, s in 2..n+1 and gcd(s, b / g) = 1
+    (each d once, since then gcd(d, b) = g), and 0 for every other d.
+    """
+    q_ints = [((1 << bits * b * t) - 1) // ((1 << bits * b) - 1) for t in range(2, n + 2)]
+    full = prod(q_ints)
+    exps = tuple((g * s, (n + 1) // s) for g in _divisors(b) for s in range(2, n + 2)
+                 if gcd(s, b // g) == 1)
+    return (full, full, *(full // v for v in q_ints)), exps
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +276,7 @@ def _parts_num(ev, W: int, y: tuple[int, int, int], bases: tuple[int, int, int],
     part P2 and part2 that of P1 (module docstring)."""
 
     def inner(j: int) -> int:
-        return ev.sub(part1(j), j * part2(j - 1)) if j else part1(j)
+        return part1(j) - j * part2(j - 1) if j else part1(j)
 
     return ev.close(_outer(ev, bases[0], W * y[0], inner), bases[2], w3s)
 
@@ -355,6 +337,9 @@ class _Form(dict):
         # sum() starts from 0
         return self if other == 0 else NotImplemented
 
+    def __sub__(self, other: _Form) -> _Form:
+        return self + other * -1
+
     def __mul__(self, other: _Form | int) -> _Form:
         if isinstance(other, int):
             return _Form({key: other * c for key, c in self.items()} if other else {})
@@ -377,9 +362,6 @@ class _Formal:
     def shift(self, x: _Form, s: int) -> _Form:
         """x times the monomial of the packed exponent vector s."""
         return _Form({(key, e + s): c for (key, e), c in x.items()})
-
-    def sub(self, a: _Form, b: _Form) -> _Form:
-        return a + b * -1
 
     def tail(self, tdeg: int, m: int, w: int, b: str) -> _Form:
         """(1 - Q)^m T_{tdeg,m}(w | Q), Q = q^b: sum_k C(m, k) (-1)^k R[tdeg + k],
@@ -429,11 +411,10 @@ def _forms(num_fn, n: int) -> list[tuple]:
             for relabel in relabels]
 
 
-def _realize(form: tuple, n: int, W: int, y: tuple[int, int, int],
-             bases: tuple[int, int, int], bits: int) -> int:
-    """The form at q = 2^bits, with A, B, C in the bases given, Y_i = q^{W y_i},
-    Z = q^W and cof_L[t] read from `_cofactors`."""
-    cofs = {label: _cofactors(n, b, bits) for label, b in zip(_LABELS, bases)}
+def _realize(form: tuple, cofs: dict[str, tuple[int, ...]], W: int,
+             y: tuple[int, int, int], bits: int) -> int:
+    """The form at q = 2^bits, with Y_i = q^{W y_i}, Z = q^W and cof_L[t]
+    read as cofs[L][t], the cofactors of L's base at this width (`_base_entry`)."""
     mask = (1 << _EXP_BITS) - 1
     y1, y2, y3 = y
     acc = 0
@@ -485,32 +466,38 @@ CHECKS = {
 # reaches 37 keys (faulty builders' certificates counted), the thm1 grid to
 # n = 4, w = 3, y = 2 5, the cross34 grid to n = 3, w = 3, y = 2 3
 @lru_cache(maxsize=128)
-def _certificate(identity: str, n: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int]:
+def _certificate(identity: str, n: int) -> tuple[tuple[tuple, ...], tuple[int, ...], int,
+                                                 tuple[str, ...]]:
     """The check decided at degree n, for every w and y: the distinct forms
-    of its builders, the index of each report label's form among them, and
-    the width that holds every coefficient of every numerator, the largest
-    `_l1_bound` of the forms."""
+    of its builders, the index of each report label's form among them, the
+    width that holds every coefficient of every numerator, the largest
+    `_l1_bound` of the forms, and the report labels."""
+    parts = CHECKS[identity][3]
     ids: dict[tuple, int] = {}
     index = tuple(ids.setdefault(form, len(ids))
-                  for _, num_fn in CHECKS[identity][3] for form in _forms(num_fn, n))
-    return tuple(ids), index, balanced_bits(max(_l1_bound(form, n) for form in ids))
+                  for _, num_fn in parts for form in _forms(num_fn, n))
+    labels = tuple(prefix + sigma.label for prefix, _ in parts for sigma in ALL_PERMUTATIONS)
+    return tuple(ids), index, balanced_bits(max(_l1_bound(form, n) for form in ids)), labels
 
 
 def _check(identity: str, params: IdentityParams) -> IdentityReport:
     """Each distinct form of the certificate realized at the point and
     reduced over D once; the verdict compares the integers, so a failing
     report still carries exact values."""
-    least_n, refusal, _, parts = CHECKS[identity]
+    least_n, refusal, _, _ = CHECKS[identity]
     n = params.n
     if n < least_n:
         raise ValueError(refusal)
-    forms, index, bits = _certificate(identity, n)
-    bases = _bases(params.w)
-    nums = [_realize(form, n, params.w_product, params.y, bases, bits) for form in forms]
-    # D = (-1)^n prod Phi_d^{e_d}
-    exps = dict(_master_den_exponents(n, tuple(sorted(bases))))
+    forms, index, bits, labels = _certificate(identity, n)
+    entries = [_base_entry(n, b, bits) for b in _bases(params.w)]
+    cofs = {label: cofactors for label, (cofactors, _) in zip(_LABELS, entries)}
+    nums = [_realize(form, cofs, params.w_product, params.y, bits) for form in forms]
+    # D = (-1)^n prod Phi_d^{e_d}: (1-q)^n = (-1)^n Phi_1^n, times each base's P_b
+    exps = {1: n}
+    for _, base_exps in entries:
+        for d, e in base_exps:
+            exps[d] = exps.get(d, 0) + e
     values = [over_cyclotomic_packed(-num if n % 2 else num, bits, exps)[0] for num in nums]
-    labels = tuple(prefix + sigma.label for prefix, _ in parts for sigma in ALL_PERMUTATIONS)
     witness = next(((labels[0], label) for label, i in zip(labels, index)
                     if nums[i] != nums[0]), None)
     return IdentityReport(identity, params.as_dict(), labels,
@@ -556,6 +543,9 @@ def lemma2_coeff_check(n: int, d: int, w3: int) -> IdentityReport:
     needs lemma2 to fail through it, and `carlitz.beta_poly_expansion` must
     stay an oracle that shares no code with the closed form.
     """
+    # bool is an int subclass, but True is no degree, base or count
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, d, w3)):
+        raise ValueError("n, d and w3 must be integers")
     if n < 0:
         raise ValueError("degree n must be non-negative")
     if d < 1 or w3 < 1:

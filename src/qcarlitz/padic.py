@@ -40,6 +40,7 @@ from math import comb, log10
 
 from .carlitz import beta_hk
 from .identities import IdentityReport
+from .polyq import check_rational
 from .ratfunc import rf_eval_rational
 
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
@@ -141,6 +142,7 @@ class PadicInt:
 
     @classmethod
     def from_rational(cls, value: Fraction | int, p: int, K: int) -> "PadicInt":
+        check_rational(value, "value")
         value = Fraction(value)
         if value.denominator % p == 0:
             raise ValueError(f"{value} is not a p-adic integer for p={p}")
@@ -259,6 +261,7 @@ class VolkenbornJob:
         check_step_budget(self.p, self.N)
         if not _is_prime(self.p):
             raise ValueError("p must be an odd prime")
+        check_rational(self.q0, "q0")
         object.__setattr__(self, "q0", Fraction(self.q0))
         if self.q0.denominator % self.p == 0:
             raise ValueError("q0 must be a p-adic integer")

@@ -349,6 +349,7 @@ class Poly:
         return Poly(_raw=tuple(vec))
 
     def evaluate(self, x: Fraction | int) -> Fraction:
+        check_rational(x, "evaluation point")
         acc = Fraction(0)
         for c in reversed(self._c):
             acc = acc * x + c
@@ -431,6 +432,14 @@ def _term_text(mag: int, power: int) -> str:
 def _check_bits(bits: int) -> None:
     if bits < 8 or bits % 8:
         raise ValueError("packing width must be a positive multiple of 8 bits")
+
+
+def check_rational(x: object, name: str) -> None:
+    """Refuse x unless it is an int or a Fraction: a float is the binary
+    fraction nearest the number it was written as, and a bool is no number,
+    yet either would be computed on exactly."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {type(x).__name__}")
 
 
 def _coerce(value: object) -> Poly | None:

@@ -31,12 +31,12 @@ from .ratfunc import RF_ZERO, RatFunc
 def check_base(d: int) -> None:
     """Refuse a base exponent d of q^d that is not a positive int, at the
     entry: a float d would fail deep inside, in range or a list product."""
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"base exponent must be a positive int, got {d!r}")
 
 
 # bounded: the test suite in one process reaches 91 keys, qlaws 51; typed,
-# so a float base equal to a cached int one still reaches check_base
+# so a float or bool base equal to a cached int one still reaches check_base
 @lru_cache(maxsize=256, typed=True)
 def q_int_poly(x: int, d: int = 1) -> Poly:
     """[x]_{q^d} = 1 + q^d + ... + q^{d(x-1)} as a plain polynomial."""
@@ -284,8 +284,8 @@ def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 
 
-# bounded: the test suite in one process reaches 232 keys, lemma2 to n = 12
-# 225, the cross34 grid to n = 3, w = 3, y = 2 144; typed, as q_int_poly
+# bounded: the test suite in one process reaches 243 keys, lemma2 to n = 12
+# 225; typed, as q_int_poly
 @lru_cache(maxsize=512, typed=True)
 def power_sum_T(n: int, m: int, w: int, d: int = 1) -> RatFunc:
     """T_{n,m}(w | q^d) = sum_{i=0..w} q^{dni} [i]_{q^d}^m, always a polynomial."""

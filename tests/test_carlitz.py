@@ -157,6 +157,23 @@ def test_families_refuse_bad_arguments(family):
             call()
 
 
+def test_classical_bernoulli_polynomial_refuses_a_float():
+    # B_2(x) = x^2 - x + 1/6 exactly at 1/10; the float 0.1 would give a
+    # binary fraction with a 34-digit denominator
+    assert bernoulli_poly_classical(2, F(1, 10)) == F(23, 300)
+    for x in (0.1, 1.0, True):
+        with pytest.raises(ValueError, match="argument must be an int or a Fraction, got"):
+            bernoulli_poly_classical(2, x)
+
+
+def test_bool_base_is_refused_by_the_numbers():
+    # True == 1, but it is no base exponent
+    beta_number(2, 1)
+    for call in (lambda: beta_number(2, True), lambda: beta_number_recurrence(3, True)):
+        with pytest.raises(ValueError, match="positive int, got True"):
+            call()
+
+
 def test_fractional_argument_lands_in_q_of_q():
     # x = 3/2 in base q^2 enters as the monomial q^3; evaluating at a
     # rational point must match the defining sum computed with Fractions

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qcarlitz import carlitz, identities, qcore
-from qcarlitz.identities import IdentityParams, _master_den_exponents
+from qcarlitz.identities import IdentityParams, _base_entry
 from qcarlitz.polyq import ONE, ZERO, Poly, balanced_bits
 from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_product, cyclotomic_sum,
                             cyclotomic_value, over_cyclotomic_packed, packed_divide_out,
@@ -39,6 +39,16 @@ def expanded_master_den(n, bases):
         for t in range(2, n + 2):
             out = out * q_int_poly(t, b)
     return out
+
+
+def master_den_exponents(n, bases):
+    """D's exponent map {d: e_d} as a checker forms it: n for Phi_1, from
+    (1-q)^n = (-1)^n Phi_1^n, plus the map of each base's P_b."""
+    exps = Counter({1: n} if n else {})
+    for b in bases:
+        for d, e in _base_entry(n, b, 8)[1]:
+            exps[d] += e
+    return dict(exps)
 
 
 def moebius(m):
@@ -73,15 +83,16 @@ def test_exponent_map_multiplies_back_to_master_den(n):
     for w in W_TRIPLES:
         bases = bases_of(w)
         rebuilt = Poly([(-1) ** n])
-        for d, e in _master_den_exponents(n, bases):
+        for d, e in master_den_exponents(n, bases).items():
             assert e > 0
             rebuilt = rebuilt * phi_oracle(d) ** e
         assert rebuilt == expanded_master_den(n, bases), (n, bases)
 
 
 def test_exponent_map_counts_the_q_integer_maps():
-    # the map is counted from plain ints; it is the sum of the maps of
-    # (1-q)^n and of every [t]_{q^b}, for every base multiset with w <= 4
+    # each base's map is counted from plain ints; with (1-q)^n they sum to
+    # the maps of (1-q)^n and of every [t]_{q^b}, for every base multiset
+    # with w <= 4
     for n in range(11):
         for w in combinations_with_replacement(range(1, 5), 3):
             bases = bases_of(w)
@@ -89,7 +100,7 @@ def test_exponent_map_counts_the_q_integer_maps():
             for b in bases:
                 for t in range(2, n + 2):
                     want += q_int_exponents(t, b)
-            assert dict(_master_den_exponents(n, bases)) == +want, (n, bases)
+            assert master_den_exponents(n, bases) == +want, (n, bases)
 
 
 def test_q_number_exponent_maps_multiply_back():
@@ -147,7 +158,7 @@ def numerators_over_master(draw):
     f = Poly(draw(st.lists(st.integers(-30, 30), max_size=6)))
     f = f * draw(st.integers(-5, 5).filter(bool))
     # a sub-multiset of D's factors, sometimes one Phi_d more than D has
-    for d, e in _master_den_exponents(n, bases):
+    for d, e in sorted(master_den_exponents(n, bases).items()):
         f = f * phi_oracle(d) ** draw(st.integers(0, e + 1))
     return n, bases, f
 
@@ -160,7 +171,7 @@ def test_reduction_matches_generic_gcd(case):
     # D = (-1)^n prod Phi_d^{e_d}, so the numerator takes D's sign
     n, bases, num = case
     want = RatFunc(num, expanded_master_den(n, bases))
-    exps = dict(_master_den_exponents(n, bases))
+    exps = master_den_exponents(n, bases)
     got, _ = reduce_at_least_width(-num if n % 2 else num, exps)
     assert (got.num, got.den) == (want.num, want.den)
 

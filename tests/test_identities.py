@@ -19,9 +19,9 @@ from qcarlitz import identities, qcore
 from qcarlitz.cli import _SUITE_DEFAULTS
 from qcarlitz.carlitz import bernoulli_classical, beta_h, beta_poly
 from qcarlitz.identities import (ALL_PERMUTATIONS, CHECKS, IdentityParams, Permutation3,
-                                 _bases, _certificate, _check, _Formal, _forms, _frozen,
-                                 _l1_bound, _LABELS, _realize, _thm1_num, _thm3_num, _thm4_num,
-                                 _W3, _Y_UNITS, _Z_UNIT,
+                                 _base_entry, _bases, _certificate, _check, _Form, _Formal,
+                                 _forms, _frozen, _l1_bound, _LABELS, _realize, _thm1_num,
+                                 _thm3_num, _thm4_num, _W3, _Y_UNITS, _Z_UNIT,
                                  cross34_check, grid_params, lemma2_coeff_check, sample_grid,
                                  thm1_check, thm3_check, thm4_check)
 from qcarlitz.polyq import ONE, ZERO, Poly
@@ -174,6 +174,14 @@ def test_params_store_integer_triples():
                 (2, (1, 2, 3), (False, 0, 0))]:
         with pytest.raises(ValueError, match="must hold integers"):
             IdentityParams(*bad)
+
+
+def test_params_refuse_a_non_iterable_triple():
+    # the triple check's own error, not tuple()'s TypeError
+    with pytest.raises(ValueError, match="w must be a triple"):
+        IdentityParams(1, 5)
+    with pytest.raises(ValueError, match="y must be a triple"):
+        IdentityParams(1, (1, 1, 1), 0)
 
 
 def test_permutation_validation_and_arrange():
@@ -371,6 +379,13 @@ def test_lemma2_argument_validation():
         lemma2_coeff_check(1, 0, 1)
     with pytest.raises(ValueError):
         lemma2_coeff_check(1, 1, 0)
+
+
+def test_lemma2_refuses_a_bool_or_non_int_argument():
+    # lemma2_coeff_check(2, True, 1) computed in base q and reported d: true
+    for args in [(2, True, 1), (True, 1, 1), (2, 1, False), (2.0, 1, 1), (2, 1, 1.0)]:
+        with pytest.raises(ValueError, match="n, d and w3 must be integers"):
+            lemma2_coeff_check(*args)
 
 
 def test_grid_enumeration():
@@ -633,9 +648,6 @@ class _Packed:
         """x q^s."""
         return x << self.bits * s
 
-    def sub(self, a, b):
-        return a - b
-
     def tail(self, tdeg, m, w, b):
         """(1 - q^b)^m T_{tdeg,m}(w | q^b)."""
         return (1 - (1 << self.bits * b)) ** m * power_sum_T(tdeg, m, w, b).num.pack(self.bits)
@@ -661,7 +673,7 @@ class _Packed:
 
     def close(self, x, b3, w3s):
         """x (q - 1) P_{b3} [b3]_q."""
-        return (self.sub(self.shift(x, 1), x) * self.slot(b3, 0, 1, 0)
+        return ((self.shift(x, 1) - x) * self.slot(b3, 0, 1, 0)
                 * _q_int_packed(b3, self.bits))
 
 
@@ -701,7 +713,13 @@ def test_evaluators_define_the_same_operations():
         return {name for name, v in vars(cls).items() if callable(v) and name[0] != "_"}
 
     assert operations(_Packed) == operations(_Formal) == {
-        "shift", "sub", "tail", "slot", "close"}
+        "shift", "tail", "slot", "close"}
+    # a builder subtracts with -, which ints have and `_Form` defines
+    ev = _Formal(2)
+    a, b = ev.slot("A", 2, 1, _Y_UNITS[0]), ev.tail(1, 2, _W3, "B")
+    assert isinstance(a - b, _Form) and a - b != a
+    assert a - b == a + (-1) * b
+    assert a - a == {}
 
 
 def test_width_depends_on_the_check_and_n_alone(monkeypatch):
@@ -867,7 +885,7 @@ BUILDERS = ((_thm1_num, 0), (_thm3_num, 1), (_thm4_num, 1))
 
 def _check_forms(identity, n):
     """The forms of the check's certificate, in report label order."""
-    forms, index, _ = _certificate(identity, n)
+    forms, index, _, _ = _certificate(identity, n)
     return [forms[i] for i in index]
 
 
@@ -887,9 +905,9 @@ def test_realized_forms_are_the_packed_numerators():
     for identity, points in [("thm1", sample_grid(grid_params(range(5), 3, 2), 500)),
                              ("cross34", grid_params(range(1, 5), 3, 2, vary_y3=False))]:
         for p in points:
-            forms, index, bits = _certificate(identity, p.n)
-            realized = [_realize(forms[i], p.n, p.w_product, p.y, _bases(p.w), bits)
-                        for i in index]
+            forms, index, bits, _ = _certificate(identity, p.n)
+            cofs = {label: _base_entry(p.n, b, bits)[0] for label, b in zip(_LABELS, _bases(p.w))}
+            realized = [_realize(forms[i], cofs, p.w_product, p.y, bits) for i in index]
             assert (realized, bits) == _packed_nums(identity, p), p
 
 
@@ -953,7 +971,7 @@ def _thm1_num_slot2_in_b3(ev, W, y, bases, _w3s):
 def _parts_num_j_plus_1(ev, W, y, bases, w3s, part1, part2):
     """`_parts_num` that takes (j + 1) part2(j - 1) for j part2(j - 1)."""
     def inner(j):
-        return ev.sub(part1(j), (j + 1) * part2(j - 1)) if j else part1(j)
+        return part1(j) - (j + 1) * part2(j - 1) if j else part1(j)
 
     return ev.close(identities._outer(ev, bases[0], W * y[0], inner), bases[2], w3s)
 
@@ -1016,6 +1034,19 @@ def test_a_fault_every_thm4_permutation_shares_fails_cross34_and_the_integral(
         assert thm4_check(p).verdict, n
         r = cross34_check(p)
         assert not r.verdict and r.witness == ("thm3:123", "thm4:123"), n
+
+
+def test_certificate_labels_are_the_report_labels():
+    # six labels per builder, one per permutation, prefixed by the theorem
+    # for cross34; a point reports them as the certificate holds them
+    perms = [sigma.label for sigma in ALL_PERMUTATIONS]
+    for identity, prefixes in [("thm1", [""]), ("thm3", [""]), ("thm4", [""]),
+                               ("cross34", ["thm3:", "thm4:"])]:
+        for n in (1, 2, 3):
+            _, index, _, labels = _certificate(identity, n)
+            assert labels == tuple(prefix + label for prefix in prefixes for label in perms)
+            assert len(labels) == len(index) == 6 * len(prefixes)
+            assert _check(identity, IdentityParams(n, (1, 2, 3), (1, 0, 2))).labels == labels
 
 
 def test_a_certificate_runs_each_builder_once_per_n(monkeypatch, request):

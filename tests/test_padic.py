@@ -139,6 +139,14 @@ def test_from_rational():
         PadicInt.from_rational(F(1, 3), 3, 4)
 
 
+def test_from_rational_refuses_a_float():
+    # 0.2 is the binary fraction nearest 1/5, which would be reduced exactly;
+    # True == 1, but it is no rational
+    for value in (0.2, 7.0, True):
+        with pytest.raises(ValueError, match="value must be an int or a Fraction, got"):
+            PadicInt.from_rational(value, 3, 5)
+
+
 def test_log_against_series_oracle():
     assert padic_log(PadicInt(3, 3, 4)).residue == 21
     for p, K in [(3, 4), (3, 8), (3, 10), (5, 6), (7, 5)]:
@@ -203,6 +211,14 @@ def test_nonintegral_moment_needs_scaling():
     assert e == 1
     with pytest.raises(ValueError, match="volkenborn_scaled"):
         volkenborn_approx(VolkenbornJob(3, 4, 3, 10, IntegrandSpec(0, 2)))
+
+
+def test_job_refuses_a_float_q0():
+    # 0.2 would be taken as 3602879701896397/2^54, and reported on
+    assert VolkenbornJob(3, F(4), 2, 6, IntegrandSpec(0, 0)).q0 == 4
+    for q0 in (0.2, 4.0, True):
+        with pytest.raises(ValueError, match="q0 must be an int or a Fraction, got"):
+            VolkenbornJob(3, q0, 2, 6, IntegrandSpec(0, 0))
 
 
 def test_job_validation():

@@ -92,6 +92,13 @@ def test_evaluate():
     assert ZERO.evaluate(5) == 0
 
 
+def test_evaluate_refuses_a_float_or_bool():
+    # evaluation is exact, so 0.5 would give a float and True the value at 1
+    for x in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match="evaluation point must be an int or a Fraction"):
+            Poly([2, -2, 1]).evaluate(x)
+
+
 def test_divexact_and_divides():
     a = Poly([1, 2, 1])          # (1+q)^2
     b = Poly([1, 1])

@@ -28,6 +28,16 @@ def test_non_int_base_is_refused_at_the_entry():
             call()
 
 
+def test_bool_base_is_refused_at_the_entry():
+    # after the base 1 is cached: True == 1, but it is no base exponent
+    q_int_poly(3, 1)
+    power_sum_T(1, 1, 2, 1)
+    for call in (lambda: q_int_poly(3, True), lambda: q_int(3, True),
+                 lambda: power_sum_T(1, 1, 2, True)):
+        with pytest.raises(ValueError, match="positive int, got True"):
+            call()
+
+
 def test_q_int_limits():
     # [x]_q -> x as q -> 1
     for x in range(6):

@@ -102,6 +102,15 @@ def test_evaluate():
         rf_eval_rational(RatFunc(ONE, Poly([1, 1])), -1)
 
 
+def test_evaluate_refuses_a_float_or_bool():
+    # the point reaches Poly.evaluate, which refuses it
+    v = RatFunc(Poly([-1]), Poly([1, 1]))
+    for call in (lambda: v.evaluate(0.5), lambda: rf_eval_rational(v, 0.5),
+                 lambda: rf_eval_rational(v, True)):
+        with pytest.raises(ValueError, match="evaluation point must be an int or a Fraction"):
+            call()
+
+
 def test_arith_operators():
     a = RatFunc(Poly([1, 1]))
     b = RatFunc(Poly([0, 1]))
