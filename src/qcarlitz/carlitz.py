@@ -35,8 +35,8 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .polyq import ONE, Poly, check_rational
-from .qcore import (check_base, cyclotomic_sum, over_cyclotomic_packed, q_int_exponents,
-                    q_int_poly, q_power_minus_one_exponents)
+from .qcore import (check_base, check_index, cyclotomic_sum, over_cyclotomic_packed,
+                    q_int_exponents, q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -47,6 +47,7 @@ def _bernoulli_numbers(n: int) -> list[Fraction]:
     absorbs the constant), so B_m is pinned by the order-(m+1) instance;
     solving in that order yields B_1 = -1/2.
     """
+    check_index(n, "n")
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
     bs = [Fraction(1)]
@@ -81,6 +82,7 @@ def beta_number(n: int, d: int = 1) -> RatFunc:
     (1/(1-q^d)^n) * sum_l C(n,l) (-1)^l (l+1)/[l+1]_{q^d}.
 
     That is beta_{n,q} with q -> q^d, so only the base-q sum is reduced."""
+    check_index(n, "n")
     if n < 0:
         raise ValueError("index must be non-negative")
     check_base(d)
@@ -97,6 +99,7 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     the map of q^{d(n+1)} - 1 is added, and one trial-division pass gives
     the canonical beta_n.
     """
+    check_index(n_max, "n_max")
     if n_max < 0:
         raise ValueError("table size must be non-negative")
     check_base(d)
@@ -162,11 +165,13 @@ def _exponent(d: int, x: int | Fraction) -> int:
 
 def beta_poly(n: int, d: int, x: int | Fraction) -> RatFunc:
     """beta_{n,q^d}(x) with q^{d l x} realized as q^{l e}, e = dx."""
+    check_index(n, "n")
     return _beta_hk_monomial(n, 1, 1, d, _exponent(d, x))
 
 
 def beta_poly_expansion(n: int, d: int, x: int | Fraction) -> RatFunc:
     """sum_l C(n,l) q^{dlx} beta_{l,q^d} [x]_{q^d}^{n-l}; integer x only."""
+    check_index(n, "n")
     e = _exponent(d, x)
     if e % d:
         raise ValueError(f"argument {x} is not an integer")
@@ -181,6 +186,8 @@ def beta_poly_expansion(n: int, d: int, x: int | Fraction) -> RatFunc:
 
 def beta_h(n: int, h: int, d: int, x: int | Fraction) -> RatFunc:
     """Order-h q-Bernoulli polynomial in base q^d at x."""
+    check_index(n, "n")
+    check_index(h, "h")
     if h < 1:
         raise ValueError("q-falling denominator may vanish for h < 1")
     return _beta_hk_monomial(n, h, 1, d, _exponent(d, x))
@@ -188,6 +195,8 @@ def beta_h(n: int, h: int, d: int, x: int | Fraction) -> RatFunc:
 
 def beta_hk(n: int, h: int, k: int, d: int, x: int | Fraction) -> RatFunc:
     """(h,k) q-Bernoulli polynomial: weights (j+h)_k / [j+h]_{q^d,k}."""
+    for value, name in ((n, "n"), (h, "h"), (k, "k")):
+        check_index(value, name)
     if k < 1:
         raise ValueError("order k must be positive")
     if h < k:

@@ -11,9 +11,13 @@ at its own width, and returns the last join still packed.  The one
 cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
 a packed numerator by trial division with each Phi_d of the map
 (`packed_divide_out(value, bits, d, limit)`), with no gcd; a trial can
-pass spuriously, so the reducer certifies its result with one coefficient
-bound and at most one integer product.  The q-integers [x]_{q^d} here take
-integer x; the Carlitz families take rational arguments themselves.
+pass spuriously, so the reducer certifies f = g h for its quotient g and
+the product h of the factors taken, by a coefficient bound and, where the
+bound does not fit the width, one integer product with h expanded.  Each
+product of cyclotomic polynomials is expanded once per exponent map
+(`cyclotomic_product`), for the certificate's h and for the reduced
+denominator alike.  The q-integers [x]_{q^d} here take integer x; the
+Carlitz families take rational arguments themselves.
 """
 
 from __future__ import annotations
@@ -35,11 +39,19 @@ def check_base(d: int) -> None:
         raise ValueError(f"base exponent must be a positive int, got {d!r}")
 
 
+def check_index(value: int, name: str) -> None:
+    """Refuse a degree or index that is not an int, at the entry: a bool
+    would be computed on as 0 or 1, and a float fail deep inside."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 # bounded: the test suite in one process reaches 91 keys, qlaws 51; typed,
 # so a float or bool base equal to a cached int one still reaches check_base
 @lru_cache(maxsize=256, typed=True)
 def q_int_poly(x: int, d: int = 1) -> Poly:
     """[x]_{q^d} = 1 + q^d + ... + q^{d(x-1)} as a plain polynomial."""
+    check_index(x, "x")
     check_base(d)
     if x < 0:
         raise ValueError("q-integer argument must be non-negative")
@@ -98,8 +110,10 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
-# bounded: a Carlitz pass to n = 40 asks for 1717 (d, bits) pairs, one to
-# n = 60 for 4076
+# bounded: carlitz-cross to n = 40 asks for 1716 (d, bits) pairs, to n = 60
+# for 4074, the test suite in one process for 2694; the thm1 grid to n = 4
+# for 110 and the cross34 grid to n = 3 for 50, since the reducer's
+# certificate packs its expanded product instead of asking at its own widths
 @lru_cache(maxsize=4096)
 def cyclotomic_value(d: int, bits: int) -> int:
     """Phi_d(2^bits) as an exact integer, from the Moebius product
@@ -144,9 +158,19 @@ def _packed_product(exps: Mapping[int, int], bits: int) -> int:
 
 
 def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
-    """prod Phi_d^{e_d} over the exponent map {d: e_d}: one integer product
-    of the values at q = 2^w, w holding prod ||Phi_d||_1^{e_d}, which bounds
-    every coefficient of the product, unpacked once."""
+    """prod Phi_d^{e_d} over the exponent map {d: e_d}, expanded once per
+    map: the reducer asks for the same few maps at every point."""
+    return _expanded_product(tuple(sorted((d, e) for d, e in exps.items() if e)))
+
+
+# bounded: the test suite in one process reaches 495 maps, the thm1 grid to
+# n = 4 62, the cross34 grid to n = 3 46, carlitz-cross to n = 40 140
+@lru_cache(maxsize=1024)
+def _expanded_product(key: tuple[tuple[int, int], ...]) -> Poly:
+    # one integer product of the values at q = 2^w, w holding
+    # prod ||Phi_d||_1^{e_d}, which bounds every coefficient of the product,
+    # unpacked once
+    exps = dict(key)
     bits = balanced_bits(_norm_product(exps))
     return Poly.unpack(_packed_product(exps, bits), bits)
 
@@ -244,18 +268,26 @@ def over_cyclotomic_packed(value: int, bits: int,
     against the expanded denominator would give.
 
     Every step is an exact integer division, so the quotient, unpacked
-    once as g, satisfies g(2^bits) prod Phi_d(2^bits)^k_d = f(2^bits), but a
-    trial can pass spuriously and g can outgrow the width, so the result
-    is certified by one bound: w holds ||g||_inf prod ||Phi_d||_1^k_d, which
-    bounds every coefficient of g prod Phi_d^k_d, since
-    ||a b||_inf <= ||a||_inf ||b||_1.  If w <= bits, both sides of that
-    identity are balanced bits-wide digits of one integer; otherwise they
-    must agree at q = 2^w, where both fit.  Either way
-    f = g prod Phi_d^k_d as polynomials, so every value the trials saw is
-    the exact value at 2^bits of a polynomial that g divides, and every
-    failed trial proves that its Phi_d does not divide g: nothing left
-    needs a second trial.  If the product at 2^w disagrees, the same
-    reduction runs again at twice the width.
+    once as g, satisfies g(2^bits) h(2^bits) = f(2^bits) for the product
+    h = prod Phi_d^k_d of the factors taken, but a trial can pass
+    spuriously and g can outgrow the width, so the result is certified:
+    f = g h as polynomials.  That holds when a width w holding every
+    coefficient of g h is at most bits, since both sides are then balanced
+    bits-wide digits of one integer, or when the two sides agree at
+    q = 2^w, where both fit.  w holds ||g||_inf prod ||Phi_d||_1^k_d, as
+    ||a b||_inf <= ||a||_inf ||b||_1, and where that exceeds bits,
+    ||g||_inf ||h||_1 with h expanded (`cyclotomic_product`), which is far
+    smaller when h holds every divisor of some m: ||Phi_1 Phi_2 Phi_3 Phi_6||_1
+    = ||q^6 - 1||_1 = 2, the product of the four norms 36.  Once f = g h,
+    every value the trials saw is the exact value at 2^bits of a
+    polynomial that g divides, and every failed trial proves that its
+    Phi_d does not divide g: the factors left stand.
+
+    If g h and f disagree at 2^w, g outgrew the width or a trial passed
+    spuriously.  The width doubles, and f is divided once by h there: with
+    no remainder the quotient is the new g, certified as above, and no
+    trial runs again; a remainder shows that h does not divide f, and only
+    then do the trials run again, at the doubled width.
     """
     if not value:
         return RF_ZERO, Counter()
@@ -270,25 +302,35 @@ def over_cyclotomic_packed(value: int, bits: int,
             if k < exps[d]:
                 left[d] = exps[d] - k
         g = Poly.unpack(x, bits)
-        w = balanced_bits(max(map(abs, g._c)) * _norm_product(taken))
-        if w > bits:
-            f = Poly.unpack(value, bits)
-            if g.pack(w) * _packed_product(taken, w) != f.pack(w):
-                bits *= 2
-                value = f.pack(bits)
-                continue
-        return RatFunc._raw(g, cyclotomic_product(left)), left
+        if balanced_bits(max(map(abs, g._c)) * _norm_product(taken)) <= bits:
+            break
+        h = cyclotomic_product(taken)
+        f = Poly.unpack(value, bits)
+        while ((w := balanced_bits(max(map(abs, g._c)) * h.l1_norm())) > bits
+               and g.pack(w) * h.pack(w) != f.pack(w)):
+            bits *= 2
+            x, r = divmod(f.pack(bits), h.pack(bits))
+            if r:
+                break
+            g = Poly.unpack(x, bits)
+        else:
+            break  # certified
+        # a trial passed spuriously: the trials run again at the doubled width
+        value = f.pack(bits)
+    return RatFunc._raw(g, cyclotomic_product(left)), left
 
 
 def q_int(x: int, d: int = 1) -> RatFunc:
     return RatFunc._raw(q_int_poly(x, d), ONE)
 
 
-# bounded: the test suite in one process reaches 243 keys, lemma2 to n = 12
+# bounded: the test suite in one process reaches 244 keys, lemma2 to n = 12
 # 225; typed, as q_int_poly
 @lru_cache(maxsize=512, typed=True)
 def power_sum_T(n: int, m: int, w: int, d: int = 1) -> RatFunc:
     """T_{n,m}(w | q^d) = sum_{i=0..w} q^{dni} [i]_{q^d}^m, always a polynomial."""
+    for value, name in ((n, "n"), (m, "m"), (w, "w")):
+        check_index(value, name)
     check_base(d)
     if min(n, m, w) < 0:
         raise ValueError("power sum indices must be non-negative")

@@ -174,6 +174,51 @@ def test_bool_base_is_refused_by_the_numbers():
             call()
 
 
+def test_beta_number_refuses_a_bool_or_float_index():
+    # after beta_1 is cached: True == 1, but it is no index
+    beta_number(1)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            beta_number(n)
+
+
+def test_classical_bernoulli_refuses_a_bool_or_float_index():
+    assert bernoulli_classical(1) == Fraction(-1, 2)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            bernoulli_classical(n)
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            bernoulli_poly_classical(n, 1)
+
+
+def test_beta_poly_refuses_a_bool_or_float_degree():
+    beta_poly(1, 1, 1)
+    for n in (True, 2.0):
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            beta_poly(n, 1, 1)
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            beta_poly_expansion(n, 1, 1)
+        with pytest.raises(ValueError, match="n must be an int, got"):
+            beta_h(n, 1, 1, 1)
+
+
+def test_order_families_refuse_a_bool_order():
+    beta_hk(2, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="h must be an int, got True"):
+        beta_h(2, True, 1, 1)
+    with pytest.raises(ValueError, match="h must be an int, got True"):
+        beta_hk(2, True, 1, 1, 1)
+    with pytest.raises(ValueError, match="k must be an int, got True"):
+        beta_hk(2, 1, True, 1, 1)
+
+
+def test_recurrence_refuses_a_bool_or_float_table_size():
+    beta_number_recurrence(1)
+    for n_max in (True, 2.0):
+        with pytest.raises(ValueError, match="n_max must be an int, got"):
+            beta_number_recurrence(n_max)
+
+
 def test_fractional_argument_lands_in_q_of_q():
     # x = 3/2 in base q^2 enters as the monomial q^3; evaluating at a
     # rational point must match the defining sum computed with Fractions

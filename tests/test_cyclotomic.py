@@ -222,15 +222,47 @@ def test_packed_reduction_matches_generic_gcd(case):
     assert rebuilt == want.den
 
 
-def test_spurious_trial_step_is_caught_by_the_certificate():
+def test_spurious_trial_step_is_caught_by_the_certificate(monkeypatch):
     f = Poly([85, 85, 85])
     # 85 (1 + q + q^2) at q = 2^8 is 85 * 65793 = 255 * 21931: the trial passes
     x, k = packed_divide_out(f.pack(8), 8, 1, 1)
     assert (x, k) == (f.pack(8) // 255, 1)
+    # the certificate fails at 16 bits, and dividing 85 (1 + q + q^2) at
+    # q = 2^16 by 2^16 - 1 leaves 255: the trial was spurious, so the trials
+    # run again at 16 bits, where the one for Phi_1 fails
+    widths = []
+
+    def divide_out(value, bits, *args):
+        widths.append(bits)
+        return packed_divide_out(value, bits, *args)
+
+    monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
     value, left = over_cyclotomic_packed(f.pack(8), 8, {1: 1})
+    assert widths == [8, 16]
     want = RatFunc(f, phi_oracle(1))
     assert (value.num, value.den, left) == (want.num, want.den, {1: 1})
     assert want.den == Poly([-1, 1])
+
+
+def test_certificate_with_the_expanded_product_compares_nothing(monkeypatch):
+    # g (q^6 - 1) at 8 bits: ||g||_inf prod ||Phi_d||_1 = 50 * 2 * 2 * 3 * 3
+    # needs 16 bits, but ||g||_inf ||q^6 - 1||_1 = 100 fits 8, so the
+    # certificate holds with no product at a wider width
+    g = Poly([50, 3])
+    f = g * (Poly.q_power(6) - ONE)
+    assert least_width(f) == 8
+    value = f.pack(8)
+    packs = []
+    pack = Poly.pack
+
+    def observed(self, bits):
+        packs.append(bits)
+        return pack(self, bits)
+
+    monkeypatch.setattr(Poly, "pack", observed)
+    value, left = over_cyclotomic_packed(value, 8, {1: 1, 2: 1, 3: 1, 6: 1})
+    assert packs == []
+    assert (value.num, value.den, left) == (g, ONE, {})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

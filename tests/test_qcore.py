@@ -38,6 +38,24 @@ def test_bool_base_is_refused_at_the_entry():
             call()
 
 
+def test_q_int_refuses_a_bool_or_float_argument():
+    # after [1] is cached: q_int_poly is typed, so True reaches the check
+    q_int(1)
+    for x in (True, 3.0):
+        with pytest.raises(ValueError, match="x must be an int, got"):
+            q_int(x)
+        with pytest.raises(ValueError, match="x must be an int, got"):
+            q_int_poly(x)
+
+
+def test_power_sum_refuses_a_bool_or_float_index():
+    power_sum_T(1, 1, 2)
+    for args, name in [((True, 1, 2), "n"), ((1, True, 2), "m"), ((1, 1, True), "w"),
+                       ((1.0, 1, 2), "n")]:
+        with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+            power_sum_T(*args)
+
+
 def test_q_int_limits():
     # [x]_q -> x as q -> 1
     for x in range(6):
