@@ -104,8 +104,9 @@ the integer, and unpacked once: the library's one cyclotomic reducer
 (`qcore.over_cyclotomic_packed`), called at the checkers' own width B.
 The reduced numerator can need more bits than the unreduced one, so the
 result is certified rather than proved to fit.  A failed certificate
-divides the numerator at twice the width once by the factors the trials
-took; the trials run again only when that division leaves a remainder.
+divides the numerator once, at a wider width, by the product of the
+factors the trials took; the trials run again only when that division
+leaves a remainder.
 """
 
 from __future__ import annotations

@@ -284,10 +284,10 @@ def over_cyclotomic_packed(value: int, bits: int,
     Phi_d does not divide g: the factors left stand.
 
     If g h and f disagree at 2^w, g outgrew the width or a trial passed
-    spuriously.  The width doubles, and f is divided once by h there: with
-    no remainder the quotient is the new g, certified as above, and no
-    trial runs again; a remainder shows that h does not divide f, and only
-    then do the trials run again, at the doubled width.
+    spuriously, and `_certified_quotient` divides f once by h at a wider
+    width: with no remainder the quotient is the new g, certified as above,
+    and no trial runs again; a remainder shows that h does not divide f,
+    and only then do the trials run again, at that width.
     """
     if not value:
         return RF_ZERO, Counter()
@@ -304,20 +304,31 @@ def over_cyclotomic_packed(value: int, bits: int,
         g = Poly.unpack(x, bits)
         if balanced_bits(max(map(abs, g._c)) * _norm_product(taken)) <= bits:
             break
-        h = cyclotomic_product(taken)
         f = Poly.unpack(value, bits)
-        while ((w := balanced_bits(max(map(abs, g._c)) * h.l1_norm())) > bits
-               and g.pack(w) * h.pack(w) != f.pack(w)):
-            bits *= 2
-            x, r = divmod(f.pack(bits), h.pack(bits))
-            if r:
-                break
-            g = Poly.unpack(x, bits)
-        else:
-            break  # certified
-        # a trial passed spuriously: the trials run again at the doubled width
+        g, bits = _certified_quotient(f, g, cyclotomic_product(taken), bits)
+        if g is not None:
+            break
+        # a trial passed spuriously: the trials run again at the wider width
         value = f.pack(bits)
     return RatFunc._raw(g, cyclotomic_product(left)), left
+
+
+def _certified_quotient(f: Poly, g: Poly, h: Poly, bits: int) -> tuple[Poly | None, int]:
+    """(g, bits) with f = g h as polynomials, given g(2^bits) h(2^bits) =
+    f(2^bits) and g nonzero, certified as in `over_cyclotomic_packed` with
+    w from ||g||_inf ||h||_1; or (None, bits) once a remainder shows that h
+    does not divide f.  Each division runs at max(2 bits, w): w holds
+    ||h||_inf, so h packs there, and the width at least doubles, so in the
+    end a quotient of f fits it or a remainder shows."""
+    while True:
+        w = balanced_bits(max(map(abs, g._c)) * h.l1_norm())
+        if w <= bits or g.pack(w) * h.pack(w) == f.pack(w):
+            return g, bits
+        bits = max(2 * bits, w)
+        x, r = divmod(f.pack(bits), h.pack(bits))
+        if r:
+            return None, bits
+        g = Poly.unpack(x, bits)
 
 
 def q_int(x: int, d: int = 1) -> RatFunc:

@@ -244,6 +244,27 @@ def test_spurious_trial_step_is_caught_by_the_certificate(monkeypatch):
     assert want.den == Poly([-1, 1])
 
 
+def test_certificate_divides_at_a_width_that_holds_the_product(monkeypatch):
+    # 255^20 at 8 bits passes twenty Phi_1 trials, spuriously: f has 8-bit
+    # digits, and h = (q - 1)^20 has the coefficient C(20, 10) = 184756, which
+    # 16 bits do not hold.  The quotient 1 fails the certificate, f is
+    # divided by h at 24 bits, the width that holds ||g||_inf ||h||_1 = 2^20,
+    # not at twice 8, and the remainder there makes the trials run again
+    value = 255 ** 20
+    f = Poly.unpack(value, 8)
+    widths = []
+
+    def divide_out(value, bits, *args):
+        widths.append(bits)
+        return packed_divide_out(value, bits, *args)
+
+    monkeypatch.setattr(qcore, "packed_divide_out", divide_out)
+    reduced, left = over_cyclotomic_packed(value, 8, {1: 20})
+    assert widths == [8, 24]
+    want = RatFunc(f, phi_oracle(1) ** 20)
+    assert (reduced.num, reduced.den, left) == (want.num, want.den, {1: 20})
+
+
 def test_certificate_with_the_expanded_product_compares_nothing(monkeypatch):
     # g (q^6 - 1) at 8 bits: ||g||_inf prod ||Phi_d||_1 = 50 * 2 * 2 * 3 * 3
     # needs 16 bits, but ||g||_inf ||q^6 - 1||_1 = 100 fits 8, so the
