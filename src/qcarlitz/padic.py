@@ -8,14 +8,17 @@ pure modular arithmetic; since [p^N]_q has valuation exactly N when
 q = 1 (mod p) and p is odd, the quotient is certified to K - kN digits for
 working precision K.
 
-No sum walks its p^N points.  A block [0, L) is kept as the moments
-A_j(L) = sum_{y<L} w^y [y]_q^j (j <= n) with w^L, q^L and [L]_q; by
-[L1 + z] = [L1] + q^{L1} [z] two blocks join in O(n^2) products, so [0, p^N)
-is doubled up from the binary digits of p^N in O(n^2 log p^N) products mod
-p^K with no division: the residue of the literal sum.  A k-fold sum of
-prod_l W_l^{y_l} [X + y_1 + .. + y_k]^n peels off y_k the same way:
-    G(W_1..W_k; n) = sum_i C(n,i) A_i(W_k) q^{X i} G(W_1 q^i, .., W_{k-1} q^i; n-i)
-and G(; n) = [X]^n.
+No sum walks its p^N points: each is a geometric sum in closed form.  A
+block [0, L) is kept as the moments A_j(L) = sum_{y<L} w^y [y]_q^j (j <= n).
+With q represented by an integer r != 1 and d = r - 1, [y]_q = (r^y - 1)/d,
+so d^j A_j = sum_i C(j,i) (-1)^{j-i} G(w r^i), where
+G(u) = sum_{y<L} u^y = (u^L - 1)/(u - 1).  The n + 1 values of G, one
+modular power each, give every moment; taken mod p^K d^n, the divisions by
+u - 1 and by d^j are exact, and A_j is the residue of the literal sum.  A
+k-fold sum of prod_l W_l^{y_l} [X + y_1 + .. + y_k]^n peels off y_k by
+[X + z] = [X] + q^X [z]:
+    P(W_1..W_k; n) = sum_i C(n,i) A_i(W_k) q^{X i} P(W_1 q^i, .., W_{k-1} q^i; n-i)
+and P(; n) = [X]^n.
 
 Two precision notions must not be conflated.  The certified precision
 above is an arithmetic guarantee about the finite-level value itself.
@@ -41,11 +44,13 @@ from math import comb, log10
 from .carlitz import beta_hk
 from .identities import IdentityReport
 from .polyq import check_rational
+from .qcore import check_index
 from .ratfunc import rf_eval_rational
 
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
-# Volkenborn request may name.  No sum walks its range, so this caps request
-# size as an API contract, not loop time; larger requests are refused.
+# Volkenborn request may name.  No sum walks its range: a level sum costs
+# modular powers of exponent p^N, so this caps request size as an API
+# contract, not loop time; larger requests are refused.
 STEP_BUDGET = 10**7
 
 
@@ -55,6 +60,8 @@ def check_step_budget(p: int, levels: int) -> None:
     p < 2 is refused first: the powers of 0 and 1 never pass the budget, so
     the loop below would run all levels.
     """
+    check_index(p, "p")
+    check_index(levels, "levels")
     if p < 2:
         raise ValueError(f"summation base p must be at least 2, got {p}")
     if levels >= 1 and p > STEP_BUDGET:
@@ -134,6 +141,8 @@ class PadicInt:
     residue: int
 
     def __post_init__(self) -> None:
+        for value, name in ((self.p, "p"), (self.K, "K"), (self.residue, "residue")):
+            check_index(value, name)
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.K < 1:
@@ -237,6 +246,8 @@ class IntegrandSpec:
     s: int = 0
 
     def __post_init__(self) -> None:
+        for value, name in ((self.c, "c"), (self.m, "m"), (self.s, "s")):
+            check_index(value, name)
         if self.c < 0 or self.m < 0 or self.s < 0:
             raise ValueError("integrand exponents must be non-negative")
 
@@ -252,6 +263,8 @@ class VolkenbornJob:
     f: IntegrandSpec
 
     def __post_init__(self) -> None:
+        for value, name in ((self.p, "p"), (self.N, "N"), (self.K, "K")):
+            check_index(value, name)
         if self.p < 3 or self.p % 2 == 0:
             raise ValueError("p must be an odd prime")
         if self.N < 1:
@@ -287,33 +300,37 @@ def _rat_mod(x: Fraction, p: int, K: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
-def _concat(a: tuple, b: tuple, m: int) -> tuple:
-    """The blocks [0, L1) and [0, L2) joined into [0, L1 + L2), mod m:
-    A_j(L1 + L2) = A_j(L1) + w^{L1} sum_i C(j,i) [L1]^{j-i} q^{L1 i} A_i(L2)."""
-    A1, w1, q1, b1 = a
-    A2, w2, q2, b2 = b
-    bp = [pow(b1, i, m) for i in range(len(A1))]
-    qa = [pow(q1, i, m) * A2[i] % m for i in range(len(A1))]
-    A = [(A1[j] + w1 * sum(comb(j, i) * bp[j - i] * qa[i] for i in range(j + 1))) % m
-         for j in range(len(A1))]
-    return A, w1 * w2 % m, q1 * q2 % m, (b1 + q1 * b2) % m
+def _geometric(u: int, L: int, M: int) -> int:
+    """sum_{y<L} u^y mod M, as (u^L - 1) / (u - 1) with u^L taken mod
+    M (u - 1), so that the division is exact."""
+    u %= M
+    if u == 1:
+        return L % M
+    if u == 0:
+        return min(L, 1)
+    return (pow(u, L, M * (u - 1)) - 1) // (u - 1) % M
 
 
-def _block(r: int, w: int, n: int, L: int, m: int) -> tuple:
-    """(A, w^L, q^L, [L]_q) for [0, L) at q = r, A_j = sum_{y<L} w^y [y]_q^j
-    for j <= n, doubled up from the binary digits of L.  A one digit appends
-    the single point: A_j += w^L [L]^j, O(n) products instead of a join."""
-    acc = ([0] * (n + 1), 1, 1, 0)
-    for bit in bin(L)[2:]:
-        acc = _concat(acc, acc, m)
-        if bit == "1":
-            A, wL, qL, bL = acc
-            term = wL
-            for j in range(n + 1):
-                A[j] = (A[j] + term) % m
-                term = term * bL % m
-            acc = (A, wL * w % m, qL * r % m, (bL + qL) % m)
-    return acc
+def _block(r: int, w: int, n: int, L: int, m: int) -> list[int]:
+    """The moments A_j = sum_{y<L} w^y [y]_q^j mod m at q = r, for j <= n.
+
+    With r' = r (mod m) taken in [2, m + 1], so that d = r' - 1 is not 0,
+    and G(u) = sum_{y<L} u^y,
+        d^j A_j = sum_i C(j,i) (-1)^{j-i} G(w r'^i),
+    so n + 1 geometric sums taken mod m d^n give every moment, each by an
+    exact division by d^j."""
+    r %= m
+    if r < 2:
+        r += m
+    d = r - 1
+    M = m * d ** n
+    G = [_geometric(w * pow(r, i, M), L, M) for i in range(n + 1)]
+    A = []
+    for j in range(n + 1):
+        dj = d ** j
+        S = sum(comb(j, i) * (-1) ** (j - i) * G[i] for i in range(j + 1))
+        A.append(S % (m * dj) // dj)
+    return A
 
 
 def _scaled_level(p: int, q0: Fraction, N: int, K: int, exps: tuple[int, ...],
@@ -322,18 +339,18 @@ def _scaled_level(p: int, q0: Fraction, N: int, K: int, exps: tuple[int, ...],
     [X + y_1 + .. + y_k]_q^n, k = len(exps), y certified to K - kN digits."""
     k, m, M = len(exps), p ** K, p ** N
     r = _rat_mod(q0, p, K)
-    _, _, qX, bX = _block(r, 1, 0, X, m)
+    qX, bX = pow(r, X, m), _geometric(r, X, m)
 
     def peel(ws: tuple[int, ...], j: int) -> int:
         if not ws:
             return pow(bX, j, m)
-        A = _block(r, ws[-1], j, M, m)[0]
+        A = _block(r, ws[-1], j, M, m)
         return sum(comb(j, i) * A[i] * pow(qX, i, m)
                    * peel(tuple(w * pow(r, i, m) % m for w in ws[:-1]), j - i)
                    for i in range(j + 1)) % m
 
     total = peel(tuple(pow(r, a, m) for a in exps), n)
-    bN = _block(r, 1, 0, M, m)[3]
+    bN = _geometric(r, M, m)
     if _int_val(bN, p) != N:
         raise ValueError("denominator [p^N]_q does not have valuation N")
     unit = (bN // M) ** k
@@ -415,6 +432,7 @@ def verify_eq3(job: VolkenbornJob, n_shift: int) -> IdentityReport:
     so agreement is checked at the convergence window min(K-N, N+e) and the
     observed discrepancy valuation is reported.
     """
+    check_index(n_shift, "shift")
     if n_shift < 1:
         raise ValueError("shift must be positive")
     if job.f.c or job.f.s:

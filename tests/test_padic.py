@@ -1,11 +1,11 @@
 """Fraction and modular-loop oracles for the p-adic engine.
 
 The engine computes everything with modular arithmetic at fixed precision,
-doubling its level sums up over [0, p^N) instead of walking them.  The
-checks here recompute the target through exact Fractions (full-size
-rationals, no truncation) or through literal modular loops that visit
-every point, and compare residues afterwards, so the routes share no code
-beyond the integrand definition.
+taking its level sums over [0, p^N) as geometric series instead of walking
+them.  The checks here recompute the target through exact Fractions
+(full-size rationals, no truncation) or through literal modular loops that
+visit every point, and compare residues afterwards, so the routes share no
+code beyond the integrand definition.
 """
 
 import operator
@@ -86,6 +86,13 @@ def test_padicint_basics():
         PadicInt(3, 0, 1)
     with pytest.raises(ValueError):
         PadicInt(3, 2, 1).reduce(3)
+
+
+def test_padicint_refuses_a_bool_or_float():
+    for args, name in (((3, 2, 1.5), "residue"), ((3, True, 1), "K"),
+                       ((3.0, 2, 1), "p"), ((3, 2.0, 1), "K")):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+            PadicInt(*args)
 
 
 def _trial_division_is_prime(p):
@@ -221,6 +228,20 @@ def test_job_refuses_a_float_q0():
             VolkenbornJob(3, q0, 2, 6, IntegrandSpec(0, 0))
 
 
+def test_job_refuses_a_bool_or_float_p_level_or_precision():
+    for args, name in (((3.0, 4, 2, 5), "p"), ((3, 4, True, 5), "N"),
+                       ((3, 4, 2.0, 5), "N"), ((3, 4, 2, 5.0), "K"),
+                       ((3, 4, 2, True), "K")):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+            VolkenbornJob(*args, IntegrandSpec(0, 0))
+
+
+def test_integrand_refuses_a_bool_or_float_exponent():
+    for args, name in (((0.5, 1), "c"), ((0, True), "m"), ((0, 1, 1.0), "s")):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+            IntegrandSpec(*args)
+
+
 def test_job_validation():
     with pytest.raises(ValueError):
         VolkenbornJob(2, 3, 2, 8, IntegrandSpec(0, 1))
@@ -328,6 +349,13 @@ def test_eq3_guards():
         verify_eq3(VolkenbornJob(3, 4, 3, 10, IntegrandSpec(0, 1)), 0)
 
 
+def test_eq3_refuses_a_bool_or_float_shift():
+    job = VolkenbornJob(3, 4, 3, 10, IntegrandSpec(0, 1))
+    for shift in (True, 2.0):
+        with pytest.raises(ValueError, match=f"shift must be an int, got {shift}"):
+            verify_eq3(job, shift)
+
+
 def test_eq2_qexp():
     for q0v, N, K in [(4, 2, 8), (4, 3, 10), (7, 2, 8), (10, 3, 10)]:
         r = verify_eq2_qexp(VolkenbornJob(3, q0v, N, K, IntegrandSpec(0, 0)))
@@ -432,6 +460,13 @@ def test_runaway_summation_is_refused_up_front():
     assert time.monotonic() - t0 < 1
 
 
+def test_step_budget_refuses_a_bool_or_float():
+    for args, name in (((3, 2.5), "levels"), ((3, True), "levels"),
+                       ((True, 3), "p"), ((3.0, 2), "p")):
+        with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+            check_step_budget(*args)
+
+
 def test_unprintable_precision_is_refused_up_front(monkeypatch):
     # the default limit: 3^9000 - 1 has 4295 digits, 3^9100 - 1 has 4342
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
@@ -523,6 +558,38 @@ def loop_double(p, q0, N, K, n, h, x):
         for y2 in range(p ** N):
             total += pow(r, h * y1 + (h - 1) * y2, m) * pow(brackets[y1 + y2], n, m)
     return loop_scaled(p, q0, N, K, total % m, 2)
+
+
+def loop_moments(r, w, n, L, m):
+    """sum_{y<L} w^y [y]_r^j mod m for j <= n, one y at a time."""
+    A, wy, b = [0] * (n + 1), 1, 0
+    for _ in range(L):
+        for j in range(n + 1):
+            A[j] = (A[j] + wy * pow(b, j, m)) % m
+        wy = wy * w % m
+        b = (b * r + 1) % m
+    return A
+
+
+def test_moments_against_modular_loop():
+    rng = Random(47)
+    cases = []
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 11))
+        K = rng.randint(1, 8)
+        m = p ** K
+        r = rng.choice((1, 1 + p * rng.randrange(m), 1 + p * p * rng.randrange(m),
+                        rng.randrange(m))) % m
+        w = rng.choice((0, 1, rng.randrange(m), pow(r, rng.randint(0, 6), m)))
+        cases.append((r, w, rng.randint(0, 7), rng.choice((0, 1, rng.randint(2, 80))), m))
+    # q0 = 1 (mod p^K), q0 = 1 (mod p^2) but not p^3, w = 0 and w = 1, L = 0
+    # and L = 1, and n >= 4 at a level of a job
+    cases += [(1, 1, 5, 27, 3 ** 4), (1, 4, 4, 25, 5 ** 3), (1 + 3 ** 6, 1, 6, 81, 3 ** 6),
+              (10, 10, 5, 81, 3 ** 7), (10, 1, 4, 0, 3 ** 7), (10, 1, 4, 1, 3 ** 7),
+              (26, 0, 4, 30, 5 ** 4), (26, 0, 4, 1, 5 ** 4), (4, 1, 6, 243, 3 ** 9),
+              (6, 6, 8, 125, 5 ** 5), (1 + 7 ** 2, 1, 9, 49, 7 ** 4)]
+    for r, w, n, L, m in cases:
+        assert padic._block(r, w, n, L, m) == loop_moments(r, w, n, L, m), (r, w, n, L, m)
 
 
 def q0_grid(p, K):
