@@ -11,12 +11,13 @@ Every denominator in the closed forms and in the recurrence is a product
 of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
-over the lcm of the maps (`qcore.cyclotomic_sum`: each join of two halves
-is one integer expression at q = 2^w, w bounding the joined coefficients)
-and reduced once by trial division with the Phi_m: the packed sum goes
-straight to `qcore.over_cyclotomic_packed`, the identity checkers'
-reducer, at the width of its last join.  The two routes share only these
-two calls; neither calls the other's sum.
+over the lcm of the maps (`qcore.cyclotomic_sum`: one left fold over the
+running lcm at q = 2^w, w bounding the sum's coefficients) and reduced
+once by trial division with the Phi_m: the packed sum goes straight to
+`qcore.over_cyclotomic_packed`, the identity checkers' reducer, at the
+width of the fold, which adds about one Phi_m per recurrence term, since
+each denominator there nearly always divides the next.  The two routes
+share only these two calls; neither calls the other's sum.
 
 The closed form in base q^d at z = q^e uses only powers of q^g, with
 g = gcd(d, e), so it is computed once in base q^{d/g} at q^{e/g} and
@@ -117,8 +118,8 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     return BetaTable(base_exponent=d, values=tuple(values))
 
 
-# bounded: the test suite in one process reaches 282 keys, a carlitz-cross
-# pass to n = 60 183
+# bounded: the test suite in one process ends at 343 keys, a carlitz-cross
+# pass to n = 60 at 183 (currsize after the run; the keys hold no width)
 @lru_cache(maxsize=512)
 def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
     """Shared closed-form core: the argument enters only through z = q^e.

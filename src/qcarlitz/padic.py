@@ -311,20 +311,28 @@ def _geometric(u: int, L: int, M: int) -> int:
     return (pow(u, L, M * (u - 1)) - 1) // (u - 1) % M
 
 
-def _block(r: int, w: int, n: int, L: int, m: int) -> list[int]:
+def _block(r: int, w: int, n: int, L: int, m: int, top: int = 0,
+           sums: dict[int, int] | None = None) -> list[int]:
     """The moments A_j = sum_{y<L} w^y [y]_q^j mod m at q = r, for j <= n.
 
     With r' = r (mod m) taken in [2, m + 1], so that d = r' - 1 is not 0,
     and G(u) = sum_{y<L} u^y,
         d^j A_j = sum_i C(j,i) (-1)^{j-i} G(w r'^i),
     so n + 1 geometric sums taken mod m d^n give every moment, each by an
-    exact division by d^j."""
+    exact division by d^j.  A nonzero top = m d^t, t >= n, takes them mod
+    top instead, kept in sums by base for the blocks of one level to share."""
     r %= m
     if r < 2:
         r += m
     d = r - 1
-    M = m * d ** n
-    G = [_geometric(w * pow(r, i, M), L, M) for i in range(n + 1)]
+    M = top or m * d ** n
+    sums = {} if sums is None else sums
+    G = []
+    for i in range(n + 1):
+        u = w * pow(r, i, M) % M
+        if u not in sums:
+            sums[u] = _geometric(u, L, M)
+        G.append(sums[u])
     A = []
     for j in range(n + 1):
         dj = d ** j
@@ -336,20 +344,26 @@ def _block(r: int, w: int, n: int, L: int, m: int) -> list[int]:
 def _scaled_level(p: int, q0: Fraction, N: int, K: int, exps: tuple[int, ...],
                   n: int, X: int) -> tuple[int, PadicInt]:
     """(e, y) with y / p^e = [p^N]_q^{-k} sum_{y_l < p^N} prod_l q^{exps_l y_l}
-    [X + y_1 + .. + y_k]_q^n, k = len(exps), y certified to K - kN digits."""
+    [X + y_1 + .. + y_k]_q^n, k = len(exps), y certified to K - kN digits.
+
+    The blocks' bases w r^s repeat (at k = 2 they depend on i + l alone):
+    the weights are lifted mod top = m d^n, and the blocks share one dict."""
     k, m, M = len(exps), p ** K, p ** N
     r = _rat_mod(q0, p, K)
+    r += m if r < 2 else 0
+    top = m * (r - 1) ** n
     qX, bX = pow(r, X, m), _geometric(r, X, m)
+    sums: dict[int, int] = {}
 
     def peel(ws: tuple[int, ...], j: int) -> int:
         if not ws:
             return pow(bX, j, m)
-        A = _block(r, ws[-1], j, M, m)
+        A = _block(r, ws[-1], j, M, m, top, sums)
         return sum(comb(j, i) * A[i] * pow(qX, i, m)
-                   * peel(tuple(w * pow(r, i, m) % m for w in ws[:-1]), j - i)
+                   * peel(tuple(w * pow(r, i, top) % top for w in ws[:-1]), j - i)
                    for i in range(j + 1)) % m
 
-    total = peel(tuple(pow(r, a, m) for a in exps), n)
+    total = peel(tuple(pow(r, a, top) for a in exps), n)
     bN = _geometric(r, M, m)
     if _int_val(bN, p) != N:
         raise ValueError("denominator [p^N]_q does not have valuation N")

@@ -6,8 +6,9 @@ carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}, and all of its arithmetic runs on packed integers, values
 at q = 2^B.  `cyclotomic_value` gives Phi_d(2^B) exactly from the Moebius
 product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
-takes sums over the lcm of the maps, each join one integer product-sum
-at its own width, and returns the last join still packed.  The one
+takes sums over the lcm of the maps as one left fold over the running
+lcm, at one width read off the terms' L1 norms, each term packed once,
+and returns the sum still packed.  The one
 cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
 a packed numerator by trial division with each Phi_d of the map
 (`packed_divide_out(value, bits, d, limit)`), with no gcd; a trial can
@@ -110,9 +111,9 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
-# bounded: carlitz-cross to n = 40 asks for 1716 (d, bits) pairs, to n = 60
-# for 4074, the test suite in one process for 2694; the thm1 grid to n = 4
-# for 110 and the cross34 grid to n = 3 for 50, since the reducer's
+# bounded: distinct (d, bits) pairs, counted through a wrapper: carlitz-cross
+# to n = 40 1494, to n = 60 3647, the test suite in one process 2529, the
+# thm1 grid to n = 4 110 and the cross34 grid to n = 3 50, since the reducer's
 # certificate packs its expanded product instead of asking at its own widths
 @lru_cache(maxsize=4096)
 def cyclotomic_value(d: int, bits: int) -> int:
@@ -163,8 +164,8 @@ def cyclotomic_product(exps: Mapping[int, int]) -> Poly:
     return _expanded_product(tuple(sorted((d, e) for d, e in exps.items() if e)))
 
 
-# bounded: the test suite in one process reaches 495 maps, the thm1 grid to
-# n = 4 62, the cross34 grid to n = 3 46, carlitz-cross to n = 40 140
+# bounded: the test suite in one process reaches 485 maps, the thm1 grid to
+# n = 4 62, the cross34 grid to n = 3 46, carlitz-cross to n = 40 130
 @lru_cache(maxsize=1024)
 def _expanded_product(key: tuple[tuple[int, int], ...]) -> Poly:
     # one integer product of the values at q = 2^w, w holding
@@ -181,51 +182,29 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int
     reduced: (value, bits, lcm) with value the numerator packed at
     q = 2^bits, the triple `over_cyclotomic_packed` takes.
 
-    The two halves are summed first and then joined over the lcm of their
-    maps, so a Phi_d is multiplied into about log(len(terms)) cofactors,
-    not into one per term.  A join takes its halves unpacked and is one
-    integer expression at q = 2^w,
-    left(2^w) prod Phi_d(2^w)^{c_d} + right(2^w) prod Phi_d(2^w)^{c'_d} with
-    c and c' the cofactor maps.  Each join takes its own w, holding
-    ||left||_1 prod ||Phi_d||_1^{c_d} + ||right||_1 prod ||Phi_d||_1^{c'_d}:
-    that bounds every coefficient of the joined numerator, so its digits
-    are exact and nothing needs certifying; a single term packs at the
-    width of its own L1 norm, and no terms sum to (0, 8, Counter()).
-    Products and sums only: no division, no gcd.
+    One left fold over the running lcm: a term's map adds `grow` to the lcm
+    of the maps before it and lacks `cof` of it, so the sum so far takes
+    prod Phi_d^{grow_d} and the term's num prod Phi_d^{cof_d}.  The width w
+    comes first, from bound <- bound prod ||Phi_d||_1^{grow_d}
+    + ||num||_1 prod ||Phi_d||_1^{cof_d}, an L1 bound of every partial sum:
+    the digits are exact and nothing needs certifying.  Then each num is
+    packed once at q = 2^w, nothing unpacked; no terms sum to
+    (0, 8, Counter()).  No division, no gcd.
     """
-    if not terms:
-        return 0, 8, Counter()
-    if len(terms) == 1:
-        num, exps = terms[0]
-        bits = balanced_bits(num.l1_norm())
-        return num.pack(bits), bits, exps
-    mid = len(terms) // 2
-    left, left_exps = _unpacked_sum(terms[:mid])
-    right, right_exps = _unpacked_sum(terms[mid:])
-    # lcm = left | right, left_cof = lcm - left, right_cof = lcm - right,
-    # in one pass over the right map
-    lcm = Counter(left_exps)
-    left_cof: dict[int, int] = {}
-    right_cof = dict(left_exps)
-    for d, e in right_exps.items():
-        a = right_cof.pop(d, 0)
-        if e > a:
-            lcm[d] = e
-            left_cof[d] = e - a
-        elif e < a:
-            right_cof[d] = a - e
-    bits = balanced_bits(left.l1_norm() * _norm_product(left_cof)
-                         + right.l1_norm() * _norm_product(right_cof))
-    return (left.pack(bits) * _packed_product(left_cof, bits)
-            + right.pack(bits) * _packed_product(right_cof, bits)), bits, lcm
-
-
-def _unpacked_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[Poly, Counter[int]]:
-    # a half of a join as a Poly: a single term as it is, not packed and read back
-    if len(terms) == 1:
-        return terms[0]
-    value, bits, exps = cyclotomic_sum(terms)
-    return Poly.unpack(value, bits), exps
+    lcm, steps, bound = Counter(), [], 0
+    for num, exps in terms:
+        grow = {d: e - lcm[d] for d, e in exps.items() if e > lcm[d]}
+        cof = {d: e - exps.get(d, 0) for d, e in lcm.items() if e > exps.get(d, 0)}
+        lcm.update(grow)
+        bound = bound * _norm_product(grow) + num.l1_norm() * _norm_product(cof)
+        steps.append((num, grow, cof))
+    bits = balanced_bits(bound)
+    value = 0
+    for num, grow, cof in steps:
+        if value:
+            value *= _packed_product(grow, bits)
+        value += num.pack(bits) * _packed_product(cof, bits)
+    return value, bits, lcm
 
 
 def _mod_mersenne(x: int, s: int) -> int:

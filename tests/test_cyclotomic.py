@@ -310,9 +310,9 @@ def terms_over_cyclotomic_maps(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(terms_over_cyclotomic_maps())
-# both numerators have norm 1, but the left cofactor (q + 1)^12 has norm
-# 2^12: the join is packed at 16 bits, and 1 + (q + 1)^12 has a coefficient
-# 924 that 8 bits do not hold
+# both numerators have norm 1, but the second term's map multiplies the
+# first by (q + 1)^12, of norm 2^12: the sum is packed at 16 bits, and
+# 1 + (q + 1)^12 has a coefficient 924 that 8 bits do not hold
 @example([(ONE, {}), (ONE, {2: 12})])
 # a zero numerator adds nothing, but its map still enters the lcm
 @example([(ZERO, {3: 1}), (Poly([7]), {})])
@@ -335,21 +335,24 @@ def test_cyclotomic_sum_matches_generic_sum(terms):
 
 
 def reference_sum(terms):
-    """cyclotomic_sum's halving join, its maps combined by Counter | and -
-    and its cofactors built from phi_oracle."""
-    if len(terms) == 1:
-        num, exps = terms[0]
-        bits = balanced_bits(num.l1_norm())
-        return num.pack(bits), bits, exps
-    mid = len(terms) // 2
-    halves = [reference_sum(terms[:mid]), reference_sum(terms[mid:])]
-    lcm = halves[0][2] | halves[1][2]
-    nums = [(Poly.unpack(value, bits), lcm - exps) for value, bits, exps in halves]
-    norm = sum(num.l1_norm() * prod(phi_oracle(d).l1_norm() ** e for d, e in cof.items())
-               for num, cof in nums)
-    bits = balanced_bits(norm)
-    value = sum(num.pack(bits) * prod(phi_oracle(d).pack(bits) ** e for d, e in cof.items())
-                for num, cof in nums)
+    """cyclotomic_sum's left fold over the running lcm, its maps combined by
+    Counter | and - and its cofactors built from phi_oracle."""
+    def norm(exps):
+        return prod(phi_oracle(d).l1_norm() ** e for d, e in exps.items())
+
+    def packed(exps, bits):
+        return prod(phi_oracle(d).pack(bits) ** e for d, e in exps.items())
+
+    lcm, steps, bound = Counter(), [], 0
+    for num, exps in terms:
+        grow, cof = (lcm | exps) - lcm, lcm - exps
+        lcm |= exps
+        bound = bound * norm(grow) + num.l1_norm() * norm(cof)
+        steps.append((num, grow, cof))
+    bits = balanced_bits(bound)
+    value = 0
+    for num, grow, cof in steps:
+        value = value * packed(grow, bits) + num.pack(bits) * packed(cof, bits)
     return value, bits, lcm
 
 
@@ -359,6 +362,10 @@ def reference_sum(terms):
     [{1: 1, 2: 1}, {1: 3, 2: 2, 5: 1}],                # nested
     [{1: 2, 3: 1}, {1: 1, 3: 2, 4: 1}, {2: 1}],        # overlapping
     [{1: 3}, {}, {2: 1, 1: 1}, {6: 1, 3: 2}, {1: 2, 6: 2}],
+    # a nested chain, shaped like the recurrence's maps at d = 1
+    [{d: 1 for d in range(2, k + 2)} for k in range(1, 8)],
+    # the closed form's maps, [j + 1]_q for j <= 8
+    [q_int_exponents(j + 1) for j in range(9)],
 ])
 def test_cyclotomic_sum_joins_maps_like_counter_union(maps):
     terms = [(Poly([i + 1, -2, 0, 3 * i]), Counter(m)) for i, m in enumerate(maps)]
@@ -417,7 +424,7 @@ def _thm1_point():
 @pytest.mark.parametrize("run", [_carlitz_pass, _thm1_point], ids=["carlitz", "thm1"])
 def test_carlitz_reductions_never_rerun_at_twice_the_width(monkeypatch, run):
     # the closed form and the recurrence hand the reducer their sums packed
-    # at the width of the last join, and the checkers theirs at the width of
+    # at the width of their fold, and the checkers theirs at the width of
     # the closed-form slot bounds; both widths hold every quotient, so no
     # reduction fails its certificate and starts again from the numerator
     # packed at twice its width (at the thm1 point the reduced numerator

@@ -36,7 +36,7 @@ CASES = {suite: ["--suite", suite] for suite in cli.SUITES}
 CASES["all"] = []
 CASES["thm1 --jobs 2"] = ["--suite", "thm1", "--jobs", "2"]
 # the benchmark's carlitz grid (the default stops at n = 8), and n = 40:
-# larger packed joins and quotients than n = 20 reaches
+# larger packed sums and quotients than n = 20 reaches
 for _n in ("20", "40"):
     CASES[f"carlitz-cross --n-max {_n}"] = ["--suite", "carlitz-cross", "--n-max", _n]
 # the benchmark's two p-adic levels: p^11 single sums, p^8 double sums

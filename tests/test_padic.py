@@ -592,6 +592,24 @@ def test_moments_against_modular_loop():
         assert padic._block(r, w, n, L, m) == loop_moments(r, w, n, L, m), (r, w, n, L, m)
 
 
+def test_level_sum_takes_each_geometric_sum_once(monkeypatch):
+    # at n = 3 the k = 2 peel asks for (n + 1)(n + 4)/2 = 14 geometric sums
+    # of exponent p^N, but their bases r^{h - 1 + s}, s <= n + 1, fall into
+    # n + 2 = 5 classes; [p^N]_q is one more, mod p^K alone, and [x]_q the
+    # one sum of exponent x = 1
+    calls = []
+    geometric = padic._geometric
+
+    def counted(u, L, M):
+        calls.append(L)
+        return geometric(u, L, M)
+
+    monkeypatch.setattr(padic, "_geometric", counted)
+    report = witt_check(3, 2, 2, 1, VolkenbornJob(5, 6, 4, 10, IntegrandSpec(0, 0)))
+    assert report.verdict and report.values == ("14 mod 5^2", "14 mod 5^2")
+    assert sorted(calls) == [1] + [5 ** 4] * 6
+
+
 def q0_grid(p, K):
     """q0 = 1, small units 1 (mod p), a fraction, and 1 (mod p^{K+2})."""
     return [F(1), F(1 + p), F(1 + 2 * p), F(7, 4) if p == 3 else F(1 + p * p),
