@@ -11,13 +11,15 @@ Every denominator in the closed forms and in the recurrence is a product
 of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
-over the lcm of the maps (`qcore.cyclotomic_sum`: one left fold over the
+over the lcm of the maps (`qcore.cyclotomic_sum`: a fold over the
 running lcm at q = 2^w, w bounding the sum's coefficients) and reduced
 once by trial division with the Phi_m: the packed sum goes straight to
 `qcore.over_cyclotomic_packed`, the identity checkers' reducer, at the
-width of the fold, which adds about one Phi_m per recurrence term, since
-each denominator there nearly always divides the next.  The two routes
-share only these two calls; neither calls the other's sum.
+width of the fold.  The recurrence's maps nearly nest, each denominator
+holding most of the last, so its sums fold term by term, one Phi_m or so
+per term; the closed form's maps [j + 1]_q share little, and its sums
+fold in pairs.  The two routes share only these two calls; neither calls
+the other's sum.
 
 The closed form in base q^d at z = q^e uses only powers of q^g, with
 g = gcd(d, e), so it is computed once in base q^{d/g} at q^{e/g} and

@@ -311,27 +311,26 @@ def _geometric(u: int, L: int, M: int) -> int:
     return (pow(u, L, M * (u - 1)) - 1) // (u - 1) % M
 
 
-def _block(r: int, w: int, n: int, L: int, m: int, top: int = 0,
-           sums: dict[int, int] | None = None) -> list[int]:
+def _block(r: int, w: int, n: int, L: int, m: int, top: int,
+           sums: dict[int, int]) -> list[int]:
     """The moments A_j = sum_{y<L} w^y [y]_q^j mod m at q = r, for j <= n.
 
     With r' = r (mod m) taken in [2, m + 1], so that d = r' - 1 is not 0,
     and G(u) = sum_{y<L} u^y,
         d^j A_j = sum_i C(j,i) (-1)^{j-i} G(w r'^i),
     so n + 1 geometric sums taken mod m d^n give every moment, each by an
-    exact division by d^j.  A nonzero top = m d^t, t >= n, takes them mod
-    top instead, kept in sums by base for the blocks of one level to share."""
+    exact division by d^j.  They are taken mod top = m d^t, t >= n, and
+    kept in sums by base mod top, for the blocks of one level with the
+    same r, L and top to share."""
     r %= m
     if r < 2:
         r += m
     d = r - 1
-    M = top or m * d ** n
-    sums = {} if sums is None else sums
     G = []
     for i in range(n + 1):
-        u = w * pow(r, i, M) % M
+        u = w * pow(r, i, top) % top
         if u not in sums:
-            sums[u] = _geometric(u, L, M)
+            sums[u] = _geometric(u, L, top)
         G.append(sums[u])
     A = []
     for j in range(n + 1):
@@ -347,7 +346,9 @@ def _scaled_level(p: int, q0: Fraction, N: int, K: int, exps: tuple[int, ...],
     [X + y_1 + .. + y_k]_q^n, k = len(exps), y certified to K - kN digits.
 
     The blocks' bases w r^s repeat (at k = 2 they depend on i + l alone):
-    the weights are lifted mod top = m d^n, and the blocks share one dict."""
+    the weights are lifted mod top = m d^n, and the blocks share one dict.
+    At k = 1 nothing repeats, and the one block takes its sums mod m d^n
+    as it would alone: it pays only the dict."""
     k, m, M = len(exps), p ** K, p ** N
     r = _rat_mod(q0, p, K)
     r += m if r < 2 else 0

@@ -6,9 +6,10 @@ carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}, and all of its arithmetic runs on packed integers, values
 at q = 2^B.  `cyclotomic_value` gives Phi_d(2^B) exactly from the Moebius
 product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
-takes sums over the lcm of the maps as one left fold over the running
-lcm, at one width read off the terms' L1 norms, each term packed once,
-and returns the sum still packed.  The one
+takes sums over the lcm of the maps as a fold over the running lcm, in
+runs of nearly nested maps and then in pairs of runs, at one width read
+off the terms' L1 norms, each term packed once, and returns the sum still
+packed.  The one
 cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
 a packed numerator by trial division with each Phi_d of the map
 (`packed_divide_out(value, bits, d, limit)`), with no gcd; a trial can
@@ -135,7 +136,7 @@ def cyclotomic_value(d: int, bits: int) -> int:
     return up // down
 
 
-# bounded: the test suite in one process reaches 89 keys, a carlitz-cross
+# bounded: the test suite in one process reaches 91 keys, a carlitz-cross
 # pass to n = 40 83
 @lru_cache(maxsize=512)
 def _cyclotomic_l1(d: int) -> int:
@@ -182,29 +183,64 @@ def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int
     reduced: (value, bits, lcm) with value the numerator packed at
     q = 2^bits, the triple `over_cyclotomic_packed` takes.
 
-    One left fold over the running lcm: a term's map adds `grow` to the lcm
-    of the maps before it and lacks `cof` of it, so the sum so far takes
-    prod Phi_d^{grow_d} and the term's num prod Phi_d^{cof_d}.  The width w
-    comes first, from bound <- bound prod ||Phi_d||_1^{grow_d}
-    + ||num||_1 prod ||Phi_d||_1^{cof_d}, an L1 bound of every partial sum:
-    the digits are exact and nothing needs certifying.  Then each num is
-    packed once at q = 2^w, nothing unpacked; no terms sum to
-    (0, 8, Counter()).  No division, no gcd.
+    A fold step takes the sum so far times prod Phi_d^{grow_d} plus the
+    next item times prod Phi_d^{cof_d}, grow what the item's map adds to
+    the running lcm and cof what it lacks of it.  The terms are folded in
+    runs: one whose map lacks more of the run's lcm than it holds (by
+    prod ||Phi_d||_1) starts a new run, so nearly nested maps take one
+    small product per term; then the runs are folded in pairs, so across
+    runs a Phi_d meets about log(runs) cofactors, not one per term.  The
+    bounds bound <- bound prod ||Phi_d||_1^{grow_d}
+    + ||item||_1 prod ||Phi_d||_1^{cof_d} come in any order to
+    sum ||num||_1 prod ||Phi_d||_1^{c_d}, c the lcm less the term's map:
+    that holds every coefficient of the numerator, so one width takes its
+    digits exactly, nothing needs certifying, and each num is packed once,
+    nothing unpacked.  No terms sum to (0, 8, Counter()).  Products and
+    sums only: no division, no gcd.
     """
-    lcm, steps, bound = Counter(), [], 0
+    if not terms:
+        return 0, 8, Counter()
+    # a run is [bound, lcm, steps], a step (item, grow, cof) with item a
+    # num or the steps of a run
+    runs: list[list] = []
     for num, exps in terms:
-        grow = {d: e - lcm[d] for d, e in exps.items() if e > lcm[d]}
-        cof = {d: e - exps.get(d, 0) for d, e in lcm.items() if e > exps.get(d, 0)}
-        lcm.update(grow)
-        bound = bound * _norm_product(grow) + num.l1_norm() * _norm_product(cof)
-        steps.append((num, grow, cof))
+        if runs:
+            grow, cof = _cofactors(runs[-1][1], exps)
+            if not cof or _norm_product(cof) <= _norm_product(exps):
+                _fold_step(runs[-1], num, num.l1_norm(), grow, cof)
+                continue
+        runs.append([num.l1_norm(), Counter(exps), [(num, {}, {})]])
+    while len(runs) > 1:
+        for left, (bound, exps, steps) in zip(runs[::2], runs[1::2]):
+            _fold_step(left, steps, bound, *_cofactors(left[1], exps))
+        runs = runs[::2]
+    bound, lcm, steps = runs[0]
     bits = balanced_bits(bound)
+    return _packed_fold(steps, bits), bits, lcm
+
+
+def _cofactors(lcm: Counter[int], exps: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    # (grow, cof): what exps adds to lcm, and what it lacks of lcm
+    grow = {d: e - lcm[d] for d, e in exps.items() if e > lcm[d]}
+    cof = {d: e - exps.get(d, 0) for d, e in lcm.items() if e > exps.get(d, 0)}
+    return grow, cof
+
+
+def _fold_step(run: list, item: Poly | list, bound: int,
+               grow: dict[int, int], cof: dict[int, int]) -> None:
+    run[0] = run[0] * _norm_product(grow) + bound * _norm_product(cof)
+    run[1].update(grow)
+    run[2].append((item, grow, cof))
+
+
+def _packed_fold(steps: list, bits: int) -> int:
     value = 0
-    for num, grow, cof in steps:
+    for item, grow, cof in steps:
         if value:
             value *= _packed_product(grow, bits)
-        value += num.pack(bits) * _packed_product(cof, bits)
-    return value, bits, lcm
+        packed = item.pack(bits) if isinstance(item, Poly) else _packed_fold(item, bits)
+        value += packed * _packed_product(cof, bits)
+    return value
 
 
 def _mod_mersenne(x: int, s: int) -> int:

@@ -58,24 +58,6 @@ def test_recurrence_table_matches_closed_form():
             assert table.values[n] == beta_number(n, d), (n, d)
 
 
-def test_recurrence_denominators_divide_the_next():
-    # the recurrence sums beta_0 .. beta_{n-1} over the lcm of their
-    # denominators, which grows by one step at a time: each denominator
-    # divides the next, except that beta_7, beta_13 and beta_19 lose
-    # factors of their predecessors (Phi_3(q^d) among them) to their
-    # numerators, and there it divides the one after
-    for d in (1, 2, 3):
-        dens = [value.den for value in beta_number_recurrence(20, d).values]
-        for n in range(20):
-            if n in (6, 12, 18):
-                with pytest.raises(ValueError):
-                    dens[n + 1].divexact(dens[n])
-                nxt = dens[n + 2]
-            else:
-                nxt = dens[n + 1]
-            assert nxt == dens[n] * nxt.divexact(dens[n]), (n, d)
-
-
 def test_classical_limit():
     for n in range(9):
         assert rf_eval_rational(beta_number(n, 1), 1) == bernoulli_classical(n)

@@ -335,24 +335,18 @@ def test_cyclotomic_sum_matches_generic_sum(terms):
 
 
 def reference_sum(terms):
-    """cyclotomic_sum's left fold over the running lcm, its maps combined by
-    Counter | and - and its cofactors built from phi_oracle."""
-    def norm(exps):
-        return prod(phi_oracle(d).l1_norm() ** e for d, e in exps.items())
-
-    def packed(exps, bits):
-        return prod(phi_oracle(d).pack(bits) ** e for d, e in exps.items())
-
-    lcm, steps, bound = Counter(), [], 0
-    for num, exps in terms:
-        grow, cof = (lcm | exps) - lcm, lcm - exps
+    """Each num times its cofactor, the lcm of the maps (Counter |) less its
+    own map, built from phi_oracle, at the width of the sum of
+    ||num||_1 prod ||Phi_d||_1^{cofactor}: the bound cyclotomic_sum's fold
+    comes to in whatever order it takes the terms."""
+    lcm = Counter()
+    for _, exps in terms:
         lcm |= exps
-        bound = bound * norm(grow) + num.l1_norm() * norm(cof)
-        steps.append((num, grow, cof))
-    bits = balanced_bits(bound)
-    value = 0
-    for num, grow, cof in steps:
-        value = value * packed(grow, bits) + num.pack(bits) * packed(cof, bits)
+    cofs = [(num, lcm - exps) for num, exps in terms]
+    bits = balanced_bits(sum(num.l1_norm() * prod(phi_oracle(d).l1_norm() ** e for d, e in cof.items())
+                             for num, cof in cofs))
+    value = sum(num.pack(bits) * prod(phi_oracle(d).pack(bits) ** e for d, e in cof.items())
+                for num, cof in cofs)
     return value, bits, lcm
 
 
@@ -372,6 +366,40 @@ def test_cyclotomic_sum_joins_maps_like_counter_union(maps):
     value, bits, lcm = cyclotomic_sum(terms)
     assert isinstance(lcm, Counter)
     assert (value, bits, lcm) == reference_sum(terms)
+
+
+def test_cyclotomic_sum_multiplies_few_factors_into_cofactors(monkeypatch):
+    # the cost the sum is shaped for, not its correctness (any order gives
+    # the same numerator): the recurrence's maps, which nearly nest, take
+    # each Phi_d of their lcm about once, and the closed form's maps
+    # [j + 1]_q, which share little, fewer than half the factors of a
+    # term-by-term fold, which multiplies each term by nearly the whole lcm
+    taken = []
+    packed_product = qcore._packed_product
+
+    def counted(exps, bits):
+        taken.append(sum(exps.values()))
+        return packed_product(exps, bits)
+
+    monkeypatch.setattr(qcore, "_packed_product", counted)
+
+    def counted_sum(terms):
+        taken.clear()
+        value, bits, lcm = cyclotomic_sum(terms)
+        assert 2 * sum(taken) <= 3 * sum(lcm.values()), (len(terms), taken)
+        return value, bits, lcm
+
+    monkeypatch.setattr(carlitz, "cyclotomic_sum", counted_sum)
+    for d in (1, 2, 3):
+        carlitz.beta_number_recurrence(20, d)
+    maps = [Counter(q_int_exponents(j + 1)) for j in range(41)]
+    term_by_term, lcm = 0, Counter()
+    for exps in maps:
+        term_by_term += sum(((lcm | exps) - lcm).values()) + sum((lcm - exps).values())
+        lcm |= exps
+    taken.clear()
+    cyclotomic_sum([(ONE, exps) for exps in maps])
+    assert 2 * sum(taken) < term_by_term
 
 
 def test_cyclotomic_sum_of_no_terms_is_zero():

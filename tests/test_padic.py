@@ -572,24 +572,35 @@ def loop_moments(r, w, n, L, m):
 
 
 def test_moments_against_modular_loop():
+    # as in a level sum: the blocks of one r and L take their sums mod
+    # top = m d^t, t at least every n, from one shared dict, and some of
+    # their weights are powers of r lifted mod top
     rng = Random(47)
-    cases = []
+    groups = []
     for _ in range(400):
         p = rng.choice((2, 3, 5, 7, 11))
         K = rng.randint(1, 8)
         m = p ** K
         r = rng.choice((1, 1 + p * rng.randrange(m), 1 + p * p * rng.randrange(m),
                         rng.randrange(m))) % m
-        w = rng.choice((0, 1, rng.randrange(m), pow(r, rng.randint(0, 6), m)))
-        cases.append((r, w, rng.randint(0, 7), rng.choice((0, 1, rng.randint(2, 80))), m))
+        ns = [rng.randint(0, 7) for _ in range(3)]
+        top = m * (r + (m if r < 2 else 0) - 1) ** (max(ns) + rng.randint(0, 2))
+        ws = [rng.choice((0, 1, rng.randrange(m), pow(r, rng.randint(0, 6), m),
+                          pow(r + (m if r < 2 else 0), rng.randint(0, 6), top)))
+              for _ in ns]
+        groups.append((r, rng.choice((0, 1, rng.randint(2, 80))), m, top, list(zip(ws, ns))))
     # q0 = 1 (mod p^K), q0 = 1 (mod p^2) but not p^3, w = 0 and w = 1, L = 0
     # and L = 1, and n >= 4 at a level of a job
-    cases += [(1, 1, 5, 27, 3 ** 4), (1, 4, 4, 25, 5 ** 3), (1 + 3 ** 6, 1, 6, 81, 3 ** 6),
-              (10, 10, 5, 81, 3 ** 7), (10, 1, 4, 0, 3 ** 7), (10, 1, 4, 1, 3 ** 7),
-              (26, 0, 4, 30, 5 ** 4), (26, 0, 4, 1, 5 ** 4), (4, 1, 6, 243, 3 ** 9),
-              (6, 6, 8, 125, 5 ** 5), (1 + 7 ** 2, 1, 9, 49, 7 ** 4)]
-    for r, w, n, L, m in cases:
-        assert padic._block(r, w, n, L, m) == loop_moments(r, w, n, L, m), (r, w, n, L, m)
+    for r, w, n, L, m in [(1, 1, 5, 27, 3 ** 4), (1, 4, 4, 25, 5 ** 3), (1 + 3 ** 6, 1, 6, 81, 3 ** 6),
+                          (10, 10, 5, 81, 3 ** 7), (10, 1, 4, 0, 3 ** 7), (10, 1, 4, 1, 3 ** 7),
+                          (26, 0, 4, 30, 5 ** 4), (26, 0, 4, 1, 5 ** 4), (4, 1, 6, 243, 3 ** 9),
+                          (6, 6, 8, 125, 5 ** 5), (1 + 7 ** 2, 1, 9, 49, 7 ** 4)]:
+        top = m * (r % m + (m if r % m < 2 else 0) - 1) ** n
+        groups.append((r, L, m, top, [(w, n), (w * r % top, n - 1), (w, n)]))
+    for r, L, m, top, wns in groups:
+        sums = {}
+        for w, n in wns:
+            assert padic._block(r, w, n, L, m, top, sums) == loop_moments(r, w, n, L, m), (r, w, n, L, m)
 
 
 def test_level_sum_takes_each_geometric_sum_once(monkeypatch):
