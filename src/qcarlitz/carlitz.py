@@ -32,13 +32,12 @@ computations at d > 1.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
 from .polyq import ONE, Poly, check_rational
-from .qcore import (check_base, check_index, cyclotomic_sum, over_cyclotomic_packed,
+from .qcore import (Record, check_base, check_index, cyclotomic_sum, over_cyclotomic_packed,
                     q_int_exponents, q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
@@ -72,12 +71,14 @@ def bernoulli_poly_classical(n: int, x: Fraction | int) -> Fraction:
                Fraction(0))
 
 
-@dataclass(frozen=True)
-class BetaTable:
+class BetaTable(Record):
     """q-Bernoulli numbers beta_{n,q^d} for n = 0..n_max, recurrence-solved."""
 
-    base_exponent: int
-    values: tuple[RatFunc, ...]
+    __slots__ = ("base_exponent", "values")
+
+    def __init__(self, base_exponent: int, values: tuple[RatFunc, ...]) -> None:
+        object.__setattr__(self, "base_exponent", base_exponent)
+        object.__setattr__(self, "values", values)
 
 
 def beta_number(n: int, d: int = 1) -> RatFunc:

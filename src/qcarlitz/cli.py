@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .carlitz import beta_h, beta_hk, beta_number, beta_number_recurrence, beta_poly
@@ -126,6 +125,9 @@ def _suite_identity(suite: str, n_max: int, w_max: int, y_max: int,
     if jobs <= 1 or len(tasks) < 4:
         results = [_identity_point(t) for t in tasks]
     else:
+        # imported here, not with the module: multiprocessing costs every
+        # other command about 10 ms to import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (4 * jobs))
             results = list(pool.map(_identity_point, tasks, chunksize=chunk))

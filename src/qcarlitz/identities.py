@@ -111,7 +111,6 @@ leaves a remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, gcd, prod
@@ -119,33 +118,34 @@ from random import Random
 
 from .carlitz import beta_number, beta_poly
 from .polyq import ONE, Poly, balanced_bits
-from .qcore import _divisors, over_cyclotomic_packed, power_sum_T
+from .qcore import (OrderedRecord, Record, _divisors, check_index, over_cyclotomic_packed,
+                    power_sum_T)
 from .ratfunc import RatFunc
 
-@dataclass(frozen=True, order=True)
-class IdentityParams:
+class IdentityParams(OrderedRecord):
     """Degree n plus the weight triple w and shift triple y."""
 
-    n: int
-    w: tuple[int, int, int]
-    y: tuple[int, int, int] = (0, 0, 0)
+    __slots__ = ("n", "w", "y")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, w: tuple[int, int, int],
+                 y: tuple[int, int, int] = (0, 0, 0)) -> None:
         # stored as tuples, so params hash and compare however the triples
         # came; one that is not iterable is stored empty, to fail its length check
-        for name in ("w", "y"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, tuple(value) if hasattr(value, "__iter__") else ())
+        w = tuple(w) if hasattr(w, "__iter__") else ()
+        y = tuple(y) if hasattr(y, "__iter__") else ()
         # bool is an int subclass, but True is no degree, weight or shift
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in (self.n, *self.w, *self.y)):
-            raise ValueError("n, w and y must hold integers")
-        if self.n < 0:
+        for v in (n, *w, *y):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError("n, w and y must hold integers")
+        if n < 0:
             raise ValueError("degree n must be non-negative")
-        if len(self.w) != 3 or any(wi < 1 for wi in self.w):
+        if len(w) != 3 or min(w) < 1:
             raise ValueError("w must be a triple of positive integers")
-        if len(self.y) != 3 or any(yi < 0 for yi in self.y):
+        if len(y) != 3 or min(y) < 0:
             raise ValueError("y must be a triple of non-negative integers")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "y", y)
 
     @property
     def w_product(self) -> int:
@@ -155,19 +155,19 @@ class IdentityParams:
         return {"n": self.n, "w": list(self.w), "y": list(self.y)}
 
 
-@dataclass(frozen=True, order=True)
-class Permutation3:
+class Permutation3(OrderedRecord):
     """A permutation of {1,2,3}, stored as the image tuple (s(1),s(2),s(3))."""
 
-    images: tuple[int, int, int]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, images: tuple[int, int, int]) -> None:
         # stored as a tuple, and bool refused, as in `IdentityParams`
-        object.__setattr__(self, "images", tuple(self.images))
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in self.images):
+        images = tuple(images)
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in images):
             raise ValueError("images must hold integers")
-        if sorted(self.images) != [1, 2, 3]:
+        if sorted(images) != [1, 2, 3]:
             raise ValueError("images must be an ordering of {1,2,3}")
+        object.__setattr__(self, "images", images)
 
     @property
     def label(self) -> str:
@@ -183,8 +183,7 @@ class Permutation3:
 ALL_PERMUTATIONS = tuple(Permutation3(p) for p in permutations((1, 2, 3)))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one identity check at one parameter point.
 
     values[i] is the value for labels[i]: a canonical RatFunc for the
@@ -194,13 +193,19 @@ class IdentityReport:
     p-adic check's precisions and is None otherwise.
     """
 
-    identity: str
-    params: dict[str, object]
-    labels: tuple[str, ...]
-    values: tuple[RatFunc | str, ...]
-    verdict: bool
-    witness: tuple[str, str] | None = None
-    detail: dict[str, object] | None = None
+    __slots__ = ("identity", "params", "labels", "values", "verdict", "witness", "detail")
+
+    def __init__(self, identity: str, params: dict[str, object], labels: tuple[str, ...],
+                 values: tuple[RatFunc | str, ...], verdict: bool,
+                 witness: tuple[str, str] | None = None,
+                 detail: dict[str, object] | None = None) -> None:
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +577,8 @@ def grid_params(n_values, w_max: int, y_max: int, vary_y3: bool = True) -> list[
     With vary_y3 false, y3 stays 0: the checks whose `CHECKS` entry does not
     read y3 would otherwise re-verify identical expressions.
     """
+    check_index(w_max, "w_max")
+    check_index(y_max, "y_max")
     ws = range(1, w_max + 1)
     ys = range(y_max + 1)
     y3s = ys if vary_y3 else (0,)
@@ -583,6 +590,7 @@ def grid_params(n_values, w_max: int, y_max: int, vary_y3: bool = True) -> list[
 
 def sample_grid(grid: list[IdentityParams], limit: int) -> list[IdentityParams]:
     """Deterministic sample of at most limit points, returned in grid order."""
+    check_index(limit, "limit")
     if limit < 0:
         raise ValueError(f"sample limit must be non-negative, got {limit}")
     if limit >= len(grid):

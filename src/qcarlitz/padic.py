@@ -37,14 +37,13 @@ y / p^e and y a PadicInt, which is what the check functions use.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log10
 
 from .carlitz import beta_hk
 from .identities import IdentityReport
 from .polyq import check_rational
-from .qcore import check_index
+from .qcore import Record, check_index
 from .ratfunc import rf_eval_rational
 
 # Largest nominal summation range, p^N (p^{2N} for the k = 2 double sum), a
@@ -132,22 +131,21 @@ def _frac_val(x: Fraction, p: int) -> int:
     return _int_val(x.numerator, p) - _int_val(x.denominator, p)
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(Record):
     """An element of Z_p known to K digits: residue in [0, p^K)."""
 
-    p: int
-    K: int
-    residue: int
+    __slots__ = ("p", "K", "residue")
 
-    def __post_init__(self) -> None:
-        for value, name in ((self.p, "p"), (self.K, "K"), (self.residue, "residue")):
+    def __init__(self, p: int, K: int, residue: int) -> None:
+        for value, name in ((p, "p"), (K, "K"), (residue, "residue")):
             check_index(value, name)
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.K < 1:
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if K < 1:
             raise ValueError("precision must be positive")
-        object.__setattr__(self, "residue", self.residue % self.p ** self.K)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "residue", residue % p ** K)
 
     @classmethod
     def from_rational(cls, value: Fraction | int, p: int, K: int) -> "PadicInt":
@@ -237,62 +235,62 @@ def padic_log(u: PadicInt) -> PadicInt:
     return PadicInt(p, K, acc)
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(Record):
     """f(x) = q^{c x} [x+s]_q^m."""
 
-    c: int
-    m: int
-    s: int = 0
+    __slots__ = ("c", "m", "s")
 
-    def __post_init__(self) -> None:
-        for value, name in ((self.c, "c"), (self.m, "m"), (self.s, "s")):
+    def __init__(self, c: int, m: int, s: int = 0) -> None:
+        for value, name in ((c, "c"), (m, "m"), (s, "s")):
             check_index(value, name)
-        if self.c < 0 or self.m < 0 or self.s < 0:
+        if c < 0 or m < 0 or s < 0:
             raise ValueError("integrand exponents must be non-negative")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class VolkenbornJob:
+class VolkenbornJob(Record):
     """Level-N q-Volkenborn summation task at working precision K."""
 
-    p: int
-    q0: Fraction
-    N: int
-    K: int
-    f: IntegrandSpec
+    __slots__ = ("p", "q0", "N", "K", "f")
 
-    def __post_init__(self) -> None:
-        for value, name in ((self.p, "p"), (self.N, "N"), (self.K, "K")):
+    def __init__(self, p: int, q0: Fraction, N: int, K: int, f: IntegrandSpec) -> None:
+        for value, name in ((p, "p"), (N, "N"), (K, "K")):
             check_index(value, name)
-        if self.p < 3 or self.p % 2 == 0:
+        if p < 3 or p % 2 == 0:
             raise ValueError("p must be an odd prime")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("level N must be positive")
         # the budget first, so a p above STEP_BUDGET is refused by the
         # message that names it, before any primality test
-        check_step_budget(self.p, self.N)
-        if not _is_prime(self.p):
+        check_step_budget(p, N)
+        if not _is_prime(p):
             raise ValueError("p must be an odd prime")
-        check_rational(self.q0, "q0")
-        object.__setattr__(self, "q0", Fraction(self.q0))
-        if self.q0.denominator % self.p == 0:
+        check_rational(q0, "q0")
+        q0 = Fraction(q0)
+        if q0.denominator % p == 0:
             raise ValueError("q0 must be a p-adic integer")
-        if self.q0 != 1 and _frac_val(self.q0 - 1, self.p) < 1:
+        if q0 != 1 and _frac_val(q0 - 1, p) < 1:
             raise ValueError("q0 must be 1 (mod p)")
-        if self.K <= self.N:
+        if K <= N:
             raise ValueError(
-                f"precision underflow: K={self.K} leaves no certified digits; "
-                f"need K >= {self.N + 1}")
+                f"precision underflow: K={K} leaves no certified digits; "
+                f"need K >= {N + 1}")
         # reports print residues mod p^K, of up to floor(K log10 p) + 1
         # digits (p^K is never a power of 10); 0, or a Python before
         # 3.10.7 without the limit, means no limit
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and self.K * log10(self.p) >= limit:
+        if limit and K * log10(p) >= limit:
             raise ValueError(
-                f"precision K={self.K} gives residues mod {self.p}^{self.K} of more "
+                f"precision K={K} gives residues mod {p}^{K} of more "
                 f"than {limit} decimal digits, the interpreter's limit for "
                 f"printing an integer; lower K")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "f", f)
 
 
 def _rat_mod(x: Fraction, p: int, K: int) -> int:

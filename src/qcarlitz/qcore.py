@@ -19,13 +19,14 @@ bound does not fit the width, one integer product with h expanded.  Each
 product of cyclotomic polynomials is expanded once per exponent map
 (`cyclotomic_product`), for the certificate's h and for the reduced
 denominator alike.  The q-integers [x]_{q^d} here take integer x; the
-Carlitz families take rational arguments themselves.
+Carlitz families take rational arguments themselves.  `Record` is the
+base of the library's immutable parameter, job and report types.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import combinations
 from math import comb, isqrt, prod
 from typing import Mapping, Sequence
@@ -46,6 +47,59 @@ def check_index(value: int, name: str) -> None:
     would be computed on as 0 or 1, and a float fail deep inside."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+class Record:
+    """Immutable record over `__slots__`: its fields are the slots of its
+    classes, base first, in the order of its `__init__` parameters.  A
+    record equals a record of the same class with equal fields, hashes by
+    its fields, prints as Name(field=value, ...), refuses assignment, and
+    is pickled and copied through `__init__`, so a rebuilt record passes
+    the same checks.  A subclass sets its fields with `object.__setattr__`."""
+
+    __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names += cls.__dict__["__slots__"]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+@total_ordering
+class OrderedRecord(Record):
+    """A `Record` that also orders against records of its own class, by its
+    fields in turn."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
 
 
 # bounded: the test suite in one process reaches 91 keys, qlaws 51; typed,

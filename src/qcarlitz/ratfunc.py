@@ -50,6 +50,11 @@ class RatFunc:
     def _raw(cls, num: Poly, den: Poly) -> "RatFunc":
         return cls(num, den, _reduced=True)
 
+    def __reduce__(self) -> tuple:
+        # the default restores __slots__ through __setattr__, which refuses;
+        # the state is already canonical, so no gcd runs on the way back
+        return RatFunc._raw, (self.num, self.den)
+
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0

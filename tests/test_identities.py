@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from random import Random
 
 import pytest
 
@@ -412,6 +413,38 @@ def test_sampling_is_deterministic_and_ordered():
     assert sample_grid(grid, 0) == []
     with pytest.raises(ValueError, match="sample limit must be non-negative, got -1"):
         sample_grid(grid, -1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: grid_params(range(2), True, 1), "w_max"),
+    (lambda: grid_params(range(2), 2.0, 1), "w_max"),
+    (lambda: grid_params(range(2), 1, False), "y_max"),
+    (lambda: grid_params(range(2), 1, 1.0), "y_max"),
+    (lambda: sample_grid(grid_params(range(2), 1, 1), True), "limit"),
+    (lambda: sample_grid(grid_params(range(2), 1, 1), 2.0), "limit"),
+], ids=["w_max-bool", "w_max-float", "y_max-bool", "y_max-float", "limit-bool",
+        "limit-float"])
+def test_grid_and_sample_refuse_a_bool_or_float_bound(call, name):
+    # a bool would run as 0 or 1, a float fail inside range or random
+    with pytest.raises(ValueError, match=f"{name} must be an int, got"):
+        call()
+
+
+def test_points_and_permutations_order_as_their_fields():
+    grid = grid_params(range(3), 2, 2)
+    shuffled = list(grid)
+    Random(5).shuffle(shuffled)
+    assert shuffled != grid and sorted(shuffled) == grid
+    p, q = IdentityParams(2, (1, 2, 3), (1, 0, 0)), IdentityParams(2, (1, 2, 3), (1, 0, 1))
+    assert p < q and p <= q and q > p and q >= p and p <= p and not p < p
+    assert sorted(reversed(ALL_PERMUTATIONS)) == list(ALL_PERMUTATIONS)
+    # a point orders against no other type, as the dataclasses did
+    for a, b in [(p, ALL_PERMUTATIONS[0]), (ALL_PERMUTATIONS[0], p), (p, (2, (1, 2, 3))),
+                 (ALL_PERMUTATIONS[0], ((1, 2, 3),))]:
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015
+        with pytest.raises(TypeError):
+            a >= b  # noqa: B015
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
+import copy
+import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from qcarlitz.carlitz import BetaTable, beta_number
+from qcarlitz.identities import IdentityParams, IdentityReport, Permutation3
+from qcarlitz.padic import IntegrandSpec, PadicInt, VolkenbornJob
 from qcarlitz.polyq import ONE, Poly
 from qcarlitz.qcore import power_sum_T, q_int, q_int_poly
-from qcarlitz.ratfunc import RatFunc
+from qcarlitz.ratfunc import RF_ONE, RatFunc
 
 
 def test_q_int_poly_values():
@@ -109,3 +115,66 @@ def test_power_sum_is_polynomial_and_matches_definition():
                         acc = acc + (RatFunc(Poly.q_power(d * n * i))
                                      * q_int(i, d) ** m)
                     assert v == acc, (n, m, w, d)
+
+
+# Each record type: its fields by position (defaults given), the same
+# record by keyword with the defaulted fields left out, and its repr, the
+# string these types printed as frozen dataclasses.
+RECORDS = [
+    (BetaTable, (2, (RF_ONE, beta_number(1, 2))),
+     {"base_exponent": 2, "values": (RF_ONE, beta_number(1, 2))},
+     "BetaTable(base_exponent=2, values=(RatFunc('1'), RatFunc('-1/(1+q^2)')))"),
+    (IdentityParams, (2, (1, 2, 3), (0, 0, 0)), {"n": 2, "w": [1, 2, 3]},
+     "IdentityParams(n=2, w=(1, 2, 3), y=(0, 0, 0))"),
+    (Permutation3, ((2, 3, 1),), {"images": [2, 3, 1]}, "Permutation3(images=(2, 3, 1))"),
+    (IdentityReport,
+     ("thm1", {"n": 0}, ("123", "132"), (RF_ONE, RatFunc(Fraction(1, 2))), False,
+      ("123", "132"), None),
+     {"identity": "thm1", "params": {"n": 0}, "labels": ("123", "132"),
+      "values": (RF_ONE, RatFunc(Fraction(1, 2))), "verdict": False,
+      "witness": ("123", "132")},
+     "IdentityReport(identity='thm1', params={'n': 0}, labels=('123', '132'), "
+     "values=(RatFunc('1'), RatFunc('1/2')), verdict=False, witness=('123', '132'), "
+     "detail=None)"),
+    (PadicInt, (3, 2, 10), {"p": 3, "K": 2, "residue": 1}, "PadicInt(p=3, K=2, residue=1)"),
+    (IntegrandSpec, (1, 2, 0), {"c": 1, "m": 2}, "IntegrandSpec(c=1, m=2, s=0)"),
+    (VolkenbornJob, (3, 4, 2, 5, IntegrandSpec(0, 1)),
+     {"p": 3, "q0": Fraction(4), "N": 2, "K": 5, "f": IntegrandSpec(c=0, m=1)},
+     "VolkenbornJob(p=3, q0=Fraction(4, 1), N=2, K=5, f=IntegrandSpec(c=0, m=1, s=0))"),
+]
+
+
+@pytest.mark.parametrize("cls, args, keywords, text", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, args, keywords, text):
+    record = cls(*args)
+    assert cls(**keywords) == record
+    assert repr(record) == text
+    again = cls(*args)
+    assert again == record and not again != record and again is not record
+    if cls is IdentityReport:
+        # its params are a dict, so a report hashes no more than it did
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert hash(again) == hash(record)
+    # a record of another type holding the same fields, even under the same
+    # name and printed the same, is not equal
+    fields = list(inspect.signature(cls).parameters)
+    twin = object.__new__(type(cls.__name__, (cls,), {"__slots__": ()}))
+    for name in fields:
+        object.__setattr__(twin, name, getattr(record, name))
+    assert repr(twin) == text
+    assert twin != record and record != twin and not twin == record
+    for name in fields + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                   copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record and repr(copied) == text
+    # only parameter points and permutations order
+    if cls not in (IdentityParams, Permutation3):
+        with pytest.raises(TypeError):
+            record < again  # noqa: B015

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -135,6 +137,21 @@ def test_immutability_and_hash():
     assert hash(v) == hash(RatFunc(Poly([2]), Poly([2, 2])))
     assert RatFunc(Poly([3])) == 3
     assert v != Fraction(1, 2)
+
+
+def test_pickle_and_copy_round_trips_need_no_gcd(monkeypatch):
+    values = [RF_ZERO, RF_ONE, RatFunc(Fraction(-3, 4)), RatFunc(Poly([1]), Poly([1, 1])),
+              RatFunc(Poly([2, 0, -1]), Poly([3, 1, 0, 5]))]
+    pickled = [pickle.dumps(v) for v in values]
+
+    def refuse(self, other):
+        raise AssertionError("a canonical value was reduced again")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    for v, data in zip(values, pickled):
+        for again in (pickle.loads(data), copy.copy(v), copy.deepcopy(v)):
+            assert type(again) is RatFunc
+            assert again.num == v.num and again.den == v.den
 
 
 def test_str_rendering():
