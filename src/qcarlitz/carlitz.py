@@ -11,15 +11,17 @@ Every denominator in the closed forms and in the recurrence is a product
 of cyclotomic polynomials: [t]_{q^d} = prod Phi_m over m | dt with m not
 dividing d, and (1 - q^d)^n, q^{d(n+1)} - 1 factor the same way.  So
 values are carried as a numerator over an exponent map {m: e_m}, summed
-over the lcm of the maps (`qcore.cyclotomic_sum`: a fold over the
-running lcm at q = 2^w, w bounding the sum's coefficients) and reduced
-once by trial division with the Phi_m: the packed sum goes straight to
-`qcore.over_cyclotomic_packed`, the identity checkers' reducer, at the
-width of the fold.  The recurrence's maps nearly nest, each denominator
-holding most of the last, so its sums fold term by term, one Phi_m or so
-per term; the closed form's maps [j + 1]_q share little, and its sums
-fold in pairs.  The two routes share only these two calls; neither calls
-the other's sum.
+over the lcm of the maps at q = 2^w, w bounding the sum's coefficients,
+and reduced once by trial division with the Phi_m: the packed sum goes
+straight to `qcore.over_cyclotomic_packed`, the identity checkers'
+reducer.  Each route sums as its maps call for.  The recurrence's maps
+nearly nest, each denominator holding most of the last, so its sums are
+a left fold over the running lcm (`qcore.cyclotomic_sum`), one Phi_m or
+so per term.  The closed form's maps [j + h - i]_{q^d} share little, so
+it packs their lcm L once and takes each term's cofactor out of L(2^w)
+with one exact division by 2^{wdt} - 1 per q-integer
+(`qcore.divide_mersenne`).  The two routes share the reducer and the
+cyclotomic values, and no sum.
 
 The closed form in base q^d at z = q^e uses only powers of q^g, with
 g = gcd(d, e), so it is computed once in base q^{d/g} at q^{e/g} and
@@ -36,9 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .polyq import ONE, Poly, check_rational
-from .qcore import (Record, check_base, check_index, cyclotomic_sum, over_cyclotomic_packed,
-                    q_int_exponents, q_int_poly, q_power_minus_one_exponents)
+from .polyq import ONE, Poly, balanced_bits, check_rational
+from .qcore import (Record, _norm_product, _packed_product, check_base, check_index,
+                    cyclotomic_sum, divide_mersenne, over_cyclotomic_packed, q_int_exponents,
+                    q_int_poly, q_power_minus_one_exponents)
 from .ratfunc import RF_ONE, RF_ZERO, RatFunc
 
 
@@ -110,9 +113,8 @@ def beta_number_recurrence(n_max: int, d: int = 1) -> BetaTable:
     values = [RF_ONE]
     carried = [(ONE, Counter())]
     for n in range(1, n_max + 1):
-        terms = [(ONE, Counter())] if n == 1 else []
-        for i, (num, exps) in enumerate(carried):
-            terms.append(((num * -comb(n, i)).shift(d * (i + 1)), exps))
+        terms = [(ONE, 1, 0, Counter())] if n == 1 else []
+        terms += [(num, -comb(n, i), d * (i + 1), exps) for i, (num, exps) in enumerate(carried)]
         num, bits, exps = cyclotomic_sum(terms)
         value, left = over_cyclotomic_packed(num, bits,
                                              exps + q_power_minus_one_exponents(d * (n + 1)))
@@ -133,7 +135,14 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
     coefficient: it carries a Bezout identity A N + B D = 1 of the
     reduced pair to one of the substituted pair, so they stay coprime,
     and the denominator stays monic.  The result is canonical with no
-    further reduction, and only g = 1 reaches the cyclotomic sum.
+    further reduction, and only g = 1 reaches the sum below.
+
+    Term j is c_j q^{je} / prod [t]_{q^d} over t = j + h - k + 1 .. j + h.
+    Its cofactor over the lcm L of the terms' maps is, at q = 2^w,
+    L(2^w) prod (2^{wd} - 1) / (2^{wdt} - 1): L is packed once, and each
+    q-integer is one exact division by 2^s - 1 (`divide_mersenne`).  The
+    width w holds sum |c_j| prod ||Phi_m||_1^{L - map_j}, the bound that
+    `cyclotomic_sum` reads off the same terms.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -142,17 +151,26 @@ def _beta_hk_monomial(n: int, h: int, k: int, d: int, e: int) -> RatFunc:
         # through the module name, so the base-q^{d/g} value is cached
         return _beta_hk_monomial(n, h, k, d // g, e // g).substitute_power(g)
     terms = []
+    lcm: Counter[int] = Counter()
     for j in range(n + 1):
-        c = comb(n, j) * (-1 if j & 1 else 1)
+        # (1 - q^d)^n = (-1)^n (q^d - 1)^n
+        c = comb(n, j) * (-1 if (j + n) & 1 else 1)
         exps: Counter[int] = Counter()
-        for i in range(k):
-            c *= j + h - i
-            exps.update(q_int_exponents(j + h - i, d))
-        terms.append((Poly([c]).shift(j * e), exps))
-    num, bits, exps = cyclotomic_sum(terms)
-    # (1 - q^d)^n = (-1)^n (q^d - 1)^n
-    return over_cyclotomic_packed(-num if n & 1 else num, bits,
-                                  exps + q_power_minus_one_exponents(d, n))[0]
+        for t in range(j + h - k + 1, j + h + 1):
+            c *= t
+            exps.update(q_int_exponents(t, d))
+        terms.append((c, _norm_product(exps)))
+        lcm |= exps
+    norm = _norm_product(lcm)
+    bits = balanced_bits(sum(abs(c) * norm // c_norm for c, c_norm in terms))
+    full = _packed_product(lcm, bits)
+    num = 0
+    for j, (c, _) in enumerate(terms):
+        x = full
+        for t in range(j + h - k + 1, j + h + 1):
+            x = divide_mersenne((x << bits * d) - x, bits * d * t)
+        num += c * x << bits * j * e
+    return over_cyclotomic_packed(num, bits, lcm + q_power_minus_one_exponents(d, n))[0]
 
 
 def _exponent(d: int, x: int | Fraction) -> int:

@@ -123,6 +123,17 @@ def balanced_bits(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _homogeneous(c: Sequence[int], a: int, b: int) -> int:
+    """b^deg P(a/b) for P with coefficients c, by Horner in integers: one
+    Fraction at the end, none per step."""
+    acc = 0
+    scale = 1
+    for coef in reversed(c):
+        acc = acc * a + coef * scale
+        scale *= b
+    return acc
+
+
 def _school_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -350,10 +361,8 @@ class Poly:
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         check_rational(x, "evaluation point")
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        b = x.denominator
+        return Fraction(_homogeneous(self._c, x.numerator, b), b ** max(len(self._c) - 1, 0))
 
     def divexact(self, other: "Poly") -> "Poly":
         """Exact quotient in Z[q]; raises ValueError when other does not

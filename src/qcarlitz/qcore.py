@@ -6,12 +6,14 @@ carried as an exponent map {d: e_d} (a Counter) standing for
 prod Phi_d^{e_d}, and all of its arithmetic runs on packed integers, values
 at q = 2^B.  `cyclotomic_value` gives Phi_d(2^B) exactly from the Moebius
 product of the 2^{Bk} - 1, with no polynomial packed.  `cyclotomic_sum`
-takes sums over the lcm of the maps as a fold over the running lcm, in
-runs of nearly nested maps and then in pairs of runs, at one width read
-off the terms' L1 norms, each term packed once, and returns the sum still
-packed.  The one
-cyclotomic reducer, `over_cyclotomic_packed`, gives the canonical form of
-a packed numerator by trial division with each Phi_d of the map
+takes sums of scaled, shifted numerators over the lcm of the maps as one
+left fold over the running lcm, at one width read off the terms' L1
+norms, each term packed once, and returns the sum still packed.  A
+q-integer [t]_{q^d} at q = 2^B is (2^{Bdt} - 1) / (2^{Bd} - 1), so
+`divide_mersenne`, an exact division by 2^s - 1 in linear time, takes
+one out of a packed product.  The one cyclotomic reducer,
+`over_cyclotomic_packed`, gives the canonical form of a packed numerator
+by trial division with each Phi_d of the map
 (`packed_divide_out(value, bits, d, limit)`), with no gcd; a trial can
 pass spuriously, so the reducer certifies f = g h for its quotient g and
 the product h of the factors taken, by a coefficient bound and, where the
@@ -129,6 +131,7 @@ def cyclotomic_poly(d: int) -> Poly:
     d-th roots of unity, unpacked from Phi_d(2^bits).  Those roots lie on
     the unit circle, so Phi_d has Mahler measure 1 and its coefficients are
     at most C(phi(d), i) in magnitude: bits holds C(phi(d), phi(d) // 2)."""
+    check_index(d, "d")
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     phi = d
@@ -140,14 +143,19 @@ def cyclotomic_poly(d: int) -> Poly:
 
 def q_power_minus_one_exponents(m: int, power: int = 1) -> Counter[int]:
     """Exponent map of (q^m - 1)^power: Phi_d^power for every d | m."""
+    check_index(m, "m")
+    check_index(power, "power")
     if m < 1:
         raise ValueError("q exponent must be positive")
+    if power < 0:
+        raise ValueError("power must be non-negative")
     return Counter({d: power for d in _divisors(m) if power})
 
 
 def q_int_exponents(t: int, b: int = 1) -> Counter[int]:
     """Exponent map of [t]_{q^b} = (q^{bt} - 1)/(q^b - 1): Phi_d for every
     d | bt with d not dividing b."""
+    check_index(t, "t")
     check_base(b)
     if t < 1:
         raise ValueError("q-integer argument must be positive")
@@ -176,8 +184,11 @@ def cyclotomic_value(d: int, bits: int) -> int:
     prod over k | d of (2^{bits k} - 1)^{mu(d/k)}: mu(d/k) is (-1)^r when d/k
     is a product of r distinct primes and 0 otherwise.  No polynomial is
     built or packed."""
+    check_index(bits, "bits")
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
+    if bits < 1:
+        raise ValueError("bits must be positive")
     up = down = 1
     primes = _prime_factors(d)
     for r in range(len(primes) + 1):
@@ -231,70 +242,60 @@ def _expanded_product(key: tuple[tuple[int, int], ...]) -> Poly:
     return Poly.unpack(_packed_product(exps, bits), bits)
 
 
-def cyclotomic_sum(terms: Sequence[tuple[Poly, Counter[int]]]) -> tuple[int, int, Counter[int]]:
-    """The sum of num / prod Phi_d^{e_d} over terms (num, {d: e_d}), num an
-    integer polynomial, as one numerator over the lcm of the maps, not
+def cyclotomic_sum(terms: Sequence[tuple[Poly, int, int, Mapping[int, int]]]
+                   ) -> tuple[int, int, Counter[int]]:
+    """The sum of scale q^shift num / prod Phi_d^{e_d} over terms
+    (num, scale, shift, {d: e_d}), num an integer polynomial, scale an int
+    and shift >= 0, as one numerator over the lcm of the maps, not
     reduced: (value, bits, lcm) with value the numerator packed at
     q = 2^bits, the triple `over_cyclotomic_packed` takes.
 
-    A fold step takes the sum so far times prod Phi_d^{grow_d} plus the
-    next item times prod Phi_d^{cof_d}, grow what the item's map adds to
-    the running lcm and cof what it lacks of it.  The terms are folded in
-    runs: one whose map lacks more of the run's lcm than it holds (by
-    prod ||Phi_d||_1) starts a new run, so nearly nested maps take one
-    small product per term; then the runs are folded in pairs, so across
-    runs a Phi_d meets about log(runs) cofactors, not one per term.  The
-    bounds bound <- bound prod ||Phi_d||_1^{grow_d}
-    + ||item||_1 prod ||Phi_d||_1^{cof_d} come in any order to
-    sum ||num||_1 prod ||Phi_d||_1^{c_d}, c the lcm less the term's map:
-    that holds every coefficient of the numerator, so one width takes its
-    digits exactly, nothing needs certifying, and each num is packed once,
-    nothing unpacked.  No terms sum to (0, 8, Counter()).  Products and
-    sums only: no division, no gcd.
+    One left fold over the running lcm: a term's map adds grow to the lcm
+    of the maps before it and lacks cof of it, so the sum so far takes
+    prod Phi_d^{grow_d} and the term prod Phi_d^{cof_d}.  The width comes
+    first, from bound <- bound prod ||Phi_d||_1^{grow_d}
+    + |scale| ||num||_1 prod ||Phi_d||_1^{cof_d}, which comes in any order
+    to sum |scale| ||num||_1 prod ||Phi_d||_1^{c_d}, c the lcm less the
+    term's map: that holds every coefficient of the numerator, so the
+    digits are exact and nothing needs certifying.  Each num is packed
+    once, nothing unpacked; no terms sum to (0, 8, Counter()).  Products
+    and sums only: no division, no gcd.
     """
-    if not terms:
-        return 0, 8, Counter()
-    # a run is [bound, lcm, steps], a step (item, grow, cof) with item a
-    # num or the steps of a run
-    runs: list[list] = []
-    for num, exps in terms:
-        if runs:
-            grow, cof = _cofactors(runs[-1][1], exps)
-            if not cof or _norm_product(cof) <= _norm_product(exps):
-                _fold_step(runs[-1], num, num.l1_norm(), grow, cof)
-                continue
-        runs.append([num.l1_norm(), Counter(exps), [(num, {}, {})]])
-    while len(runs) > 1:
-        for left, (bound, exps, steps) in zip(runs[::2], runs[1::2]):
-            _fold_step(left, steps, bound, *_cofactors(left[1], exps))
-        runs = runs[::2]
-    bound, lcm, steps = runs[0]
+    lcm, steps, bound = Counter(), [], 0
+    for num, scale, shift, exps in terms:
+        grow = {d: e - lcm[d] for d, e in exps.items() if e > lcm[d]}
+        cof = {d: e - exps.get(d, 0) for d, e in lcm.items() if e > exps.get(d, 0)}
+        lcm.update(grow)
+        bound = bound * _norm_product(grow) + abs(scale) * num.l1_norm() * _norm_product(cof)
+        steps.append((num, scale, shift, grow, cof))
     bits = balanced_bits(bound)
-    return _packed_fold(steps, bits), bits, lcm
-
-
-def _cofactors(lcm: Counter[int], exps: Mapping[int, int]) -> tuple[dict[int, int], dict[int, int]]:
-    # (grow, cof): what exps adds to lcm, and what it lacks of lcm
-    grow = {d: e - lcm[d] for d, e in exps.items() if e > lcm[d]}
-    cof = {d: e - exps.get(d, 0) for d, e in lcm.items() if e > exps.get(d, 0)}
-    return grow, cof
-
-
-def _fold_step(run: list, item: Poly | list, bound: int,
-               grow: dict[int, int], cof: dict[int, int]) -> None:
-    run[0] = run[0] * _norm_product(grow) + bound * _norm_product(cof)
-    run[1].update(grow)
-    run[2].append((item, grow, cof))
-
-
-def _packed_fold(steps: list, bits: int) -> int:
     value = 0
-    for item, grow, cof in steps:
+    for num, scale, shift, grow, cof in steps:
         if value:
             value *= _packed_product(grow, bits)
-        packed = item.pack(bits) if isinstance(item, Poly) else _packed_fold(item, bits)
-        value += packed * _packed_product(cof, bits)
-    return value
+        value += scale * num.pack(bits) * _packed_product(cof, bits) << bits * shift
+    return value, bits, lcm
+
+
+def divide_mersenne(x: int, s: int) -> int:
+    """x // (2^s - 1) for a non-negative multiple x of 2^s - 1, in time
+    linear in the size of x, where a long division is quadratic.  The
+    quotient y has x = (y << s) - y, so y = -x (1 + 2^s + 2^{2s} + ...),
+    the 2-adic inverse of 1 - 2^s, which is summed by doubling modulo 2^m,
+    m bits holding y < 2^{len(x) - s + 1}.  The quotient is checked
+    against x: any other x is an ArithmeticError."""
+    if s < 1:
+        raise ValueError(f"divisor 2^s - 1 needs s >= 1, got {s!r}")
+    m = max(x.bit_length() - s + 1, 1)
+    mask = (1 << m) - 1
+    y, k = x & mask, s
+    while k < m:
+        y = (y + (y << k)) & mask
+        k <<= 1
+    y = -y & mask
+    if (y << s) - y != x:
+        raise ArithmeticError(f"{x} is not a non-negative multiple of 2^{s} - 1")
+    return y
 
 
 def _mod_mersenne(x: int, s: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .polyq import ONE, Poly, ZERO
+from .polyq import ONE, Poly, ZERO, _homogeneous, check_rational
 
 
 class RatFunc:
@@ -159,10 +159,16 @@ class RatFunc:
         return RatFunc._raw(self.num.substitute_power(d), self.den.substitute_power(d))
 
     def evaluate(self, q0: Fraction | int) -> Fraction:
-        dv = self.den.evaluate(q0)
+        check_rational(q0, "evaluation point")
+        a, b = q0.numerator, q0.denominator
+        dv = _homogeneous(self.den._c, a, b)
         if dv == 0:
             raise ValueError("pole at evaluation point")
-        return self.num.evaluate(q0) / dv
+        # with N = b^deg(num) num(a/b) and D = b^deg(den) den(a/b), the
+        # value is N b^deg(den) / (D b^deg(num))
+        lift = len(self.den._c) - len(self.num._c)
+        nv = _homogeneous(self.num._c, a, b)
+        return Fraction(nv * b ** lift, dv) if lift >= 0 else Fraction(nv, dv * b ** -lift)
 
     def __str__(self) -> str:
         if self.den == ONE:

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcarlitz import carlitz
 from qcarlitz.carlitz import (bernoulli_classical, bernoulli_poly_classical,
@@ -292,6 +294,28 @@ def test_beta_hk_matches_sympy(k):
             for e in (0, d, 2 * d + 1):
                 got = beta_hk(n, h, k, d, F(e, d))
                 assert coeff_lists(got) == sympy_closed_form(n, h, k, d, e), (h, d, e)
+
+
+@st.composite
+def closed_form_cores(draw):
+    # (n, h, k, d, e) with gcd(d, e) = 1: the closed form's own sum, not
+    # the substitution q -> q^g
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    e = draw(st.integers(0, 7).filter(lambda e: gcd(d, e) == 1))
+    return draw(st.integers(0, 10)), draw(st.integers(k, k + 2)), k, d, e
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(closed_form_cores())
+@example((10, 5, 3, 3, 2))
+@example((10, 3, 3, 2, 1))
+@example((10, 1, 1, 1, 0))
+def test_beta_hk_core_matches_generic_sum(case):
+    n, h, k, d, e = case
+    got = carlitz._beta_hk_monomial.__wrapped__(n, h, k, d, e)
+    assert got == closed_form_by_gcd(n, h, k, d, e), case
+    assert got == beta_hk(n, h, k, d, F(e, d)), case
 
 
 def test_beta_families_need_no_gcd(monkeypatch):

@@ -303,8 +303,14 @@ def test_cyclotomic_product_matches_oracle(exps):
 def terms_over_cyclotomic_maps(draw):
     return draw(st.lists(st.tuples(
         st.lists(st.integers(-40, 40), max_size=5).map(Poly),
+        st.integers(-6, 6), st.integers(0, 3),
         st.dictionaries(st.integers(1, 40), st.integers(0, 3), max_size=4)),
         min_size=1, max_size=6))
+
+
+def scaled(num, scale, shift):
+    # a term's numerator scale q^shift num, with Poly arithmetic
+    return (num * scale).shift(shift)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -313,19 +319,22 @@ def terms_over_cyclotomic_maps(draw):
 # both numerators have norm 1, but the second term's map multiplies the
 # first by (q + 1)^12, of norm 2^12: the sum is packed at 16 bits, and
 # 1 + (q + 1)^12 has a coefficient 924 that 8 bits do not hold
-@example([(ONE, {}), (ONE, {2: 12})])
+@example([(ONE, 1, 0, {}), (ONE, 1, 0, {2: 12})])
 # a zero numerator adds nothing, but its map still enters the lcm
-@example([(ZERO, {3: 1}), (Poly([7]), {})])
+@example([(ZERO, 1, 0, {3: 1}), (Poly([7]), 1, 0, {})])
+# a scale and a shift: -3 q^2 (1 - q) / Phi_2 + 5 q / Phi_1
+@example([(Poly([1, -1]), -3, 2, {2: 1}), (ONE, 5, 1, {1: 1})])
 def test_cyclotomic_sum_matches_generic_sum(terms):
     want = RatFunc(ZERO)
     lcm = Counter()
-    for num, exps in terms:
+    for num, scale, shift, exps in terms:
         den = ONE
         for d, e in exps.items():
             den = den * phi_oracle(d) ** e
-        want = want + RatFunc(num, den)
+        want = want + RatFunc(scaled(num, scale, shift), den)
         lcm |= Counter(exps)
-    value, bits, exps = cyclotomic_sum([(num, Counter(exps)) for num, exps in terms])
+    value, bits, exps = cyclotomic_sum([(num, scale, shift, Counter(exps))
+                                        for num, scale, shift, exps in terms])
     num = Poly.unpack(value, bits)
     assert +exps == lcm
     den = ONE
@@ -335,14 +344,15 @@ def test_cyclotomic_sum_matches_generic_sum(terms):
 
 
 def reference_sum(terms):
-    """Each num times its cofactor, the lcm of the maps (Counter |) less its
-    own map, built from phi_oracle, at the width of the sum of
-    ||num||_1 prod ||Phi_d||_1^{cofactor}: the bound cyclotomic_sum's fold
-    comes to in whatever order it takes the terms."""
+    """Each term's numerator scale q^shift num times its cofactor, the lcm
+    of the maps (Counter |) less its own map, built from phi_oracle, at the
+    width of the sum of ||scale num||_1 prod ||Phi_d||_1^{cofactor}: the
+    bound cyclotomic_sum's fold comes to in whatever order it takes the
+    terms."""
     lcm = Counter()
-    for _, exps in terms:
+    for *_, exps in terms:
         lcm |= exps
-    cofs = [(num, lcm - exps) for num, exps in terms]
+    cofs = [(scaled(num, scale, shift), lcm - exps) for num, scale, shift, exps in terms]
     bits = balanced_bits(sum(num.l1_norm() * prod(phi_oracle(d).l1_norm() ** e for d, e in cof.items())
                              for num, cof in cofs))
     value = sum(num.pack(bits) * prod(phi_oracle(d).pack(bits) ** e for d, e in cof.items())
@@ -362,18 +372,49 @@ def reference_sum(terms):
     [q_int_exponents(j + 1) for j in range(9)],
 ])
 def test_cyclotomic_sum_joins_maps_like_counter_union(maps):
-    terms = [(Poly([i + 1, -2, 0, 3 * i]), Counter(m)) for i, m in enumerate(maps)]
+    # term i scaled by (-1)^i (i + 1) and shifted by i mod 3, the first as it is
+    terms = [(Poly([i + 1, -2, 0, 3 * i]), (-1) ** i * (i + 1), i % 3, Counter(m))
+             for i, m in enumerate(maps)]
     value, bits, lcm = cyclotomic_sum(terms)
     assert isinstance(lcm, Counter)
     assert (value, bits, lcm) == reference_sum(terms)
 
 
+# (n, h, k, d, e) with gcd(d, e) = 1, so each reaches the closed form's sum
+CLOSED_FORM_CORES = [(0, 1, 1, 1, 0), (1, 1, 1, 1, 0), (8, 1, 1, 1, 0), (9, 1, 1, 2, 1),
+                     (7, 2, 1, 3, 2), (6, 3, 2, 2, 5), (10, 5, 3, 1, 4), (5, 4, 3, 3, 1)]
+
+
+@pytest.mark.parametrize("n, h, k, d, e", CLOSED_FORM_CORES)
+def test_closed_form_hands_the_reducer_the_reference_sum(monkeypatch, n, h, k, d, e):
+    # the closed form sums c_j q^{je} / prod_i [j + h - i]_{q^d} with no
+    # cyclotomic_sum; its packed numerator, width and map are exactly those
+    # of the reference sum of its terms, times (1 - q^d)^n's sign and map
+    seen = []
+    reduce = carlitz.over_cyclotomic_packed
+
+    def spy(value, bits, exps):
+        seen.append((value, bits, exps))
+        return reduce(value, bits, exps)
+
+    monkeypatch.setattr(carlitz, "over_cyclotomic_packed", spy)
+    got = carlitz._beta_hk_monomial.__wrapped__(n, h, k, d, e)
+    terms = []
+    for j in range(n + 1):
+        c, exps = comb(n, j) * (-1) ** j, Counter()
+        for i in range(k):
+            c *= j + h - i
+            exps += q_int_exponents(j + h - i, d)
+        terms.append((ONE, c, j * e, exps))
+    value, bits, lcm = reference_sum(terms)
+    assert seen == [((-1) ** n * value, bits, lcm + q_power_minus_one_exponents(d, n))]
+    assert got == carlitz._beta_hk_monomial(n, h, k, d, e)
+
+
 def test_cyclotomic_sum_multiplies_few_factors_into_cofactors(monkeypatch):
     # the cost the sum is shaped for, not its correctness (any order gives
     # the same numerator): the recurrence's maps, which nearly nest, take
-    # each Phi_d of their lcm about once, and the closed form's maps
-    # [j + 1]_q, which share little, fewer than half the factors of a
-    # term-by-term fold, which multiplies each term by nearly the whole lcm
+    # each Phi_d of their lcm about once
     taken = []
     packed_product = qcore._packed_product
 
@@ -387,19 +428,37 @@ def test_cyclotomic_sum_multiplies_few_factors_into_cofactors(monkeypatch):
         taken.clear()
         value, bits, lcm = cyclotomic_sum(terms)
         assert 2 * sum(taken) <= 3 * sum(lcm.values()), (len(terms), taken)
+        sums.append(len(terms))
         return value, bits, lcm
 
+    sums = []
     monkeypatch.setattr(carlitz, "cyclotomic_sum", counted_sum)
     for d in (1, 2, 3):
         carlitz.beta_number_recurrence(20, d)
-    maps = [Counter(q_int_exponents(j + 1)) for j in range(41)]
-    term_by_term, lcm = 0, Counter()
-    for exps in maps:
-        term_by_term += sum(((lcm | exps) - lcm).values()) + sum((lcm - exps).values())
-        lcm |= exps
-    taken.clear()
-    cyclotomic_sum([(ONE, exps) for exps in maps])
-    assert 2 * sum(taken) < term_by_term
+    assert len(sums) == 60
+    # the closed form calls no cyclotomic_sum and builds no Poly per term:
+    # it packs the lcm once per value and divides each cofactor out of it
+    products = []
+    monkeypatch.setattr(carlitz, "_packed_product",
+                        lambda exps, bits: products.append(bits) or packed_product(exps, bits))
+    built = []
+    init = Poly.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    sums.clear()
+    for n in (10, 20, 40):
+        # the second call, once the reducer's caches hold this value's maps
+        for _ in range(2):
+            products.clear()
+            built.clear()
+            carlitz._beta_hk_monomial.__wrapped__(n, 1, 1, 1, 0)
+        assert len(products) == 1, n
+        assert len(built) < 5, (n, len(built))
+    assert sums == []
 
 
 def test_cyclotomic_sum_of_no_terms_is_zero():

@@ -2,6 +2,7 @@ import copy
 import inspect
 import pickle
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -9,7 +10,8 @@ from qcarlitz.carlitz import BetaTable, beta_number
 from qcarlitz.identities import IdentityParams, IdentityReport, Permutation3
 from qcarlitz.padic import IntegrandSpec, PadicInt, VolkenbornJob
 from qcarlitz.polyq import ONE, Poly
-from qcarlitz.qcore import power_sum_T, q_int, q_int_poly
+from qcarlitz.qcore import (cyclotomic_poly, cyclotomic_value, divide_mersenne, power_sum_T,
+                            q_int, q_int_exponents, q_int_poly, q_power_minus_one_exponents)
 from qcarlitz.ratfunc import RF_ONE, RatFunc
 
 
@@ -60,6 +62,47 @@ def test_power_sum_refuses_a_bool_or_float_index():
                        ((1.0, 1, 2), "n")]:
         with pytest.raises(ValueError, match=f"{name} must be an int, got"):
             power_sum_T(*args)
+
+
+@pytest.mark.parametrize("helper, args, text", [
+    # True was a q-integer argument of 1, with an empty map
+    (q_int_exponents, (True,), "t must be an int, got True"),
+    # 2.0 failed inside isqrt with a TypeError
+    (q_int_exponents, (2.0,), "t must be an int, got 2.0"),
+    # True was q^1 - 1, and 2.0 failed inside isqrt with a TypeError
+    (q_power_minus_one_exponents, (True,), "m must be an int, got True"),
+    (q_power_minus_one_exponents, (2.0,), "m must be an int, got 2.0"),
+    # a negative power gave a map of negative exponents
+    (q_power_minus_one_exponents, (4, -1), "power must be non-negative"),
+    # True gave the exponents True
+    (q_power_minus_one_exponents, (4, True), "power must be an int, got True"),
+    # 2^0 - 1 = 0 was a ZeroDivisionError, a negative width a negative shift
+    (cyclotomic_value, (3, 0), "bits must be positive"),
+    (cyclotomic_value, (3, -8), "bits must be positive"),
+    # 2.0 failed inside comb with a TypeError
+    (cyclotomic_poly, (2.0,), "d must be an int, got 2.0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_cyclotomic_map_helpers_refuse_bools_floats_and_negatives(helper, args, text):
+    with pytest.raises(ValueError, match=text):
+        helper(*args)
+
+
+def test_divide_mersenne_matches_floor_division():
+    rng = Random(36)
+    for _ in range(300):
+        s = rng.randrange(1, 200)
+        y = rng.getrandbits(rng.randrange(0, 1500))
+        assert divide_mersenne(y * ((1 << s) - 1), s) == y, (y, s)
+    for s in (1, 8, 64):
+        # 0, and s at or past the bit length of the multiple
+        assert divide_mersenne(0, s) == 0
+        assert divide_mersenne((1 << s) - 1, s) == 1
+    # non-multiples, and a negative multiple
+    for x, s in [(1, 8), (254, 8), (256, 8), (3 * 255 + 1, 8), (1 << 300, 5), (-255, 8)]:
+        with pytest.raises(ArithmeticError, match="not a non-negative multiple"):
+            divide_mersenne(x, s)
+    with pytest.raises(ValueError):
+        divide_mersenne(3, 0)
 
 
 def test_q_int_limits():

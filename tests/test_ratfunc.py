@@ -105,7 +105,6 @@ def test_evaluate():
 
 
 def test_evaluate_refuses_a_float_or_bool():
-    # the point reaches Poly.evaluate, which refuses it
     v = RatFunc(Poly([-1]), Poly([1, 1]))
     for call in (lambda: v.evaluate(0.5), lambda: rf_eval_rational(v, 0.5),
                  lambda: rf_eval_rational(v, True)):
@@ -271,3 +270,41 @@ def test_normal_form_is_unique_and_keeps_the_value(a, b, k, c, x):
     bx = _horner(b, x)
     if bx:
         assert v.evaluate(x) == _horner(a, x) / bx
+
+
+def _fraction_horner(p: Poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coefficients()):
+        acc = acc * x + c
+    return acc
+
+
+@DIFF
+@given(polys(max_len=8), polys(max_len=6).filter(bool),
+       st.one_of(st.integers(-7, 7),
+                 st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))))
+@example(Poly([3, 1]), Poly([1, 1]), 0)
+@example(Poly([0, 0, 5]), Poly([2, 0, -1]), Fraction(-3, 2))
+@example(ZERO, Poly([1, 0, 1]), Fraction(1, 4))
+def test_evaluate_matches_fraction_horner(a, b, x):
+    # evaluation runs Horner in integers on b^deg P(a/b); the oracle runs it
+    # on Fractions, step by step
+    assert a.evaluate(x) == _fraction_horner(a, x)
+    assert type(a.evaluate(x)) is Fraction
+    v = RatFunc(a, b)
+    den = _fraction_horner(v.den, x)
+    if den:
+        assert v.evaluate(x) == _fraction_horner(v.num, x) / den
+        assert type(v.evaluate(x)) is Fraction
+    else:
+        with pytest.raises(ValueError, match="pole at evaluation point"):
+            v.evaluate(x)
+
+
+def test_evaluate_at_a_pole_is_refused():
+    # (q + 2) / ((2q + 1)(q - 3)) has poles at -1/2 and 3
+    v = RatFunc(Poly([2, 1]), Poly([1, 2]) * Poly([-3, 1]))
+    for x in (Fraction(-1, 2), 3):
+        with pytest.raises(ValueError, match="pole at evaluation point"):
+            v.evaluate(x)
+    assert v.evaluate(Fraction(1, 2)) == Fraction(5, 2) / (2 * Fraction(-5, 2))
